@@ -121,6 +121,16 @@ def cmd_simulate(config: ScenarioConfig, out_dir: str | Path) -> int:
     return 0
 
 
+def _write_report(out: str | Path, title: str, header: list[str], rows: list[list]) -> int:
+    """Write one report CSV; exit code 0, or 2 when it cannot be written."""
+    try:
+        write_csv(out, f"{title}, {_VERSION_TAG}", header, rows)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def cmd_report_delay(
     bits_list: Sequence[int],
     distance_list: Sequence[float],
@@ -133,12 +143,7 @@ def cmd_report_delay(
             b = total_delay(bits, distance, params)
             rows.append([bits, distance, *b.terms, b.total])
     header = ["bits", "distance_m"] + [f"t{i}_s" for i in range(1, 9)] + ["total_s"]
-    try:
-        write_csv(out, f"delay grid, {_VERSION_TAG}", header, rows)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return _write_report(out, "delay grid", header, rows)
 
 
 def cmd_report_energy(
@@ -154,12 +159,7 @@ def cmd_report_energy(
         for r in energy_sweep(bits_list, reps_list, profile, params, duration_s)
     ]
     header = ["bits", "repetitions", "e_tx_j", "e_rx_j", "e_idle_j", "e_total_j"]
-    try:
-        write_csv(out, f"energy grid, {_VERSION_TAG}", header, rows)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return _write_report(out, "energy grid", header, rows)
 
 
 def cmd_report_schedule(config: ScenarioConfig, out: str | Path) -> int:
@@ -176,12 +176,7 @@ def cmd_report_schedule(config: ScenarioConfig, out: str | Path) -> int:
         for sid, slot in by_slot
     ]
     header = ["slot", "sensor_id_hex", "offset_s", "slot_duration_s", "frame_period_s"]
-    try:
-        write_csv(out, f"slot schedule, {_VERSION_TAG}", header, rows)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return _write_report(out, "slot schedule", header, rows)
 
 
 def _int_list(text: str) -> list[int]:

@@ -9,7 +9,7 @@ modeled hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .delays import DelayParams, airtime
@@ -85,18 +85,6 @@ _CURRENT_FIELDS = {
     (MCU, IDLE): "mcu_i_idle_a",
 }
 
-# Ledger bucket per device/state.
-_BUCKETS = {
-    (RADIO, TRANSMIT): "transmit_j",
-    (RADIO, RECEIVE): "receive_j",
-    (RADIO, IDLE): "idle_j",
-    (SENSOR, ACTIVE): "sensing_j",
-    (SENSOR, IDLE): "idle_j",
-    (MCU, ACTIVE): "mcu_j",
-    (MCU, IDLE): "idle_j",
-}
-
-
 def power(volts: float, amperes: float) -> float:
     """Electrical power in watts."""
     return volts * amperes
@@ -127,19 +115,6 @@ class EnergyLedger:
     @property
     def total_j(self) -> float:
         return self.transmit_j + self.receive_j + self.idle_j + self.sensing_j + self.mcu_j
-
-
-def accrue(
-    ledger: EnergyLedger,
-    profile: DevicePowerProfile,
-    device: str,
-    state: str,
-    duration_s: float,
-) -> EnergyLedger:
-    """Return a ledger with the matching bucket grown by v*i*t."""
-    joules = state_energy(profile, device, state, duration_s)
-    bucket = _BUCKETS[(device, state)]
-    return replace(ledger, **{bucket: getattr(ledger, bucket) + joules})
 
 
 @dataclass(frozen=True)

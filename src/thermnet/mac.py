@@ -1,25 +1,21 @@
-"""TDMA medium-access state machine for the sensor nodes.
+"""TDMA slot schedule and slot arithmetic for the sensor nodes.
 
 Time is divided into repeating frames: one beacon window followed by one
-dedicated slot per node.  A node waits for its own slot, samples the
-channel power (a binary busy/free RSSI gate) at the slot start, and
-transmits only if the channel is free; a busy channel defers the frame
-to the same slot in the next TDMA frame, with no retry bound.
-
-Transitions are pure functions: ``mac_step`` never mutates its input
-state, which keeps the node model trivially deterministic and
-thread-safe.
+dedicated slot per node.  Frame k starts at ``k * frame_period_s`` and a
+node's own slot in it at ``k * frame_period_s + slot_offset_s``; the
+model has no clock drift, so every slot instant follows from the
+schedule alone.  The listen-before-send loop that uses these slots runs
+in the simulation engine.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 from typing import Optional
 
 from .delays import DelayParams, airtime
-from .frames import Frame, SensorId
+from .frames import SensorId
 
 SLOT_GRANULARITY_S = 0.001
 DEFAULT_GUARD_S = 0.005
@@ -28,21 +24,6 @@ DEFAULT_BEACON_S = 0.002
 
 class DuplicateNode(ValueError):
     """The same sensor id appeared twice in a schedule request."""
-
-
-class Phase(Enum):
-    UNSYNCED = "unsynced"
-    WAITING_SLOT = "waiting_slot"
-    SENSING_CHANNEL = "sensing_channel"
-    TRANSMITTING = "transmitting"
-    DONE = "done"
-
-
-class Action(Enum):
-    NONE = "none"
-    START_RSSI = "start_rssi"
-    START_TX = "start_tx"
-    DEFER_TO_NEXT_FRAME = "defer_to_next_frame"
 
 
 @dataclass(frozen=True)
@@ -65,15 +46,6 @@ class SlotSchedule:
     def slot_offset_s(self, node_id: SensorId) -> float:
         """Offset of a node's slot start from the frame start."""
         return self.beacon_slot_s + self.assignments[node_id] * self.slot_duration_s
-
-
-@dataclass(frozen=True)
-class MacState:
-    node_id: SensorId
-    phase: Phase = Phase.UNSYNCED
-    pending_frame: Optional[Frame] = None
-    next_slot_start_s: float = 0.0
-    retry_count: int = 0
 
 
 def build_schedule(
@@ -121,77 +93,13 @@ def slot_owner(schedule: SlotSchedule, t: float) -> Optional[SensorId]:
     return None
 
 
+def next_slot_index(schedule: SlotSchedule, node_id: SensorId, now: float) -> int:
+    """Index k of the first frame whose slot for the node starts at or after ``now``."""
+    k = math.ceil((now - schedule.slot_offset_s(node_id)) / schedule.frame_period_s)
+    return max(k, 0)
+
+
 def next_slot_time(schedule: SlotSchedule, node_id: SensorId, now: float, epoch: float = 0.0) -> float:
     """Earliest start >= ``now`` of the node's slot, frames counted from epoch."""
-    period = schedule.frame_period_s
-    offset = schedule.slot_offset_s(node_id)
-    k = math.ceil((now - epoch - offset) / period)
-    return epoch + max(k, 0) * period + offset
-
-
-def synchronize(state: MacState, beacon_time_s: float, schedule: SlotSchedule) -> MacState:
-    """Re-align to a beacon: wait for this frame's own slot.
-
-    Idempotent; a later beacon simply overrides.  A node that misses a
-    beacon keeps its previous timing and free-runs.
-    """
-    next_start = beacon_time_s + schedule.slot_offset_s(state.node_id)
-    phase = state.phase if state.phase is Phase.TRANSMITTING else Phase.WAITING_SLOT
-    return replace(state, phase=phase, next_slot_start_s=next_start)
-
-
-def queue_frame(state: MacState, frame: Frame, now: float, schedule: SlotSchedule) -> MacState:
-    """Hand a fresh frame to the MAC; it waits for the next own slot."""
-    return replace(
-        state,
-        phase=Phase.WAITING_SLOT,
-        pending_frame=frame,
-        next_slot_start_s=next_slot_time(schedule, state.node_id, now),
-    )
-
-
-def finish_transmission(state: MacState) -> MacState:
-    """Transmission over; with nothing left pending the node goes quiet."""
-    return replace(state, phase=Phase.DONE, pending_frame=None)
-
-
-def mac_step(
-    state: MacState,
-    now: float,
-    channel_busy: Optional[bool],
-    schedule: SlotSchedule,
-) -> tuple[MacState, Action]:
-    """One decision of the slotted access loop.
-
-    ``channel_busy`` is the RSSI verdict at the sense instant: None when
-    no sample has been taken yet (the caller is asked for one via
-    START_RSSI), else the sampled busy flag.  Outside the node's own
-    slot the only move is to wait; a busy own slot defers to the same
-    slot one frame later and bumps the retry counter.
-    """
-    if state.phase is Phase.DONE or state.phase is Phase.TRANSMITTING:
-        return state, Action.NONE
-    if state.pending_frame is None:
-        return replace(state, phase=Phase.DONE), Action.NONE
-    if state.phase is Phase.UNSYNCED:
-        return state, Action.NONE
-
-    # Sub-nanosecond slack: a beacon re-sync may move the recorded slot
-    # start by float rounding relative to the caller's clock.
-    in_own_slot = now >= state.next_slot_start_s - 1e-9
-    if state.phase is Phase.WAITING_SLOT and not in_own_slot:
-        return state, Action.NONE
-
-    if channel_busy is None:
-        if state.phase is Phase.SENSING_CHANNEL:
-            return state, Action.NONE
-        return replace(state, phase=Phase.SENSING_CHANNEL), Action.START_RSSI
-    if channel_busy:
-        deferred = replace(
-            state,
-            phase=Phase.WAITING_SLOT,
-            next_slot_start_s=state.next_slot_start_s + schedule.frame_period_s,
-            retry_count=state.retry_count + 1,
-        )
-        return deferred, Action.DEFER_TO_NEXT_FRAME
-    return replace(state, phase=Phase.TRANSMITTING), Action.START_TX
+    k = next_slot_index(schedule, node_id, now - epoch)
+    return epoch + k * schedule.frame_period_s + schedule.slot_offset_s(node_id)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .config import NodeSpec, ScenarioConfig, TDMA
@@ -30,29 +30,9 @@ from .delays import (
     serial_delay,
     usb_delay,
 )
-from .energy import (
-    ACTIVE,
-    IDLE,
-    MCU,
-    RADIO,
-    RECEIVE,
-    SENSOR,
-    TRANSMIT,
-    EnergyLedger,
-    accrue,
-)
+from .energy import ACTIVE, IDLE, MCU, RADIO, RECEIVE, SENSOR, TRANSMIT, EnergyLedger, state_energy
 from .frames import FRAME_BITS, Frame, FrameError, SensorId, TEMP_LSB_C, decode_frame, encode_frame
-from .mac import (
-    Action,
-    MacState,
-    Phase,
-    SlotSchedule,
-    build_schedule,
-    finish_transmission,
-    mac_step,
-    queue_frame,
-    synchronize,
-)
+from .mac import SlotSchedule, build_schedule, next_slot_index
 from .monitor import Reading
 from .rng import float_key, gauss
 from .traces import TemperatureTrace
@@ -77,7 +57,6 @@ LOGGED_KINDS = frozenset(
 _CONVERSION_START = "_conversion_start"
 _FRAME_READY = "_frame_ready"
 _INTF_BURST = "_interferer_burst"
-_INTF_END = "_interferer_end"
 
 _NOISE_STREAM = 0x5E
 
@@ -261,20 +240,24 @@ class SimResult:
 
 @dataclass
 class _Node:
+    """One sensor node.
+
+    ``pending`` holds the frame waiting for the node's slot, with its
+    delay record; exactly while it is set, one SLOT_START is queued for
+    slot ``slot_k``, at ``slot_k * frame_period_s + slot_offset_s``.
+    """
+
     spec: NodeSpec
     sensor_id: SensorId
+    subject: str
     sensor: SensorModel
-    mac: MacState
     index: int
-    ledger: EnergyLedger = field(default_factory=EnergyLedger)
-    inflight: dict[int, MeasuredDelay] = field(default_factory=dict)
+    slot_offset_s: float = 0.0
+    pending: Optional[tuple[Frame, MeasuredDelay]] = None
+    slot_k: int = 0
     radio_active_s: float = 0.0
     sensor_active_s: float = 0.0
     mcu_active_s: float = 0.0
-
-    @property
-    def subject(self) -> str:
-        return self.sensor_id.hex()
 
 
 class _Engine:
@@ -302,8 +285,7 @@ class _Engine:
                 conversion_time_s=self.params.sensor_conversion_s,
                 noise_sigma_c=config.noise_sigma_c,
             )
-            self.nodes.append(_Node(spec, sid, sensor, MacState(node_id=sid), index=i))
-        self._by_id = {n.sensor_id: n for n in self.nodes}
+            self.nodes.append(_Node(spec, sid, sid.hex(), sensor, index=i))
 
         self.schedule: Optional[SlotSchedule] = None
         if config.mac_mode == TDMA:
@@ -314,6 +296,8 @@ class _Engine:
                 guard_s=config.guard_s,
                 beacon_s=config.beacon_s,
             )
+            for node in self.nodes:
+                node.slot_offset_s = self.schedule.slot_offset_s(node.sensor_id)
 
     # -- queue plumbing ------------------------------------------------
 
@@ -354,15 +338,19 @@ class _Engine:
 
     def _finish(self) -> SimResult:
         end = self.end_time_s
+        prof = self.profile
         ledgers: dict[str, EnergyLedger] = {}
         for node in self.nodes:
-            led = node.ledger
-            led = accrue(led, self.profile, RADIO, IDLE, end - node.radio_active_s)
-            led = accrue(led, self.profile, SENSOR, IDLE, end - node.sensor_active_s)
-            led = accrue(led, self.profile, MCU, IDLE, end - node.mcu_active_s)
-            ledgers[node.subject] = led
+            ledgers[node.subject] = EnergyLedger(
+                transmit_j=state_energy(prof, RADIO, TRANSMIT, node.radio_active_s),
+                sensing_j=state_energy(prof, SENSOR, ACTIVE, node.sensor_active_s),
+                mcu_j=state_energy(prof, MCU, ACTIVE, node.mcu_active_s),
+                idle_j=state_energy(prof, RADIO, IDLE, end - node.radio_active_s)
+                + state_energy(prof, SENSOR, IDLE, end - node.sensor_active_s)
+                + state_energy(prof, MCU, IDLE, end - node.mcu_active_s),
+            )
         # The access point listens for the whole run.
-        ledgers[AP] = accrue(EnergyLedger(), self.profile, RADIO, RECEIVE, end)
+        ledgers[AP] = EnergyLedger(receive_j=state_energy(prof, RADIO, RECEIVE, end))
         return SimResult(
             events=self.events,
             readings=self.readings,
@@ -383,7 +371,6 @@ class _Engine:
 
     def _on_conversion_done(self, node: _Node, k: int, raw: int, started_s: float) -> None:
         self._log(CONVERSION_DONE, node.subject, f"k={k} raw={raw}")
-        node.ledger = accrue(node.ledger, self.profile, SENSOR, ACTIVE, node.sensor.conversion_time_s)
         node.sensor_active_s += node.sensor.conversion_time_s
         md = MeasuredDelay(
             sensor_id=node.sensor_id,
@@ -396,48 +383,41 @@ class _Engine:
 
     def _on_frame_ready(self, node: _Node, md: MeasuredDelay, raw: int) -> None:
         md.frame_ready_s = self.now
-        node.ledger = accrue(node.ledger, self.profile, MCU, ACTIVE, mcu_prep_delay(self.params))
         node.mcu_active_s += mcu_prep_delay(self.params)
-        frame = Frame(node.sensor_id, raw_temp=raw, sequence=md.sequence)
-
-        stale = node.mac.pending_frame
-        if stale is not None and node.mac.phase in (Phase.WAITING_SLOT, Phase.SENSING_CHANNEL):
-            # A still-undelivered older reading is superseded by this one.
-            node.inflight.pop(stale.sequence, None)
-            self.stats.replaced_pending += 1
-        node.inflight[md.sequence] = md
         self.stats.frames_queued += 1
-
+        frame = Frame(node.sensor_id, raw_temp=raw, sequence=md.sequence)
         if self.schedule is None:
             md.decision_s = self.now
             self._push(self.now + self.params.radio_switch_delay_s, TX_START, node, frame, md)
             return
-        node.mac = queue_frame(node.mac, frame, self.now, self.schedule)
-        self._push(node.mac.next_slot_start_s, SLOT_START, node)
+        if node.pending is not None:
+            # A still-undelivered older reading is superseded by this one
+            # and goes out in the slot already queued for it.
+            self.stats.replaced_pending += 1
+        else:
+            node.slot_k = next_slot_index(self.schedule, node.sensor_id, self.now)
+            self._push_slot(node)
+        node.pending = (frame, md)
+
+    def _push_slot(self, node: _Node) -> None:
+        self._push(node.slot_k * self.schedule.frame_period_s + node.slot_offset_s, SLOT_START, node)
 
     def _on_slot_start(self, node: _Node) -> None:
-        mac = node.mac
-        if (
-            mac.phase is not Phase.WAITING_SLOT
-            or mac.pending_frame is None
-            or abs(self.now - mac.next_slot_start_s) > 1e-9
-        ):
-            return  # superseded by a defer or a replacement frame
+        """Listen before send: a free channel transmits the pending frame,
+        a busy one defers it to the node's slot in the next frame, with
+        no retry bound."""
         self._log(SLOT_START, node.subject)
-        node.mac, action = mac_step(node.mac, self.now, None, self.schedule)
-        if action is not Action.START_RSSI:
-            return
         busy = self.medium.busy_at(self.now, node.spec.distance_m)
         self._log(RSSI_SAMPLE, node.subject, "busy" if busy else "free")
-        node.mac, action = mac_step(node.mac, self.now, busy, self.schedule)
-        if action is Action.START_TX:
-            frame = node.mac.pending_frame
-            md = node.inflight[frame.sequence]
-            md.decision_s = self.now
-            self._push(self.now + self.params.radio_switch_delay_s, TX_START, node, frame, md)
-        elif action is Action.DEFER_TO_NEXT_FRAME:
+        if busy:
             self.stats.deferrals += 1
-            self._push(node.mac.next_slot_start_s, SLOT_START, node)
+            node.slot_k += 1
+            self._push_slot(node)
+            return
+        frame, md = node.pending
+        node.pending = None
+        md.decision_s = self.now
+        self._push(self.now + self.params.radio_switch_delay_s, TX_START, node, frame, md)
 
     def _on_tx_start(self, node: _Node, frame: Frame, md: MeasuredDelay) -> None:
         word = encode_frame(frame.sensor_id, frame.raw_temp, frame.sequence)
@@ -452,36 +432,30 @@ class _Engine:
         md.tx_start_s = self.now
         self.stats.transmissions += 1
         self._log(TX_START, node.subject, f"seq={frame.sequence}", payload=frame)
-        self._push(tx.end_s, TX_END, node, tx, md)
+        self._push(tx.end_s, TX_END, tx, node, md)
 
-    def _on_tx_end(self, node: _Node, tx: Transmission, md: MeasuredDelay) -> None:
-        md.tx_end_s = self.now
-        self._log(TX_END, node.subject, f"collided={tx.collided}")
+    def _on_tx_end(self, tx: Transmission, node: Optional[_Node], md: Optional[MeasuredDelay]) -> None:
+        """End of a node's frame, or of an interferer burst (node and md None)."""
+        self._log(TX_END, tx.sender, f"collided={tx.collided}")
         self.medium.finish(tx)
-        dur = tx.end_s - tx.start_s
-        node.ledger = accrue(node.ledger, self.profile, RADIO, TRANSMIT, dur)
-        node.radio_active_s += dur
-        if self.schedule is not None:
-            node.mac = finish_transmission(node.mac)
+        if node is not None:
+            md.tx_end_s = self.now
+            node.radio_active_s += tx.end_s - tx.start_s
         if not self.medium.in_ap_range(tx):
-            self.stats.out_of_range += 1
-            node.inflight.pop(md.sequence, None)
+            if node is not None:
+                self.stats.out_of_range += 1
             return
         arrival = self.now + propagation_delay(tx.distance_m, self.params)
         if tx.collided:
-            self._push(arrival, RX_COLLISION, tx, md)
+            self._push(arrival, RX_COLLISION, tx)
         else:
             self._push(arrival, RX_DELIVER, tx, md)
 
     # -- access-point handlers -----------------------------------------
 
-    def _on_rx_collision(self, tx: Transmission, md: Optional[MeasuredDelay]) -> None:
+    def _on_rx_collision(self, tx: Transmission) -> None:
         self._log(RX_COLLISION, AP, f"from={tx.sender}")
         self.stats.collisions += 1
-        if md is not None:
-            node = self._by_id.get(md.sensor_id)
-            if node is not None:
-                node.inflight.pop(md.sequence, None)
 
     def _on_rx_deliver(self, tx: Transmission, md: Optional[MeasuredDelay]) -> None:
         try:
@@ -515,9 +489,6 @@ class _Engine:
             )
         )
         self.delay_samples.append(md)
-        node = self._by_id.get(frame.sensor_id)
-        if node is not None:
-            node.inflight.pop(md.sequence, None)
 
     # -- shared-cell handlers ------------------------------------------
 
@@ -525,10 +496,8 @@ class _Engine:
         k = self.stats.beacons
         self._log(BEACON, AP, f"n={k}")
         self.stats.beacons += 1
-        for node in self.nodes:
-            node.mac = synchronize(node.mac, self.now, self.schedule)
-        # k*period (not repeated addition) so beacon times bit-match the
-        # slot arithmetic in next_slot_time and drift cannot accumulate.
+        # k*period (not repeated addition), the same arithmetic as the
+        # slot instants, so drift cannot accumulate.
         self._push((k + 1) * self.schedule.frame_period_s, BEACON)
 
     def _on_interferer_burst(self, intf) -> None:
@@ -543,19 +512,8 @@ class _Engine:
         )
         medium_transmit(self.medium, tx)
         self._log(TX_START, intf.name, f"bits={bits}")
-        self._push(tx.end_s, _INTF_END, intf, tx)
+        self._push(tx.end_s, TX_END, tx, None, None)
         self._push(self.now + intf.period_s, _INTF_BURST, intf)
-
-    def _on_interferer_end(self, intf, tx: Transmission) -> None:
-        self._log(TX_END, intf.name, f"collided={tx.collided}")
-        self.medium.finish(tx)
-        if not self.medium.in_ap_range(tx):
-            return
-        arrival = self.now + propagation_delay(tx.distance_m, self.params)
-        if tx.collided:
-            self._push(arrival, RX_COLLISION, tx, None)
-        else:
-            self._push(arrival, RX_DELIVER, tx, None)
 
 
 def run_scenario(config: ScenarioConfig) -> SimResult:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from thermnet.config import NodeSpec, ScenarioConfig
 from thermnet.delays import DelayParams
 from thermnet.energy import (
     ACTIVE,
@@ -18,13 +19,15 @@ from thermnet.energy import (
     DevicePowerProfile,
     EnergyLedger,
     UnknownState,
-    accrue,
     energy,
     energy_sweep,
     estimated_lifetime_s,
     power,
     state_energy,
 )
+from thermnet.frames import make_sensor_id
+from thermnet.sim import run_scenario
+from thermnet.traces import ConstantTrace
 
 PROFILE = DevicePowerProfile()
 PARAMS = DelayParams()
@@ -63,24 +66,11 @@ def test_current_lookup_and_unknown_state():
         PROFILE.current("antenna", IDLE)
 
 
-def test_accrue_routes_to_buckets():
-    ledger = EnergyLedger()
-    ledger = accrue(ledger, PROFILE, RADIO, TRANSMIT, 1.0)
-    ledger = accrue(ledger, PROFILE, RADIO, RECEIVE, 1.0)
-    ledger = accrue(ledger, PROFILE, SENSOR, ACTIVE, 1.0)
-    ledger = accrue(ledger, PROFILE, MCU, ACTIVE, 1.0)
-    assert ledger.transmit_j == pytest.approx(0.144)
-    assert ledger.receive_j == pytest.approx(0.324)
-    assert ledger.sensing_j == pytest.approx(0.081)
-    assert ledger.mcu_j == pytest.approx(0.0324)
-    assert ledger.idle_j == 0.0
-
-
 def test_all_idle_states_share_one_bucket():
-    ledger = EnergyLedger()
-    for device in (RADIO, SENSOR, MCU):
-        ledger = accrue(ledger, PROFILE, device, IDLE, 10.0)
-    expected = 9.0 * (1e-6 + 8e-9 + 0.001) * 10.0
+    # The first conversion ends at 0.75 s, so a 0.5 s run is idle throughout.
+    config = ScenarioConfig(nodes=(NodeSpec("node1", 1, ConstantTrace(37.0)),), duration_s=0.5)
+    ledger = run_scenario(config).ledgers[make_sensor_id(serial=1).hex()]
+    expected = 9.0 * (1e-6 + 8e-9 + 0.001) * 0.5
     assert ledger.idle_j == pytest.approx(expected, abs=1e-12)
     assert ledger.transmit_j == ledger.receive_j == ledger.sensing_j == ledger.mcu_j == 0.0
 

@@ -2,7 +2,8 @@
 
 Slot layout values are recomputed by hand from the airtime and guard
 numbers; ownership and next-slot arithmetic are checked against brute
-force scans so the modular arithmetic cannot hide an off-by-one.
+force scans so the modular arithmetic cannot hide an off-by-one.  The
+listen-before-send loop is checked on the event log of whole runs.
 """
 
 from __future__ import annotations
@@ -12,21 +13,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from thermnet.delays import DelayParams, airtime
-from thermnet.frames import FRAME_BITS, Frame, make_sensor_id
-from thermnet.mac import (
-    Action,
-    DuplicateNode,
-    MacState,
-    Phase,
-    build_schedule,
-    finish_transmission,
-    mac_step,
-    next_slot_time,
-    queue_frame,
-    slot_owner,
-    synchronize,
-)
+from thermnet.config import InterfererSpec, NodeSpec, ScenarioConfig
+from thermnet.delays import DelayParams, airtime, mcu_prep_delay
+from thermnet.frames import FRAME_BITS, make_sensor_id
+from thermnet.mac import DuplicateNode, build_schedule, next_slot_time, slot_owner
+from thermnet.sim import run_scenario
+from thermnet.traces import ConstantTrace
 
 PARAMS = DelayParams()
 
@@ -123,80 +115,77 @@ def test_next_slot_time_against_scan(now):
         assert got - now < schedule.frame_period_s + 1e-9
 
 
-def test_synchronize_sets_own_slot_in_beacon_frame():
-    schedule = build_schedule(ids(1), FRAME_BITS, PARAMS)
-    state = MacState(node_id=make_sensor_id(serial=1))
-    synced = synchronize(state, 10.5, schedule)
-    assert synced.phase is Phase.WAITING_SLOT
-    assert synced.next_slot_start_s == pytest.approx(10.502)
+# -- the slotted access loop, on whole runs -----------------------------
 
 
-def test_synchronize_preserves_active_transmission():
-    schedule = build_schedule(ids(1), FRAME_BITS, PARAMS)
-    state = MacState(node_id=make_sensor_id(serial=1), phase=Phase.TRANSMITTING)
-    assert synchronize(state, 0.0, schedule).phase is Phase.TRANSMITTING
+def _one_node(*interferers, duration_s=4.0):
+    return ScenarioConfig(
+        nodes=(NodeSpec("node1", 1, ConstantTrace(37.0), distance_m=10.0),),
+        duration_s=duration_s,
+        noise_sigma_c=0.0,
+        interferers=interferers,
+    )
 
 
-def _frame_for(serial):
-    return Frame(make_sensor_id(serial=serial), raw_temp=592, sequence=0)
+# Bursts of 0.98 s from 0.75 s and 2.75 s keep the channel busy from the
+# moment frames 0 and 2 are ready until just before frames 1 and 3 are.
+HELD_BY_BURSTS = InterfererSpec("interferer1", distance_m=5.0, period_s=2.0, start_s=0.75, bits=18900)
+
+
+def _node_events(result, kind):
+    subject = make_sensor_id(serial=1).hex()
+    return [e for e in result.events if e.kind == kind and e.subject == subject]
 
 
 def test_full_slot_cycle_free_channel():
-    schedule = build_schedule(ids(1), FRAME_BITS, PARAMS)
-    sid = make_sensor_id(serial=1)
-    state = synchronize(MacState(node_id=sid), 0.0, schedule)
-    state = queue_frame(state, _frame_for(1), 0.0005, schedule)
-    slot = state.next_slot_start_s
-    assert slot == pytest.approx(0.002)
-
-    early, action = mac_step(state, slot - 0.001, None, schedule)
-    assert action is Action.NONE and early.phase is Phase.WAITING_SLOT
-
-    state, action = mac_step(state, slot, None, schedule)
-    assert action is Action.START_RSSI and state.phase is Phase.SENSING_CHANNEL
-
-    state, action = mac_step(state, slot, False, schedule)
-    assert action is Action.START_TX and state.phase is Phase.TRANSMITTING
-
-    state = finish_transmission(state)
-    assert state.phase is Phase.DONE and state.pending_frame is None
-
-    state, action = mac_step(state, slot + 1, None, schedule)
-    assert action is Action.NONE
+    result = run_scenario(_one_node(duration_s=3.0))
+    schedule, sid = result.schedule, make_sensor_id(serial=1)
+    ready = [e.time_s + mcu_prep_delay(PARAMS) for e in _node_events(result, "conversion_done")]
+    slots = [e.time_s for e in _node_events(result, "slot_start")]
+    # Each frame waits for the node's next slot, finds the channel free
+    # and goes out one radio switch later.
+    assert slots == [next_slot_time(schedule, sid, t) for t in ready]
+    assert [e.time_s for e in _node_events(result, "rssi_sample")] == slots
+    assert [e.detail for e in _node_events(result, "rssi_sample")] == ["free"] * len(ready)
+    starts = [e.time_s for e in _node_events(result, "tx_start")]
+    assert starts == [t + PARAMS.radio_switch_delay_s for t in slots]
 
 
 def test_busy_channel_defers_to_next_frame():
-    schedule = build_schedule(ids(1), FRAME_BITS, PARAMS)
-    sid = make_sensor_id(serial=1)
-    state = queue_frame(synchronize(MacState(node_id=sid), 0.0, schedule), _frame_for(1), 0.0, schedule)
-    slot = state.next_slot_start_s
-
-    state, action = mac_step(state, slot, None, schedule)
-    assert action is Action.START_RSSI
-    state, action = mac_step(state, slot, True, schedule)
-    assert action is Action.DEFER_TO_NEXT_FRAME
-    assert state.phase is Phase.WAITING_SLOT
-    assert state.retry_count == 1
-    assert state.next_slot_start_s == pytest.approx(slot + schedule.frame_period_s)
-    # Same decision again one frame later, unbounded retries.
-    state, action = mac_step(state, state.next_slot_start_s, None, schedule)
-    state, action = mac_step(state, state.next_slot_start_s, True, schedule)
-    assert action is Action.DEFER_TO_NEXT_FRAME
-    assert state.retry_count == 2
+    result = run_scenario(_one_node(HELD_BY_BURSTS))
+    schedule, sid = result.schedule, make_sensor_id(serial=1)
+    period, offset = schedule.frame_period_s, schedule.slot_offset_s(sid)
+    slots = [e.time_s for e in _node_events(result, "slot_start")]
+    busy = {e.time_s for e in _node_events(result, "rssi_sample") if e.detail == "busy"}
+    # Every slot instant is k * period + offset exactly, and a busy slot
+    # k is followed by slot k + 1, however many times in a row.
+    frame_of = {t: round((t - offset) / period) for t in slots}
+    assert all(t == k * period + offset for t, k in frame_of.items())
+    for t, after in zip(slots, slots[1:]):
+        if t in busy:
+            assert frame_of[after] == frame_of[t] + 1
+    assert len(busy) == result.stats.deferrals == 94
 
 
 def test_no_pending_frame_terminates():
-    schedule = build_schedule(ids(1), FRAME_BITS, PARAMS)
-    state = synchronize(MacState(node_id=make_sensor_id(serial=1)), 0.0, schedule)
-    state, action = mac_step(state, 0.002, None, schedule)
-    assert action is Action.NONE and state.phase is Phase.DONE
+    for config in (_one_node(duration_s=3.0), _one_node(HELD_BY_BURSTS)):
+        result = run_scenario(config)
+        # A slot is used only for a pending frame: it either defers it or
+        # sends it, and after the last frame the node stays quiet.
+        assert len(_node_events(result, "slot_start")) == result.stats.deferrals + result.stats.transmissions
+        assert result.stats.transmissions == result.stats.frames_queued
 
 
-def test_unsynced_node_never_acts():
-    schedule = build_schedule(ids(1), FRAME_BITS, PARAMS)
-    state = MacState(node_id=make_sensor_id(serial=1), pending_frame=_frame_for(1))
-    state, action = mac_step(state, 5.0, None, schedule)
-    assert action is Action.NONE and state.phase is Phase.UNSYNCED
+def test_frame_ready_during_own_transmission_goes_in_next_slot():
+    result = run_scenario(_one_node(HELD_BY_BURSTS))
+    starts = [e.time_s for e in _node_events(result, "tx_start")]
+    ends = [e.time_s for e in _node_events(result, "tx_end")]
+    ready = [e.time_s + mcu_prep_delay(PARAMS) for e in _node_events(result, "conversion_done")]
+    assert starts[0] < ready[1] < ends[0]
+    next_slot = next_slot_time(result.schedule, make_sensor_id(serial=1), ready[1])
+    assert starts[1] == next_slot + PARAMS.radio_switch_delay_s
+    assert result.stats.transmissions == 4
+    assert [r.sequence for r in result.readings] == [0, 1, 2, 3]
 
 
 @given(st.sets(st.integers(min_value=0, max_value=(1 << 48) - 1), min_size=1, max_size=16))

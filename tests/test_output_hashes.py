@@ -1,0 +1,55 @@
+"""Regression guard: the shipped configs' simulate outputs, byte for byte.
+
+The configs use zero sensor noise and integer-hash traces, so their
+outputs do not depend on the platform's libm.  A change that alters any
+result must update the pinned hashes here and say why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from thermnet.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+PINNED = {
+    "aloha.conf": {
+        "events.csv": "e1680f4bef0e032be2fdd5745b77f05809dc7c3c4fbddf64336df80c9b6ca024",
+        "readings.csv": "9cf2364c3d9b3b9949ed357ee075a8b8f555335679087e24c5302e062879a3b0",
+        "ledgers.csv": "90aaf4eb9413bb48ffba64dbf190d55fee5090181285c50bfc97a8036be9c140",
+        "alerts.csv": "30c8b808c6bb14b007bf1d8bf4e699ff02b4821592a7796930982e1aeb2c5389",
+        "agreement.csv": "c443799f805935ee277174dc23ced77eb9ec4ba514d2d57fca1b303dfb685bd2",
+        "stats.csv": "6f583af1186bb42039867528ebc339cdc845d7b95d836dc0ccdc25b2d16dc6fd",
+    },
+    "scenario1.conf": {
+        "events.csv": "b8d707347a2d0d671227f8939a7790845ca234abdd9dac1d4e22b3bb417a1884",
+        "readings.csv": "05c7f1a0450cb3dd7b03dff4085e616adb7dc07db27cce6482846256ccab5b2c",
+        "ledgers.csv": "b85fc83a4e832274cd550d51020d08d87ab7bcbd9ee4d416c3d580389fb3718e",
+        "alerts.csv": "e47cdfc54b90a59e15d12074f6f78657158fb7717fbd1ffc18dc6120951cf4d6",
+        "agreement.csv": "6137400ccc21a771a6343d6398641ef7202818f4de55ae4ef3315476ae44e081",
+        "stats.csv": "2f1447e67c6d9ed912c1fa1ae6a33a15d688c1dd522326376f4874aa0f0279e5",
+    },
+    "scenario2.conf": {
+        "events.csv": "8593cc9b72ee8bac67995b2f9efd7668dd886db8f1a00cbb8e48a8dc48d07ced",
+        "readings.csv": "6484eef7ffeeef4455b393daf39feb3283660319843096ef129226fe4ccff0ce",
+        "ledgers.csv": "cb2b8c225f307cc05573c39b2183700a3524b24cfb72019bdf3ccde3e8e76e27",
+        "alerts.csv": "30c8b808c6bb14b007bf1d8bf4e699ff02b4821592a7796930982e1aeb2c5389",
+        "agreement.csv": "047a842351b53bc9fbd147f5dc47d95ce532b0d77bc17f21fe0e6e070f7c762f",
+        "stats.csv": "f9f5d640bbd0a1acdb828a4f61e78115d512bb3d883f348d98b8c844a757c462",
+    },
+}
+
+
+def test_every_shipped_config_is_pinned():
+    assert sorted(p.name for p in CONFIGS.glob("*.conf")) == sorted(PINNED)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_simulate_outputs_match_pinned_hashes(tmp_path, name):
+    assert main(["simulate", "--config", str(CONFIGS / name), "--out", str(tmp_path)]) == 0
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in PINNED[name]}
+    assert got == PINNED[name]

@@ -253,17 +253,20 @@ def test_event_log_is_ordered_and_causal():
 
 
 def test_transmissions_only_inside_own_slots():
-    result = run_scenario(two_nodes(duration_s=25.0))
-    schedule = result.schedule
-    slots = {nid.hex(): schedule.slot_offset_s(nid) for nid in schedule.assignments}
-    period = schedule.frame_period_s
-    for event in result.events:
-        if event.kind != "tx_start":
-            continue
-        offset = slots[event.subject]
-        # 130 us after the slot edge, modulo the frame period.
-        pos = (event.time_s - PARAMS.radio_switch_delay_s - offset) % period
-        assert min(pos, period - pos) < 1e-6
+    # The bursts make both nodes defer dozens of slots in a row.
+    bursts = InterfererSpec("interferer1", distance_m=5.0, period_s=2.0, start_s=0.75, bits=18900)
+    for cfg in (two_nodes(duration_s=25.0), two_nodes(duration_s=25.0, interferers=(bursts,))):
+        result = run_scenario(cfg)
+        schedule = result.schedule
+        slots = {nid.hex(): schedule.slot_offset_s(nid) for nid in schedule.assignments}
+        period = schedule.frame_period_s
+        for event in result.events:
+            if event.kind != "tx_start" or event.subject == "interferer1":
+                continue
+            offset = slots[event.subject]
+            # 130 us after the slot edge, modulo the frame period.
+            pos = (event.time_s - PARAMS.radio_switch_delay_s - offset) % period
+            assert min(pos, period - pos) < 1e-6
 
 
 def test_energy_ledger_matches_event_log_recompute():
