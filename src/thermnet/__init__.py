@@ -1,121 +1,15 @@
 """Deterministic simulator and analysis toolkit for a slotted wireless
 body-temperature sensor network: frame codec, delay and energy models,
 MAC scheduling, event-driven simulation, and monitoring-side analysis.
+
+The top level re-exports what a scenario run needs; everything else is
+imported from its submodule (``thermnet.frames``, ``thermnet.monitor``, ...).
 """
 
-from .config import (
-    ALOHA,
-    TDMA,
-    ConfigError,
-    InterfererSpec,
-    NodeSpec,
-    ParseError,
-    ScenarioConfig,
-    ValidationError,
-    load_config,
-    parse_config_text,
-)
-from .delays import DelayBudget, DelayParams, airtime, mcu_prep_delay, propagation_delay, serial_delay, total_delay, usb_delay
-from .energy import DevicePowerProfile, EnergyLedger, EnergySweepRow, energy_sweep, estimated_lifetime_s, power, state_energy
-from .frames import (
-    FRAME_BITS,
-    Frame,
-    FrameError,
-    SensorId,
-    TEMP_LSB_C,
-    crc8,
-    decode_frame,
-    encode_frame,
-    make_sensor_id,
-    validate_sensor_id,
-)
-from .mac import SlotSchedule, build_schedule, next_slot_time, slot_owner
-from .monitor import (
-    Alert,
-    AlertRule,
-    AgreementReport,
-    Reading,
-    ReadingStore,
-    agreement,
-    evaluate_alerts,
-    export_store,
-    import_store,
-)
-from .sim import Medium, SensorModel, SimEvent, SimResult, Transmission, medium_transmit, run_scenario, sense_and_quantize
-from .traces import (
-    BandNoiseTrace,
-    ConstantTrace,
-    CsvTrace,
-    RampTrace,
-    SinusoidTrace,
-    TemperatureTrace,
-    parse_trace,
-)
+from .config import NodeSpec, ScenarioConfig
+from .sim import run_scenario
+from .traces import ConstantTrace
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALOHA",
-    "TDMA",
-    "Alert",
-    "AlertRule",
-    "AgreementReport",
-    "BandNoiseTrace",
-    "ConfigError",
-    "ConstantTrace",
-    "CsvTrace",
-    "DelayBudget",
-    "DelayParams",
-    "DevicePowerProfile",
-    "EnergyLedger",
-    "EnergySweepRow",
-    "FRAME_BITS",
-    "Frame",
-    "FrameError",
-    "InterfererSpec",
-    "Medium",
-    "NodeSpec",
-    "ParseError",
-    "RampTrace",
-    "Reading",
-    "ReadingStore",
-    "ScenarioConfig",
-    "SensorId",
-    "SensorModel",
-    "SimEvent",
-    "SinusoidTrace",
-    "SimResult",
-    "SlotSchedule",
-    "TEMP_LSB_C",
-    "TemperatureTrace",
-    "Transmission",
-    "ValidationError",
-    "agreement",
-    "airtime",
-    "build_schedule",
-    "crc8",
-    "decode_frame",
-    "encode_frame",
-    "energy_sweep",
-    "estimated_lifetime_s",
-    "evaluate_alerts",
-    "export_store",
-    "import_store",
-    "load_config",
-    "make_sensor_id",
-    "mcu_prep_delay",
-    "medium_transmit",
-    "next_slot_time",
-    "parse_config_text",
-    "parse_trace",
-    "power",
-    "propagation_delay",
-    "run_scenario",
-    "sense_and_quantize",
-    "serial_delay",
-    "slot_owner",
-    "state_energy",
-    "total_delay",
-    "usb_delay",
-    "validate_sensor_id",
-]
+__all__ = ["ConstantTrace", "NodeSpec", "ScenarioConfig", "__version__", "run_scenario"]

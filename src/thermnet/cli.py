@@ -27,12 +27,14 @@ from .monitor import EmptySeries, ReadingStore, agreement, evaluate_alerts
 from .sim import SimResult, run_scenario
 
 _VERSION_TAG = "format v1"
+# v2: beacon rows dropped; beacon instants are k * frame_period_s.
+_EVENTS_TAG = "format v2"
 
 
 def _write_simulation_outputs(config: ScenarioConfig, result: SimResult, out_dir: Path) -> None:
     write_csv(
         out_dir / "events.csv",
-        f"event log, {_VERSION_TAG}",
+        f"event log, {_EVENTS_TAG}",
         ["time_s", "seq", "kind", "subject", "detail"],
         [[e.time_s, e.seq, e.kind, e.subject, e.detail] for e in result.events],
     )

@@ -8,7 +8,7 @@ different ``<k>`` tokens to declare several entities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .delays import DelayParams
@@ -212,7 +212,6 @@ def parse_config_text(
         node_specs.append(NodeSpec(name=sec_name, trace=trace, **entries))
     intf_specs = [InterfererSpec(name=sec, **entries) for sec, entries in interferers.items()]
 
-    mac_extra = simple["mac"]
     config = ScenarioConfig(
         nodes=tuple(node_specs),
         interferers=tuple(intf_specs),
@@ -220,13 +219,8 @@ def parse_config_text(
         power_profile=DevicePowerProfile(**simple["power"]),
         alert_rule=AlertRule(**simple["alert"]),
         **scenario,
+        **simple["mac"],
     )
-    if "guard_s" in mac_extra:
-        config = replace(config, guard_s=mac_extra["guard_s"])
-    if "beacon_s" in mac_extra:
-        config = replace(config, beacon_s=mac_extra["beacon_s"])
-    if "family_code" in mac_extra:
-        config = replace(config, family_code=mac_extra["family_code"])
     config.validate()
     return config
 

@@ -3,9 +3,12 @@
 Nodes sample their temperature trace, frame the reading, and contend
 for the shared radio under either the slotted (beacon-synchronized)
 MAC or a send-on-ready mode with no arbitration.  The access point
-receives, decodes and forwards to the serial side.  Every action is an
-event on one queue ordered by (time, insertion sequence), so a run is
-a pure function of the scenario config and seed.
+receives, decodes and forwards to the serial side.  Every action is a
+handler call on one queue ordered by (time, insertion sequence), so a
+run is a pure function of the scenario config and seed.
+
+Beacon instants are schedule arithmetic, ``k * frame_period_s``, so
+they are neither queued nor logged; only their count is reported.
 
 Each delivered packet carries its full stage-by-stage timestamp record;
 differencing those timestamps reproduces the analytical delay terms,
@@ -18,7 +21,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .config import NodeSpec, ScenarioConfig, TDMA
 from .delays import (
@@ -39,7 +42,6 @@ from .traces import TemperatureTrace
 
 AP = "ap"
 
-BEACON = "beacon"
 CONVERSION_DONE = "conversion_done"
 SLOT_START = "slot_start"
 RSSI_SAMPLE = "rssi_sample"
@@ -50,13 +52,8 @@ RX_COLLISION = "rx_collision"
 SERIAL_OUT = "serial_out"
 
 LOGGED_KINDS = frozenset(
-    {BEACON, CONVERSION_DONE, SLOT_START, RSSI_SAMPLE, TX_START, TX_END, RX_DELIVER, RX_COLLISION, SERIAL_OUT}
+    {CONVERSION_DONE, SLOT_START, RSSI_SAMPLE, TX_START, TX_END, RX_DELIVER, RX_COLLISION, SERIAL_OUT}
 )
-
-# Internal queue entries that never reach the event log.
-_CONVERSION_START = "_conversion_start"
-_FRAME_READY = "_frame_ready"
-_INTF_BURST = "_interferer_burst"
 
 _NOISE_STREAM = 0x5E
 
@@ -70,7 +67,6 @@ class SimEvent:
     kind: str
     subject: str
     detail: str = ""
-    payload: Optional[Frame] = None
 
 
 @dataclass
@@ -273,7 +269,7 @@ class _Engine:
         self.readings: list[Reading] = []
         self.delay_samples: list[MeasuredDelay] = []
         self.stats = SimStats()
-        self._heap: list[tuple[float, int, str, tuple]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._heap_seq = itertools.count()
         self._log_seq = itertools.count()
 
@@ -301,13 +297,13 @@ class _Engine:
 
     # -- queue plumbing ------------------------------------------------
 
-    def _push(self, time_s: float, kind: str, *payload) -> None:
-        assert time_s >= self.now - 1e-12, f"{kind} scheduled in the past"
-        heapq.heappush(self._heap, (time_s, next(self._heap_seq), kind, payload))
+    def _push(self, time_s: float, handler: Callable[..., None], *payload) -> None:
+        assert time_s >= self.now - 1e-12, f"{handler.__name__} scheduled in the past"
+        heapq.heappush(self._heap, (time_s, next(self._heap_seq), handler, payload))
 
-    def _log(self, kind: str, subject: str, detail: str = "", payload: Optional[Frame] = None) -> None:
+    def _log(self, kind: str, subject: str, detail: str = "") -> None:
         assert kind in LOGGED_KINDS
-        self.events.append(SimEvent(self.now, next(self._log_seq), kind, subject, detail, payload))
+        self.events.append(SimEvent(self.now, next(self._log_seq), kind, subject, detail))
 
     # -- run -----------------------------------------------------------
 
@@ -315,16 +311,14 @@ class _Engine:
         if self.end_time_s > 0:
             self._seed_events()
         while self._heap:
-            time_s, _, kind, payload = heapq.heappop(self._heap)
+            time_s, _, handler, payload = heapq.heappop(self._heap)
             if time_s > self.end_time_s:
                 break
             self.now = time_s
-            getattr(self, "_on" + kind if kind.startswith("_") else "_on_" + kind)(*payload)
+            handler(*payload)
         return self._finish()
 
     def _seed_events(self) -> None:
-        if self.schedule is not None:
-            self._push(0.0, BEACON)
         period = self.config.sample_period_s
         n_samples = math.ceil(self.end_time_s / period)
         for k in range(n_samples):
@@ -332,9 +326,9 @@ class _Engine:
             if t >= self.end_time_s:
                 break
             for node in self.nodes:
-                self._push(t, _CONVERSION_START, node, k)
+                self._push(t, self._on_conversion_start, node, k)
         for intf in self.config.interferers:
-            self._push(intf.start_s, _INTF_BURST, intf)
+            self._push(intf.start_s, self._on_interferer_burst, intf)
 
     def _finish(self) -> SimResult:
         end = self.end_time_s
@@ -351,6 +345,8 @@ class _Engine:
             )
         # The access point listens for the whole run.
         ledgers[AP] = EnergyLedger(receive_j=state_energy(prof, RADIO, RECEIVE, end))
+        if self.schedule is not None and end > 0:
+            self.stats.beacons = _instants_up_to(self.schedule.frame_period_s, end)
         return SimResult(
             events=self.events,
             readings=self.readings,
@@ -367,7 +363,7 @@ class _Engine:
         self.stats.conversions += 1
         raw = sense_and_quantize(node.sensor, self.now, self.config.seed, node.index)
         done = self.now + node.sensor.conversion_time_s
-        self._push(done, CONVERSION_DONE, node, k, raw, self.now)
+        self._push(done, self._on_conversion_done, node, k, raw, self.now)
 
     def _on_conversion_done(self, node: _Node, k: int, raw: int, started_s: float) -> None:
         self._log(CONVERSION_DONE, node.subject, f"k={k} raw={raw}")
@@ -379,7 +375,7 @@ class _Engine:
             conversion_start_s=started_s,
             conversion_done_s=self.now,
         )
-        self._push(self.now + mcu_prep_delay(self.params), _FRAME_READY, node, md, raw)
+        self._push(self.now + mcu_prep_delay(self.params), self._on_frame_ready, node, md, raw)
 
     def _on_frame_ready(self, node: _Node, md: MeasuredDelay, raw: int) -> None:
         md.frame_ready_s = self.now
@@ -388,7 +384,7 @@ class _Engine:
         frame = Frame(node.sensor_id, raw_temp=raw, sequence=md.sequence)
         if self.schedule is None:
             md.decision_s = self.now
-            self._push(self.now + self.params.radio_switch_delay_s, TX_START, node, frame, md)
+            self._push(self.now + self.params.radio_switch_delay_s, self._on_tx_start, node, frame, md)
             return
         if node.pending is not None:
             # A still-undelivered older reading is superseded by this one
@@ -400,7 +396,7 @@ class _Engine:
         node.pending = (frame, md)
 
     def _push_slot(self, node: _Node) -> None:
-        self._push(node.slot_k * self.schedule.frame_period_s + node.slot_offset_s, SLOT_START, node)
+        self._push(node.slot_k * self.schedule.frame_period_s + node.slot_offset_s, self._on_slot_start, node)
 
     def _on_slot_start(self, node: _Node) -> None:
         """Listen before send: a free channel transmits the pending frame,
@@ -417,7 +413,7 @@ class _Engine:
         frame, md = node.pending
         node.pending = None
         md.decision_s = self.now
-        self._push(self.now + self.params.radio_switch_delay_s, TX_START, node, frame, md)
+        self._push(self.now + self.params.radio_switch_delay_s, self._on_tx_start, node, frame, md)
 
     def _on_tx_start(self, node: _Node, frame: Frame, md: MeasuredDelay) -> None:
         word = encode_frame(frame.sensor_id, frame.raw_temp, frame.sequence)
@@ -431,8 +427,8 @@ class _Engine:
         medium_transmit(self.medium, tx)
         md.tx_start_s = self.now
         self.stats.transmissions += 1
-        self._log(TX_START, node.subject, f"seq={frame.sequence}", payload=frame)
-        self._push(tx.end_s, TX_END, tx, node, md)
+        self._log(TX_START, node.subject, f"seq={frame.sequence}")
+        self._push(tx.end_s, self._on_tx_end, tx, node, md)
 
     def _on_tx_end(self, tx: Transmission, node: Optional[_Node], md: Optional[MeasuredDelay]) -> None:
         """End of a node's frame, or of an interferer burst (node and md None)."""
@@ -447,9 +443,9 @@ class _Engine:
             return
         arrival = self.now + propagation_delay(tx.distance_m, self.params)
         if tx.collided:
-            self._push(arrival, RX_COLLISION, tx)
+            self._push(arrival, self._on_rx_collision, tx)
         else:
-            self._push(arrival, RX_DELIVER, tx, md)
+            self._push(arrival, self._on_rx_deliver, tx, md)
 
     # -- access-point handlers -----------------------------------------
 
@@ -464,18 +460,18 @@ class _Engine:
             self.stats.corrupt += 1
             self._log(RX_DELIVER, AP, f"from={tx.sender} corrupt={type(exc).__name__}")
             return
-        self._log(RX_DELIVER, AP, f"from={tx.sender} seq={frame.sequence}", payload=frame)
+        self._log(RX_DELIVER, AP, f"from={tx.sender} seq={frame.sequence}")
         if md is None:
             return
         md.arrival_s = self.now
         serial_start, usb_start, out = access_point_forward(self.now, FRAME_BITS, self.params)
         md.serial_start_s = serial_start
         md.usb_start_s = usb_start
-        self._push(out, SERIAL_OUT, frame, md)
+        self._push(out, self._on_serial_out, frame, md)
 
     def _on_serial_out(self, frame: Frame, md: MeasuredDelay) -> None:
         md.serial_out_s = self.now
-        self._log(SERIAL_OUT, AP, f"id={frame.sensor_id.hex()} seq={frame.sequence}", payload=frame)
+        self._log(SERIAL_OUT, AP, f"id={frame.sensor_id.hex()} seq={frame.sequence}")
         self.stats.delivered += 1
         budget = md.budget()
         self.readings.append(
@@ -492,14 +488,6 @@ class _Engine:
 
     # -- shared-cell handlers ------------------------------------------
 
-    def _on_beacon(self) -> None:
-        k = self.stats.beacons
-        self._log(BEACON, AP, f"n={k}")
-        self.stats.beacons += 1
-        # k*period (not repeated addition), the same arithmetic as the
-        # slot instants, so drift cannot accumulate.
-        self._push((k + 1) * self.schedule.frame_period_s, BEACON)
-
     def _on_interferer_burst(self, intf) -> None:
         bits = intf.bits
         word = bytes(max(1, math.ceil(bits / 8)))
@@ -512,8 +500,22 @@ class _Engine:
         )
         medium_transmit(self.medium, tx)
         self._log(TX_START, intf.name, f"bits={bits}")
-        self._push(tx.end_s, TX_END, tx, None, None)
-        self._push(self.now + intf.period_s, _INTF_BURST, intf)
+        self._push(tx.end_s, self._on_tx_end, tx, None, None)
+        self._push(self.now + intf.period_s, self._on_interferer_burst, intf)
+
+
+def _instants_up_to(period_s: float, end_s: float) -> int:
+    """Number of k >= 0 with ``k * period_s <= end_s``, for end_s >= 0.
+
+    The float product is the one slot instants use, so an instant on
+    the end counts exactly when the run loop's ``time <= end`` would.
+    """
+    k = math.floor(end_s / period_s)
+    while (k + 1) * period_s <= end_s:
+        k += 1
+    while k * period_s > end_s:
+        k -= 1
+    return k + 1
 
 
 def run_scenario(config: ScenarioConfig) -> SimResult:

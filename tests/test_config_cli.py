@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import thermnet
 from thermnet.cli import main
 from thermnet.config import (
     ConfigError,
@@ -319,11 +322,15 @@ def test_report_unwritable_out_exits_2(tmp_path):
 def test_module_entry_point(tmp_path):
     config = write_config(tmp_path, TWO_NODE_TEXT)
     out = tmp_path / "out"
+    # The child imports the same package as this process, installed or not.
+    src = str(Path(thermnet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "thermnet", "simulate",
          "--config", str(config), "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "readings.csv").is_file()

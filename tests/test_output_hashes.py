@@ -18,7 +18,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 PINNED = {
     "aloha.conf": {
-        "events.csv": "e1680f4bef0e032be2fdd5745b77f05809dc7c3c4fbddf64336df80c9b6ca024",
+        "events.csv": "b243102e3c24dcaf8065aa3bafbe1ab1f072bb485afce21cba3f48f3af8a1f65",
         "readings.csv": "9cf2364c3d9b3b9949ed357ee075a8b8f555335679087e24c5302e062879a3b0",
         "ledgers.csv": "90aaf4eb9413bb48ffba64dbf190d55fee5090181285c50bfc97a8036be9c140",
         "alerts.csv": "30c8b808c6bb14b007bf1d8bf4e699ff02b4821592a7796930982e1aeb2c5389",
@@ -26,7 +26,7 @@ PINNED = {
         "stats.csv": "6f583af1186bb42039867528ebc339cdc845d7b95d836dc0ccdc25b2d16dc6fd",
     },
     "scenario1.conf": {
-        "events.csv": "b8d707347a2d0d671227f8939a7790845ca234abdd9dac1d4e22b3bb417a1884",
+        "events.csv": "a2becd4b0577d70d12d91aba5e799cab159f68bb0e8b6fbca9f8a7f2847e7ea1",
         "readings.csv": "05c7f1a0450cb3dd7b03dff4085e616adb7dc07db27cce6482846256ccab5b2c",
         "ledgers.csv": "b85fc83a4e832274cd550d51020d08d87ab7bcbd9ee4d416c3d580389fb3718e",
         "alerts.csv": "e47cdfc54b90a59e15d12074f6f78657158fb7717fbd1ffc18dc6120951cf4d6",
@@ -34,7 +34,7 @@ PINNED = {
         "stats.csv": "2f1447e67c6d9ed912c1fa1ae6a33a15d688c1dd522326376f4874aa0f0279e5",
     },
     "scenario2.conf": {
-        "events.csv": "8593cc9b72ee8bac67995b2f9efd7668dd886db8f1a00cbb8e48a8dc48d07ced",
+        "events.csv": "eaf3db49553b785b889e56021efd5a4bfc0e57c867b0cffbb186aaf2ba64c12d",
         "readings.csv": "6484eef7ffeeef4455b393daf39feb3283660319843096ef129226fe4ccff0ce",
         "ledgers.csv": "cb2b8c225f307cc05573c39b2183700a3524b24cfb72019bdf3ccde3e8e76e27",
         "alerts.csv": "30c8b808c6bb14b007bf1d8bf4e699ff02b4821592a7796930982e1aeb2c5389",

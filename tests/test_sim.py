@@ -8,11 +8,13 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import access_point_ledger, ledger_from_events
-from thermnet.config import InterfererSpec, NodeSpec, ScenarioConfig
+from thermnet.config import ALOHA, TDMA, InterfererSpec, NodeSpec, ScenarioConfig
 from thermnet.delays import DelayParams, airtime, total_delay
 from thermnet.frames import FRAME_BITS, make_sensor_id
+from thermnet.mac import build_schedule
 from thermnet.sim import (
     Medium,
     SensorModel,
@@ -336,6 +338,36 @@ def test_superseded_reading_is_replaced():
     )
     result = run_scenario(cfg)
     assert result.stats.replaced_pending > 0
+
+
+def _cell(n: int, mac_mode: str, duration_s: float) -> ScenarioConfig:
+    return ScenarioConfig(
+        nodes=tuple(NodeSpec(f"node{i}", i + 1, ConstantTrace(36.0)) for i in range(n)),
+        duration_s=duration_s,
+        mac_mode=mac_mode,
+        noise_sigma_c=0.0,
+    )
+
+
+ONE_NODE_PERIOD_S = build_schedule(_cell(1, TDMA, 0.0).sensor_ids(), FRAME_BITS, PARAMS).frame_period_s
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    mac_mode=st.sampled_from([TDMA, ALOHA]),
+    duration_s=st.floats(min_value=0.0, max_value=30.0),
+)
+@example(n=1, mac_mode=TDMA, duration_s=700 * ONE_NODE_PERIOD_S)  # a beacon falls exactly on the end
+def test_beacon_count_is_schedule_arithmetic(n, mac_mode, duration_s):
+    cfg = _cell(n, mac_mode, duration_s)
+    result = run_scenario(cfg)
+    expected = 0
+    if mac_mode == TDMA and duration_s > 0:
+        period = build_schedule(cfg.sensor_ids(), FRAME_BITS, PARAMS).frame_period_s
+        expected = sum(1 for k in range(int(duration_s / period) + 2) if k * period <= duration_s)
+    assert result.stats.beacons == expected
+    assert not any(e.kind == "beacon" for e in result.events)
 
 
 def test_invalid_config_raises_config_error():
