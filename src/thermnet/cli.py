@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .config import ConfigError, ScenarioConfig, config_help, load_config
 from .csvio import write_csv
 from .delays import DelayParams, total_delay
-from .energy import DevicePowerProfile, energy_sweep
+from .energy import DevicePowerProfile, EnergyLedger, energy_sweep
 from .frames import FRAME_BITS
 from .mac import build_schedule
-from .monitor import EmptySeries, ReadingStore, agreement, evaluate_alerts
-from .sim import SimResult, run_scenario
+from .monitor import EmptySeries, agreement, evaluate_alerts
+from .sim import SimEvent, SimResult, run_scenario
 
 _VERSION_TAG = "format v1"
 # v2: beacon rows dropped; beacon instants are k * frame_period_s.
@@ -32,12 +32,7 @@ _EVENTS_TAG = "format v2"
 
 
 def _write_simulation_outputs(config: ScenarioConfig, result: SimResult, out_dir: Path) -> None:
-    write_csv(
-        out_dir / "events.csv",
-        f"event log, {_EVENTS_TAG}",
-        ["time_s", "seq", "kind", "subject", "detail"],
-        [[e.time_s, e.seq, e.kind, e.subject, e.detail] for e in result.events],
-    )
+    write_csv(out_dir / "events.csv", f"event log, {_EVENTS_TAG}", SimEvent._fields, result.events)
     write_csv(
         out_dir / "readings.csv",
         f"delivered readings, {_VERSION_TAG}",
@@ -50,20 +45,20 @@ def _write_simulation_outputs(config: ScenarioConfig, result: SimResult, out_dir
     write_csv(
         out_dir / "ledgers.csv",
         f"energy ledgers, {_VERSION_TAG}",
-        ["entity", "transmit_j", "receive_j", "idle_j", "sensing_j", "mcu_j", "total_j"],
-        [
-            [name, led.transmit_j, led.receive_j, led.idle_j, led.sensing_j, led.mcu_j, led.total_j]
-            for name, led in sorted(result.ledgers.items())
-        ],
+        ["entity", *(f.name for f in fields(EnergyLedger)), "total_j"],
+        [[name, *astuple(led), led.total_j] for name, led in sorted(result.ledgers.items())],
     )
 
-    store = ReadingStore(roster=config.sensor_ids())
-    store.ingest_all(result.readings)
+    # The engine's readings are on the roster, unique and in delivery
+    # order; a sequence number repeats once it wraps at 16 bits.
+    by_sensor = {sid: [] for sid in config.sensor_ids()}
+    for reading in result.readings:
+        by_sensor[reading.sensor_id].append(reading)
     alert_rows = []
     agreement_rows = []
     for node in config.nodes:
         sid = node.sensor_id(config.family_code)
-        series = store.series(sid)
+        series = by_sensor[sid]
         for alert in evaluate_alerts(series, config.alert_rule):
             alert_rows.append([alert.kind, alert.sensor_id.hex(), alert.trigger_time_s, alert.value])
         try:
@@ -84,23 +79,11 @@ def _write_simulation_outputs(config: ScenarioConfig, result: SimResult, out_dir
         agreement_rows,
     )
 
-    stats = result.stats
     write_csv(
         out_dir / "stats.csv",
         f"run counters, {_VERSION_TAG}",
         ["counter", "value"],
-        [
-            ["conversions", stats.conversions],
-            ["frames_queued", stats.frames_queued],
-            ["transmissions", stats.transmissions],
-            ["delivered", stats.delivered],
-            ["collisions", stats.collisions],
-            ["corrupt", stats.corrupt],
-            ["deferrals", stats.deferrals],
-            ["beacons", stats.beacons],
-            ["out_of_range", stats.out_of_range],
-            ["replaced_pending", stats.replaced_pending],
-        ],
+        [[f.name, getattr(result.stats, f.name)] for f in fields(result.stats)],
     )
 
 

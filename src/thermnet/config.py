@@ -8,6 +8,7 @@ different ``<k>`` tokens to declare several entities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -78,12 +79,12 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         # Zero is allowed and yields an empty run.
-        if self.duration_s < 0:
-            raise ValidationError("scenario.duration_s must be >= 0")
+        if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
+            raise ValidationError("scenario.duration_s must be finite and >= 0")
         if self.mac_mode not in (TDMA, ALOHA):
             raise ValidationError(f"scenario.mac_mode must be '{TDMA}' or '{ALOHA}'")
-        if self.sample_period_s <= 0:
-            raise ValidationError("scenario.sample_period_s must be positive")
+        if not (math.isfinite(self.sample_period_s) and self.sample_period_s > 0):
+            raise ValidationError("scenario.sample_period_s must be finite and positive")
         if not self.nodes:
             raise ValidationError("at least one node section is required")
         serials = [n.serial for n in self.nodes]
@@ -126,15 +127,27 @@ class ScenarioConfig:
             raise ValidationError(str(exc)) from exc
 
 
-_SCENARIO_KEYS = {"duration_s": float, "seed": int, "mac_mode": str, "sample_period_s": float}
-_MAC_KEYS = {"guard_s": float, "beacon_s": float, "family_code": lambda v: int(v, 0)}
-_NODE_KEYS = {"serial": lambda v: int(v, 0), "trace": str, "distance_m": float}
-_INTF_KEYS = {"distance_m": float, "period_s": float, "start_s": float, "bits": int}
-_DELAY_KEYS = {
-    f.name: (int if f.name == "mac_instruction_clocks" else float) for f in fields(DelayParams)
+def _finite_float(text: str) -> float:
+    """float() that also rejects inf and nan, which no key can honour."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+_SCENARIO_KEYS = {
+    "duration_s": _finite_float, "seed": int, "mac_mode": str, "sample_period_s": _finite_float
 }
-_POWER_KEYS = {f.name: float for f in fields(DevicePowerProfile)}
-_ALERT_KEYS = {f.name: float for f in fields(AlertRule)}
+_MAC_KEYS = {"guard_s": _finite_float, "beacon_s": _finite_float, "family_code": lambda v: int(v, 0)}
+_NODE_KEYS = {"serial": lambda v: int(v, 0), "trace": str, "distance_m": _finite_float}
+_INTF_KEYS = {
+    "distance_m": _finite_float, "period_s": _finite_float, "start_s": _finite_float, "bits": int
+}
+_DELAY_KEYS = {
+    f.name: (int if f.name == "mac_instruction_clocks" else _finite_float) for f in fields(DelayParams)
+}
+_POWER_KEYS = {f.name: _finite_float for f in fields(DevicePowerProfile)}
+_ALERT_KEYS = {f.name: _finite_float for f in fields(AlertRule)}
 
 
 def parse_config_text(
@@ -182,11 +195,11 @@ def parse_config_text(
         elif section == "sensor":
             if name != "noise_sigma_c":
                 raise ParseError(f"{source}:{lineno}: unknown key '{key}'")
-            convert({"noise_sigma_c": float}, scenario)
+            convert({"noise_sigma_c": _finite_float}, scenario)
         elif section == "medium":
             if name != "range_m":
                 raise ParseError(f"{source}:{lineno}: unknown key '{key}'")
-            convert({"range_m": float}, scenario)
+            convert({"range_m": _finite_float}, scenario)
         elif section == "delay":
             convert(_DELAY_KEYS, simple["delay"])
         elif section == "power":

@@ -1,8 +1,9 @@
 """Deterministic CSV writing and reading.
 
-Floats are rendered with repr so re-running the same scenario produces
-byte-identical files; newline handling is pinned to "\n" for the same
-reason.
+Rows go to ``csv.writer`` unchanged: it writes a float as ``str(float)``,
+which equals ``repr`` on Python >= 3.2, so re-running the same scenario
+produces byte-identical files; newline handling is pinned to "\n" for
+the same reason.
 """
 
 from __future__ import annotations
@@ -10,12 +11,6 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 from typing import Iterable, Sequence
-
-
-def format_cell(value: object) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def write_csv(
@@ -31,8 +26,7 @@ def write_csv(
         fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_cell(cell) for cell in row])
+        writer.writerows(rows)
     return path
 
 

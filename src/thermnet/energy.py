@@ -14,19 +14,6 @@ from typing import Sequence
 
 from .delays import DelayParams, airtime
 
-RADIO = "radio"
-SENSOR = "sensor"
-MCU = "mcu"
-
-TRANSMIT = "transmit"
-RECEIVE = "receive"
-IDLE = "idle"
-ACTIVE = "active"
-
-
-class UnknownState(ValueError):
-    """Device/state pair with no defined current draw."""
-
 
 @dataclass(frozen=True)
 class DevicePowerProfile:
@@ -45,13 +32,6 @@ class DevicePowerProfile:
     mcu_i_active_a: float = 0.0036
     mcu_i_idle_a: float = 0.001
     battery_energy_budget_j: float = 16_200.0
-
-    def current(self, device: str, state: str) -> float:
-        """Current draw in amperes for a device/state pair."""
-        try:
-            return getattr(self, _CURRENT_FIELDS[(device, state)])
-        except KeyError:
-            raise UnknownState(f"no current defined for {device}/{state}") from None
 
     def validate(self) -> None:
         if self.supply_voltage_v <= 0:
@@ -75,16 +55,6 @@ class DevicePowerProfile:
             raise ValueError("mcu active current must be >= idle current")
 
 
-_CURRENT_FIELDS = {
-    (RADIO, TRANSMIT): "radio_i_transmit_a",
-    (RADIO, RECEIVE): "radio_i_receive_a",
-    (RADIO, IDLE): "radio_i_idle_a",
-    (SENSOR, ACTIVE): "sensor_i_active_a",
-    (SENSOR, IDLE): "sensor_i_idle_a",
-    (MCU, ACTIVE): "mcu_i_active_a",
-    (MCU, IDLE): "mcu_i_idle_a",
-}
-
 def power(volts: float, amperes: float) -> float:
     """Electrical power in watts."""
     return volts * amperes
@@ -95,11 +65,6 @@ def energy(watts: float, duration_s: float) -> float:
     if duration_s < 0:
         raise ValueError("duration_s must be >= 0")
     return watts * duration_s
-
-
-def state_energy(profile: DevicePowerProfile, device: str, state: str, duration_s: float) -> float:
-    """Energy spent by one device held in one state for a duration."""
-    return energy(power(profile.supply_voltage_v, profile.current(device, state)), duration_s)
 
 
 @dataclass(frozen=True)

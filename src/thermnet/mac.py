@@ -99,7 +99,7 @@ def next_slot_index(schedule: SlotSchedule, node_id: SensorId, now: float) -> in
     return max(k, 0)
 
 
-def next_slot_time(schedule: SlotSchedule, node_id: SensorId, now: float, epoch: float = 0.0) -> float:
-    """Earliest start >= ``now`` of the node's slot, frames counted from epoch."""
-    k = next_slot_index(schedule, node_id, now - epoch)
-    return epoch + k * schedule.frame_period_s + schedule.slot_offset_s(node_id)
+def next_slot_time(schedule: SlotSchedule, node_id: SensorId, now: float) -> float:
+    """Earliest start >= ``now`` of the node's slot."""
+    k = next_slot_index(schedule, node_id, now)
+    return k * schedule.frame_period_s + schedule.slot_offset_s(node_id)

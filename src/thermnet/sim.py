@@ -21,7 +21,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .config import NodeSpec, ScenarioConfig, TDMA
 from .delays import (
@@ -33,7 +33,7 @@ from .delays import (
     serial_delay,
     usb_delay,
 )
-from .energy import ACTIVE, IDLE, MCU, RADIO, RECEIVE, SENSOR, TRANSMIT, EnergyLedger, state_energy
+from .energy import EnergyLedger, energy, power
 from .frames import FRAME_BITS, Frame, FrameError, SensorId, TEMP_LSB_C, decode_frame, encode_frame
 from .mac import SlotSchedule, build_schedule, next_slot_index
 from .monitor import Reading
@@ -58,9 +58,11 @@ LOGGED_KINDS = frozenset(
 _NOISE_STREAM = 0x5E
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    """One logged occurrence; the log is ordered by (time_s, seq)."""
+class SimEvent(NamedTuple):
+    """One logged occurrence, and one ``events.csv`` row in column order.
+
+    ``seq`` is the position in the log, which is ordered by (time_s, seq).
+    """
 
     time_s: float
     seq: int
@@ -271,7 +273,6 @@ class _Engine:
         self.stats = SimStats()
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._heap_seq = itertools.count()
-        self._log_seq = itertools.count()
 
         self.nodes: list[_Node] = []
         for i, spec in enumerate(config.nodes):
@@ -303,7 +304,7 @@ class _Engine:
 
     def _log(self, kind: str, subject: str, detail: str = "") -> None:
         assert kind in LOGGED_KINDS
-        self.events.append(SimEvent(self.now, next(self._log_seq), kind, subject, detail))
+        self.events.append(SimEvent(self.now, len(self.events), kind, subject, detail))
 
     # -- run -----------------------------------------------------------
 
@@ -333,18 +334,19 @@ class _Engine:
     def _finish(self) -> SimResult:
         end = self.end_time_s
         prof = self.profile
+        v = prof.supply_voltage_v
         ledgers: dict[str, EnergyLedger] = {}
         for node in self.nodes:
             ledgers[node.subject] = EnergyLedger(
-                transmit_j=state_energy(prof, RADIO, TRANSMIT, node.radio_active_s),
-                sensing_j=state_energy(prof, SENSOR, ACTIVE, node.sensor_active_s),
-                mcu_j=state_energy(prof, MCU, ACTIVE, node.mcu_active_s),
-                idle_j=state_energy(prof, RADIO, IDLE, end - node.radio_active_s)
-                + state_energy(prof, SENSOR, IDLE, end - node.sensor_active_s)
-                + state_energy(prof, MCU, IDLE, end - node.mcu_active_s),
+                transmit_j=energy(power(v, prof.radio_i_transmit_a), node.radio_active_s),
+                sensing_j=energy(power(v, prof.sensor_i_active_a), node.sensor_active_s),
+                mcu_j=energy(power(v, prof.mcu_i_active_a), node.mcu_active_s),
+                idle_j=energy(power(v, prof.radio_i_idle_a), end - node.radio_active_s)
+                + energy(power(v, prof.sensor_i_idle_a), end - node.sensor_active_s)
+                + energy(power(v, prof.mcu_i_idle_a), end - node.mcu_active_s),
             )
         # The access point listens for the whole run.
-        ledgers[AP] = EnergyLedger(receive_j=state_energy(prof, RADIO, RECEIVE, end))
+        ledgers[AP] = EnergyLedger(receive_j=energy(power(v, prof.radio_i_receive_a), end))
         if self.schedule is not None and end > 0:
             self.stats.beacons = _instants_up_to(self.schedule.frame_period_s, end)
         return SimResult(

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import thermnet
-from thermnet.cli import main
+from thermnet.cli import _write_simulation_outputs, main
 from thermnet.config import (
     ConfigError,
     ParseError,
@@ -23,6 +25,7 @@ from thermnet.config import (
 )
 from thermnet.csvio import read_rows
 from thermnet.delays import DelayParams, total_delay
+from thermnet.sim import run_scenario
 from thermnet.traces import BandNoiseTrace, ConstantTrace, CsvTrace, RampTrace, SinusoidTrace
 
 TWO_NODE_TEXT = """\
@@ -210,6 +213,33 @@ def test_negative_duration_rejected_zero_allowed():
     assert config.duration_s == 0.0
 
 
+NON_FINITE_KEYS = [
+    "scenario.duration_s",
+    "scenario.sample_period_s",
+    "medium.range_m",
+    "node1.distance_m",
+    "interferer1.period_s",
+    "delay.air_data_rate_bps",
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", NON_FINITE_KEYS)
+def test_non_finite_value_exits_1_naming_key_and_line(tmp_path, capsys, key, value):
+    config = write_config(tmp_path, f"node1.serial = 1\nscenario.seed = 2\n{key} = {value}\n")
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f":3: bad value for '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["duration_s", "sample_period_s"])
+def test_validate_rejects_non_finite_timing(field, value):
+    config = replace(ScenarioConfig(nodes=(NodeSpec("node1", 1),)), **{field: value})
+    with pytest.raises(ValidationError, match=f"scenario.{field} must be finite"):
+        config.validate()
+
+
 def test_oversized_serial_rejected():
     with pytest.raises(ValidationError, match="48 bits"):
         ScenarioConfig(nodes=(NodeSpec("node1", 1 << 48),)).validate()
@@ -256,6 +286,21 @@ def test_simulate_mac_override(tmp_path):
     assert main(["simulate", "--config", str(config), "--out", str(out), "--mac", "aloha"]) == 0
     stats = {row["counter"]: int(row["value"]) for row in read_rows(out / "stats.csv")}
     assert stats["collisions"] > 0
+
+
+def test_simulate_keeps_readings_after_sequence_wrap(tmp_path):
+    # A run longer than 65536 samples repeats 16-bit sequence numbers;
+    # the repeat is a new reading, not a duplicate.
+    config = ScenarioConfig(
+        nodes=(NodeSpec("node1", 1, ConstantTrace(37.0)),), duration_s=3.0, noise_sigma_c=0.0
+    )
+    result = run_scenario(config)
+    first = result.readings[0]
+    wrapped = replace(first, time_s=first.time_s + 65536.0, sample_time_s=first.sample_time_s + 65536.0)
+    result = replace(result, readings=[*result.readings, wrapped])
+    _write_simulation_outputs(config, result, tmp_path)
+    rows = read_rows(tmp_path / "agreement.csv")
+    assert [row["n"] for row in rows] == ["4"]
 
 
 def test_simulate_bad_config_exits_1(tmp_path, capsys):

@@ -9,21 +9,12 @@ import pytest
 from thermnet.config import NodeSpec, ScenarioConfig
 from thermnet.delays import DelayParams
 from thermnet.energy import (
-    ACTIVE,
-    IDLE,
-    MCU,
-    RADIO,
-    RECEIVE,
-    SENSOR,
-    TRANSMIT,
     DevicePowerProfile,
     EnergyLedger,
-    UnknownState,
     energy,
     energy_sweep,
     estimated_lifetime_s,
     power,
-    state_energy,
 )
 from thermnet.frames import make_sensor_id
 from thermnet.sim import run_scenario
@@ -51,19 +42,9 @@ def test_energy_is_p_times_t():
 def test_one_frame_transmit_energy():
     # 9 V * 0.016 A over the 256-bit airtime.
     exact = Fraction(9) * Fraction(16, 1000) * Fraction(256, 19_200)
-    got = state_energy(PROFILE, RADIO, TRANSMIT, 256 / 19_200)
+    got = energy(power(PROFILE.supply_voltage_v, PROFILE.radio_i_transmit_a), 256 / 19_200)
     assert abs(got - float(exact)) < 1e-9
     assert abs(got - 1.92e-3) < 1e-9
-
-
-def test_current_lookup_and_unknown_state():
-    assert PROFILE.current(RADIO, RECEIVE) == 0.036
-    assert PROFILE.current(SENSOR, ACTIVE) == 0.009
-    assert PROFILE.current(MCU, IDLE) == 0.001
-    with pytest.raises(UnknownState):
-        PROFILE.current(RADIO, ACTIVE)
-    with pytest.raises(UnknownState):
-        PROFILE.current("antenna", IDLE)
 
 
 def test_all_idle_states_share_one_bucket():
