@@ -17,7 +17,7 @@ from .energy import DevicePowerProfile
 from .frames import DEFAULT_FAMILY, SensorId, make_sensor_id
 from .mac import DEFAULT_BEACON_S, DEFAULT_GUARD_S
 from .monitor import AlertRule
-from .traces import ConstantTrace, TemperatureTrace, parse_trace
+from .traces import ConstantTrace, TemperatureTrace, finite_float, parse_trace
 
 TDMA = "tdma"
 ALOHA = "aloha"
@@ -127,27 +127,27 @@ class ScenarioConfig:
             raise ValidationError(str(exc)) from exc
 
 
-def _finite_float(text: str) -> float:
-    """float() that also rejects inf and nan, which no key can honour."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
-
-
-_SCENARIO_KEYS = {
-    "duration_s": _finite_float, "seed": int, "mac_mode": str, "sample_period_s": _finite_float
+# Sections whose keys set ScenarioConfig fields of the same name.
+_SCENARIO_SECTIONS = {
+    "scenario": {
+        "duration_s": finite_float, "seed": int, "mac_mode": str, "sample_period_s": finite_float
+    },
+    "sensor": {"noise_sigma_c": finite_float},
+    "medium": {"range_m": finite_float},
+    "mac": {"guard_s": finite_float, "beacon_s": finite_float, "family_code": lambda v: int(v, 0)},
 }
-_MAC_KEYS = {"guard_s": _finite_float, "beacon_s": _finite_float, "family_code": lambda v: int(v, 0)}
-_NODE_KEYS = {"serial": lambda v: int(v, 0), "trace": str, "distance_m": _finite_float}
+# Sections whose keys are the fields of one parameter record.
+_RECORD_SECTIONS = {
+    "delay": {
+        f.name: (int if f.name == "mac_instruction_clocks" else finite_float) for f in fields(DelayParams)
+    },
+    "power": {f.name: finite_float for f in fields(DevicePowerProfile)},
+    "alert": {f.name: finite_float for f in fields(AlertRule)},
+}
+_NODE_KEYS = {"serial": lambda v: int(v, 0), "distance_m": finite_float}
 _INTF_KEYS = {
-    "distance_m": _finite_float, "period_s": _finite_float, "start_s": _finite_float, "bits": int
+    "distance_m": finite_float, "period_s": finite_float, "start_s": finite_float, "bits": int
 }
-_DELAY_KEYS = {
-    f.name: (int if f.name == "mac_instruction_clocks" else _finite_float) for f in fields(DelayParams)
-}
-_POWER_KEYS = {f.name: _finite_float for f in fields(DevicePowerProfile)}
-_ALERT_KEYS = {f.name: _finite_float for f in fields(AlertRule)}
 
 
 def parse_config_text(
@@ -159,7 +159,10 @@ def parse_config_text(
     and ValidationError for consistent-but-wrong values.
     """
     scenario: dict[str, object] = {}
-    simple: dict[str, dict[str, object]] = {"delay": {}, "power": {}, "alert": {}, "mac": {}}
+    records: dict[str, dict[str, object]] = {section: {} for section in _RECORD_SECTIONS}
+    # A trace spec is parsed as it is read, so a csv path resolves
+    # against the config file's directory.
+    node_keys = {**_NODE_KEYS, "trace": lambda v: parse_trace(v, base_dir)}
     nodes: dict[str, dict[str, object]] = {}
     interferers: dict[str, dict[str, object]] = {}
     seen: set[str] = set()
@@ -185,29 +188,15 @@ def parse_config_text(
                 raise ParseError(f"{source}:{lineno}: unknown key '{key}'")
             try:
                 target[name] = table[name](value)
-            except ValueError:
-                raise ParseError(f"{source}:{lineno}: bad value for '{key}': {value!r}") from None
+            except (ValueError, OSError) as exc:
+                raise ParseError(f"{source}:{lineno}: bad value for '{key}': {value!r} ({exc})") from None
 
-        if section == "scenario":
-            convert(_SCENARIO_KEYS, scenario)
-        elif section == "mac":
-            convert(_MAC_KEYS, simple["mac"])
-        elif section == "sensor":
-            if name != "noise_sigma_c":
-                raise ParseError(f"{source}:{lineno}: unknown key '{key}'")
-            convert({"noise_sigma_c": _finite_float}, scenario)
-        elif section == "medium":
-            if name != "range_m":
-                raise ParseError(f"{source}:{lineno}: unknown key '{key}'")
-            convert({"range_m": _finite_float}, scenario)
-        elif section == "delay":
-            convert(_DELAY_KEYS, simple["delay"])
-        elif section == "power":
-            convert(_POWER_KEYS, simple["power"])
-        elif section == "alert":
-            convert(_ALERT_KEYS, simple["alert"])
+        if section in _SCENARIO_SECTIONS:
+            convert(_SCENARIO_SECTIONS[section], scenario)
+        elif section in _RECORD_SECTIONS:
+            convert(_RECORD_SECTIONS[section], records[section])
         elif section.startswith("node"):
-            convert(_NODE_KEYS, nodes.setdefault(section, {}))
+            convert(node_keys, nodes.setdefault(section, {}))
         elif section.startswith("interferer"):
             convert(_INTF_KEYS, interferers.setdefault(section, {}))
         else:
@@ -217,22 +206,16 @@ def parse_config_text(
     for sec_name, entries in nodes.items():
         if "serial" not in entries:
             raise ValidationError(f"{sec_name}.serial is required")
-        trace_spec = entries.pop("trace", None)
-        trace = (
-            parse_trace(str(trace_spec), base_dir) if trace_spec is not None
-            else ConstantTrace(37.0)
-        )
-        node_specs.append(NodeSpec(name=sec_name, trace=trace, **entries))
+        node_specs.append(NodeSpec(name=sec_name, **entries))
     intf_specs = [InterfererSpec(name=sec, **entries) for sec, entries in interferers.items()]
 
     config = ScenarioConfig(
         nodes=tuple(node_specs),
         interferers=tuple(intf_specs),
-        delay_params=DelayParams(**simple["delay"]),
-        power_profile=DevicePowerProfile(**simple["power"]),
-        alert_rule=AlertRule(**simple["alert"]),
+        delay_params=DelayParams(**records["delay"]),
+        power_profile=DevicePowerProfile(**records["power"]),
+        alert_rule=AlertRule(**records["alert"]),
         **scenario,
-        **simple["mac"],
     )
     config.validate()
     return config

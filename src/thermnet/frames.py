@@ -117,22 +117,10 @@ class Frame:
     sensor_id: SensorId
     raw_temp: int
     sequence: int
-    preamble: int = PREAMBLE
 
     @property
     def temp_c(self) -> float:
         return self.raw_temp * TEMP_LSB_C
-
-    @property
-    def frame_crc(self) -> int:
-        return crc8(self._covered())
-
-    def _covered(self) -> bytes:
-        return (
-            self.sensor_id.to_bytes()
-            + struct.pack(">h", self.raw_temp)
-            + struct.pack(">H", self.sequence)
-        )
 
 
 def encode_frame(sensor_id: SensorId, raw_temp: int, sequence: int) -> bytes:
@@ -147,8 +135,7 @@ def encode_frame(sensor_id: SensorId, raw_temp: int, sequence: int) -> bytes:
         raise ValueError(f"raw_temp out of 16-bit signed range: {raw_temp}")
     if not 0 <= sequence < (1 << 16):
         raise ValueError(f"sequence out of 16-bit range: {sequence}")
-    frame = Frame(sensor_id, raw_temp, sequence)
-    covered = frame._covered()
+    covered = sensor_id.to_bytes() + struct.pack(">hH", raw_temp, sequence)
     word = struct.pack(">H", PREAMBLE) + covered + bytes([crc8(covered)])
     word += bytes(FRAME_BYTES - len(word))
     return word

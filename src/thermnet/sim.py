@@ -57,6 +57,10 @@ LOGGED_KINDS = frozenset(
 
 _NOISE_STREAM = 0x5E
 
+# The device's measuring range, -55 to +125 degC, in counts.
+MIN_COUNTS = round(-55.0 / TEMP_LSB_C)
+MAX_COUNTS = round(125.0 / TEMP_LSB_C)
+
 
 class SimEvent(NamedTuple):
     """One logged occurrence, and one ``events.csv`` row in column order.
@@ -73,7 +77,8 @@ class SimEvent(NamedTuple):
 
 @dataclass
 class Transmission:
-    """A signal on the air; collided is set while overlaps are live."""
+    """A signal on the air; collided is set while overlaps are live.
+    ``frame`` is empty for an interferer burst."""
 
     sender: str
     start_s: float
@@ -129,34 +134,26 @@ def medium_transmit(medium: Medium, tx: Transmission) -> Transmission:
     return tx
 
 
-@dataclass(frozen=True)
-class SensorModel:
-    """Digital thermometer behavior: quantization, range, conversion lag."""
-
-    trace: TemperatureTrace
-    resolution_c: float = TEMP_LSB_C
-    conversion_time_s: float = 0.750
-    noise_sigma_c: float = 0.1
-    min_c: float = -55.0
-    max_c: float = 125.0
-
-
-def sense_and_quantize(sensor: SensorModel, t_s: float, seed: int, node_key: int = 0) -> int:
-    """Raw counts for the temperature at t_s, with seeded Gaussian noise.
+def sense_and_quantize(
+    trace: TemperatureTrace, t_s: float, seed: int, noise_sigma_c: float = 0.0, node_key: int = 0
+) -> int:
+    """Raw counts for the temperature at t_s, with seeded Gaussian noise,
+    clamped to the device's range.
 
     The value is determined at conversion start; the device only makes
-    it readable conversion_time_s later (the engine enforces that lag).
+    it readable ``delay.sensor_conversion_s`` later (the engine enforces
+    that lag).
     """
     if t_s < 0:
         raise ValueError("t_s must be >= 0")
-    true_c = sensor.trace.value(t_s, seed)
+    true_c = trace.value(t_s, seed)
     noise_c = 0.0
-    if sensor.noise_sigma_c > 0:
-        noise_c = sensor.noise_sigma_c * gauss(seed, _NOISE_STREAM, node_key, float_key(t_s))
-    counts = round((true_c + noise_c) / sensor.resolution_c)
-    lo = round(sensor.min_c / sensor.resolution_c)
-    hi = round(sensor.max_c / sensor.resolution_c)
-    return min(max(counts, lo), hi)
+    if noise_sigma_c > 0:
+        noise_c = noise_sigma_c * gauss(seed, _NOISE_STREAM, node_key, float_key(t_s))
+    # Clamped before rounding, so a finite reading too large for a float
+    # count (1e308 degC) still saturates; the bounds are whole counts.
+    counts = (true_c + noise_c) / TEMP_LSB_C
+    return round(min(max(counts, MIN_COUNTS), MAX_COUNTS))
 
 
 def access_point_forward(arrival_s: float, bits: int, params: DelayParams) -> tuple[float, float, float]:
@@ -213,6 +210,23 @@ class MeasuredDelay:
 
 @dataclass
 class SimStats:
+    """Run counters, one ``stats.csv`` row each, in field order.
+
+    - conversions: temperature conversions started
+    - frames_queued: frames built from a finished conversion
+    - transmissions: node frames put on the air
+    - delivered: node frames forwarded out of the serial side
+    - collisions: node frames destroyed by an overlap at the access point
+    - corrupt: node frames that arrived unoverlapped but failed decoding
+    - deferrals: slots skipped because the channel sounded busy
+    - beacons: beacon instants in the run (TDMA only)
+    - out_of_range: node frames sent beyond the access point's range
+    - replaced_pending: frames superseded before their slot came
+
+    An interferer burst never reaches the access point, so collisions,
+    corrupt and out_of_range count node frames only.
+    """
+
     conversions: int = 0
     frames_queued: int = 0
     transmissions: int = 0
@@ -240,18 +254,17 @@ class SimResult:
 class _Node:
     """One sensor node.
 
-    ``pending`` holds the frame waiting for the node's slot, with its
-    delay record; exactly while it is set, one SLOT_START is queued for
+    ``pending`` holds the raw reading waiting for the node's slot, with
+    its delay record; exactly while it is set, one SLOT_START is queued for
     slot ``slot_k``, at ``slot_k * frame_period_s + slot_offset_s``.
     """
 
     spec: NodeSpec
     sensor_id: SensorId
     subject: str
-    sensor: SensorModel
     index: int
     slot_offset_s: float = 0.0
-    pending: Optional[tuple[Frame, MeasuredDelay]] = None
+    pending: Optional[tuple[int, MeasuredDelay]] = None
     slot_k: int = 0
     radio_active_s: float = 0.0
     sensor_active_s: float = 0.0
@@ -277,12 +290,7 @@ class _Engine:
         self.nodes: list[_Node] = []
         for i, spec in enumerate(config.nodes):
             sid = spec.sensor_id(config.family_code)
-            sensor = SensorModel(
-                trace=spec.trace,
-                conversion_time_s=self.params.sensor_conversion_s,
-                noise_sigma_c=config.noise_sigma_c,
-            )
-            self.nodes.append(_Node(spec, sid, sid.hex(), sensor, index=i))
+            self.nodes.append(_Node(spec, sid, sid.hex(), index=i))
 
         self.schedule: Optional[SlotSchedule] = None
         if config.mac_mode == TDMA:
@@ -363,13 +371,14 @@ class _Engine:
 
     def _on_conversion_start(self, node: _Node, k: int) -> None:
         self.stats.conversions += 1
-        raw = sense_and_quantize(node.sensor, self.now, self.config.seed, node.index)
-        done = self.now + node.sensor.conversion_time_s
+        cfg = self.config
+        raw = sense_and_quantize(node.spec.trace, self.now, cfg.seed, cfg.noise_sigma_c, node.index)
+        done = self.now + self.params.sensor_conversion_s
         self._push(done, self._on_conversion_done, node, k, raw, self.now)
 
     def _on_conversion_done(self, node: _Node, k: int, raw: int, started_s: float) -> None:
         self._log(CONVERSION_DONE, node.subject, f"k={k} raw={raw}")
-        node.sensor_active_s += node.sensor.conversion_time_s
+        node.sensor_active_s += self.params.sensor_conversion_s
         md = MeasuredDelay(
             sensor_id=node.sensor_id,
             sequence=k % (1 << 16),
@@ -383,10 +392,9 @@ class _Engine:
         md.frame_ready_s = self.now
         node.mcu_active_s += mcu_prep_delay(self.params)
         self.stats.frames_queued += 1
-        frame = Frame(node.sensor_id, raw_temp=raw, sequence=md.sequence)
         if self.schedule is None:
             md.decision_s = self.now
-            self._push(self.now + self.params.radio_switch_delay_s, self._on_tx_start, node, frame, md)
+            self._push(self.now + self.params.radio_switch_delay_s, self._on_tx_start, node, raw, md)
             return
         if node.pending is not None:
             # A still-undelivered older reading is superseded by this one
@@ -395,7 +403,7 @@ class _Engine:
         else:
             node.slot_k = next_slot_index(self.schedule, node.sensor_id, self.now)
             self._push_slot(node)
-        node.pending = (frame, md)
+        node.pending = (raw, md)
 
     def _push_slot(self, node: _Node) -> None:
         self._push(node.slot_k * self.schedule.frame_period_s + node.slot_offset_s, self._on_slot_start, node)
@@ -412,13 +420,13 @@ class _Engine:
             node.slot_k += 1
             self._push_slot(node)
             return
-        frame, md = node.pending
+        raw, md = node.pending
         node.pending = None
         md.decision_s = self.now
-        self._push(self.now + self.params.radio_switch_delay_s, self._on_tx_start, node, frame, md)
+        self._push(self.now + self.params.radio_switch_delay_s, self._on_tx_start, node, raw, md)
 
-    def _on_tx_start(self, node: _Node, frame: Frame, md: MeasuredDelay) -> None:
-        word = encode_frame(frame.sensor_id, frame.raw_temp, frame.sequence)
+    def _on_tx_start(self, node: _Node, raw: int, md: MeasuredDelay) -> None:
+        word = encode_frame(node.sensor_id, raw, md.sequence)
         tx = Transmission(
             sender=node.subject,
             start_s=self.now,
@@ -429,33 +437,32 @@ class _Engine:
         medium_transmit(self.medium, tx)
         md.tx_start_s = self.now
         self.stats.transmissions += 1
-        self._log(TX_START, node.subject, f"seq={frame.sequence}")
+        self._log(TX_START, node.subject, f"seq={md.sequence}")
         self._push(tx.end_s, self._on_tx_end, tx, node, md)
 
     def _on_tx_end(self, tx: Transmission, node: Optional[_Node], md: Optional[MeasuredDelay]) -> None:
-        """End of a node's frame, or of an interferer burst (node and md None)."""
+        """End of a node's frame, or of an interferer burst (node and md
+        None), which only occupied the channel."""
         self._log(TX_END, tx.sender, f"collided={tx.collided}")
         self.medium.finish(tx)
-        if node is not None:
-            md.tx_end_s = self.now
-            node.radio_active_s += tx.end_s - tx.start_s
-        if not self.medium.in_ap_range(tx):
-            if node is not None:
-                self.stats.out_of_range += 1
+        if node is None:
             return
-        arrival = self.now + propagation_delay(tx.distance_m, self.params)
-        if tx.collided:
-            self._push(arrival, self._on_rx_collision, tx)
-        else:
-            self._push(arrival, self._on_rx_deliver, tx, md)
+        md.tx_end_s = self.now
+        node.radio_active_s += tx.end_s - tx.start_s
+        if not self.medium.in_ap_range(tx):
+            self.stats.out_of_range += 1
+            return
+        self._push(self.now + propagation_delay(tx.distance_m, self.params), self._on_arrival, tx, md)
 
     # -- access-point handlers -----------------------------------------
 
-    def _on_rx_collision(self, tx: Transmission) -> None:
-        self._log(RX_COLLISION, AP, f"from={tx.sender}")
-        self.stats.collisions += 1
-
-    def _on_rx_deliver(self, tx: Transmission, md: Optional[MeasuredDelay]) -> None:
+    def _on_arrival(self, tx: Transmission, md: MeasuredDelay) -> None:
+        """A node frame reaches the access point; ``tx.collided`` is final
+        because the transmission has ended."""
+        if tx.collided:
+            self._log(RX_COLLISION, AP, f"from={tx.sender}")
+            self.stats.collisions += 1
+            return
         try:
             frame = decode_frame(tx.frame)
         except FrameError as exc:
@@ -463,8 +470,6 @@ class _Engine:
             self._log(RX_DELIVER, AP, f"from={tx.sender} corrupt={type(exc).__name__}")
             return
         self._log(RX_DELIVER, AP, f"from={tx.sender} seq={frame.sequence}")
-        if md is None:
-            return
         md.arrival_s = self.now
         serial_start, usb_start, out = access_point_forward(self.now, FRAME_BITS, self.params)
         md.serial_start_s = serial_start
@@ -491,17 +496,17 @@ class _Engine:
     # -- shared-cell handlers ------------------------------------------
 
     def _on_interferer_burst(self, intf) -> None:
-        bits = intf.bits
-        word = bytes(max(1, math.ceil(bits / 8)))
+        """A foreign burst occupies the channel: listening nodes defer
+        and a node frame it overlaps is destroyed."""
         tx = Transmission(
             sender=intf.name,
             start_s=self.now,
-            end_s=self.now + airtime(bits, self.params),
-            frame=word,
+            end_s=self.now + airtime(intf.bits, self.params),
+            frame=b"",
             distance_m=intf.distance_m,
         )
         medium_transmit(self.medium, tx)
-        self._log(TX_START, intf.name, f"bits={bits}")
+        self._log(TX_START, intf.name, f"bits={intf.bits}")
         self._push(tx.end_s, self._on_tx_end, tx, None, None)
         self._push(self.now + intf.period_s, self._on_interferer_burst, intf)
 

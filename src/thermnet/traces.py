@@ -28,6 +28,15 @@ from .rng import float_key, unit_uniform
 _BAND_STREAM = 0x7B
 
 
+def finite_float(text: str) -> float:
+    """float() that also rejects inf and nan, which no trace or config
+    key can honour."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text.strip()!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ConstantTrace:
     value_c: float
@@ -105,6 +114,8 @@ class CsvTrace:
                     if not times:
                         continue
                     raise ValueError(f"bad trace row in {path}: {row!r}") from None
+                if not (math.isfinite(t) and math.isfinite(c)):
+                    raise ValueError(f"non-finite value in trace row in {path}: {row!r}")
                 times.append(t)
                 temps.append(c)
         if not times:
@@ -135,17 +146,21 @@ TemperatureTrace = Union[ConstantTrace, RampTrace, SinusoidTrace, BandNoiseTrace
 
 
 def parse_trace(spec: str, base_dir: str | Path | None = None) -> TemperatureTrace:
-    """Build a trace from its spec string; see the module docstring."""
+    """Build a trace from its spec string; see the module docstring.
+
+    Raises ValueError for a malformed spec or a non-finite number, and
+    OSError when a csv trace file cannot be read.
+    """
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     try:
         if kind == "constant":
-            return ConstantTrace(float(rest))
+            return ConstantTrace(finite_float(rest))
         if kind == "ramp":
-            start, rate = (float(x) for x in rest.split(","))
+            start, rate = (finite_float(x) for x in rest.split(","))
             return RampTrace(start, rate)
         if kind == "sinusoid":
-            parts = [float(x) for x in rest.split(",")]
+            parts = [finite_float(x) for x in rest.split(",")]
             if len(parts) == 3:
                 parts.append(0.0)
             mean, amp, period, phase = parts
@@ -153,7 +168,7 @@ def parse_trace(spec: str, base_dir: str | Path | None = None) -> TemperatureTra
                 raise ValueError("sinusoid period must be positive")
             return SinusoidTrace(mean, amp, period, phase)
         if kind == "band":
-            low, high = (float(x) for x in rest.split(","))
+            low, high = (finite_float(x) for x in rest.split(","))
             if high < low:
                 raise ValueError("band upper bound below lower bound")
             return BandNoiseTrace(low, high)

@@ -232,6 +232,20 @@ def test_non_finite_value_exits_1_naming_key_and_line(tmp_path, capsys, key, val
     assert f":3: bad value for '{key}'" in capsys.readouterr().err
 
 
+BAD_TRACE_SPECS = [
+    "constant:nan", "band:30,inf", "foo:1", "ramp:1", "csv:missing.csv", "sinusoid:37,1,inf", "csv:nan_row.csv"
+]
+
+
+@pytest.mark.parametrize("spec", BAD_TRACE_SPECS)
+def test_bad_trace_spec_exits_1_naming_key_and_line(tmp_path, capsys, spec):
+    (tmp_path / "nan_row.csv").write_text("time_s,temp_c\n0.0,36.0\n10.0,nan\n")
+    config = write_config(tmp_path, f"node1.serial = 1\nscenario.seed = 2\nnode1.trace = {spec}\n")
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f":3: bad value for 'node1.trace': '{spec}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("field", ["duration_s", "sample_period_s"])
 def test_validate_rejects_non_finite_timing(field, value):

@@ -25,6 +25,14 @@ PINNED = {
         "agreement.csv": "c443799f805935ee277174dc23ced77eb9ec4ba514d2d57fca1b303dfb685bd2",
         "stats.csv": "6f583af1186bb42039867528ebc339cdc845d7b95d836dc0ccdc25b2d16dc6fd",
     },
+    "interference.conf": {
+        "events.csv": "358ff56dbb977b26fdd92df53d6558b594d701fad7d6acbea98831e49cfb54a2",
+        "readings.csv": "6ccae0ca6cb1283ba24b65b704c16f3248134002fcd8189207b61c7bbf49ffbc",
+        "ledgers.csv": "cb2b8c225f307cc05573c39b2183700a3524b24cfb72019bdf3ccde3e8e76e27",
+        "alerts.csv": "30c8b808c6bb14b007bf1d8bf4e699ff02b4821592a7796930982e1aeb2c5389",
+        "agreement.csv": "694e3c29e7e929c4525c991c0dd1cb3adef6122f8e4b4830508c3d5fa839ce54",
+        "stats.csv": "83978c85366f4d1e5f21e3b79969c7c4ddeb2ab9d8455cf2dc1fc1c320d9fcdc",
+    },
     "scenario1.conf": {
         "events.csv": "a2becd4b0577d70d12d91aba5e799cab159f68bb0e8b6fbca9f8a7f2847e7ea1",
         "readings.csv": "05c7f1a0450cb3dd7b03dff4085e616adb7dc07db27cce6482846256ccab5b2c",
