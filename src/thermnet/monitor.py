@@ -56,8 +56,9 @@ class AlertRule:
     rise_window_s: float = 60.0
 
     def validate(self) -> None:
-        if self.high_threshold_c <= 0 or self.rise_rate_c_per_min <= 0 or self.rise_window_s <= 0:
-            raise ValueError("alert rule values must be positive")
+        for value in (self.high_threshold_c, self.rise_rate_c_per_min, self.rise_window_s):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError("alert rule values must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -128,42 +129,51 @@ def evaluate_alerts(series: list[Reading], rule: AlertRule) -> list[Alert]:
 
     Each alert kind fires once per excursion and re-arms when the value
     (temperature, or fitted rise rate) drops back below its threshold.
-    The rise rate is the least-squares slope over the trailing window,
-    expressed in degC per minute.
+    The rise rate is the least-squares slope, in degC per minute, over
+    the readings at or after ``time_s - rule.rise_window_s``.  Each
+    window start is found by bisection, so the cost is O(n*w) for w
+    readings per window.  Raises ValueError if ``time_s`` decreases.
     """
+    times: list[float] = []
+    for reading in series:
+        if times and not reading.time_s >= times[-1]:  # also rejects NaN
+            raise ValueError(f"series is not time-ordered at t={reading.time_s!r}")
+        times.append(reading.time_s)
+    temps = [reading.temp_c for reading in series]
+
     alerts: list[Alert] = []
     high_armed = True
     rise_armed = True
     for i, reading in enumerate(series):
-        if reading.temp_c >= rule.high_threshold_c:
+        if temps[i] >= rule.high_threshold_c:
             if high_armed:
-                alerts.append(Alert(HIGH_TEMP, reading.sensor_id, reading.time_s, reading.temp_c))
+                alerts.append(Alert(HIGH_TEMP, reading.sensor_id, times[i], temps[i]))
                 high_armed = False
         else:
             high_armed = True
 
-        window = [r for r in series[: i + 1] if r.time_s >= reading.time_s - rule.rise_window_s]
-        slope = _slope_c_per_min(window)
+        lo = bisect.bisect_left(times, times[i] - rule.rise_window_s, 0, i + 1)
+        slope = _slope_c_per_min(times[lo : i + 1], temps[lo : i + 1])
         if slope is not None and slope >= rule.rise_rate_c_per_min:
             if rise_armed:
-                alerts.append(Alert(RAPID_RISE, reading.sensor_id, reading.time_s, slope))
+                alerts.append(Alert(RAPID_RISE, reading.sensor_id, times[i], slope))
                 rise_armed = False
         else:
             rise_armed = True
     return alerts
 
 
-def _slope_c_per_min(window: list[Reading]) -> Optional[float]:
+def _slope_c_per_min(times: list[float], temps: list[float]) -> Optional[float]:
     """Least-squares slope of temp vs time, or None below two points."""
-    n = len(window)
+    n = len(times)
     if n < 2:
         return None
-    mean_t = math.fsum(r.time_s for r in window) / n
-    mean_c = math.fsum(r.temp_c for r in window) / n
-    sxx = math.fsum((r.time_s - mean_t) ** 2 for r in window)
+    mean_t = math.fsum(times) / n
+    mean_c = math.fsum(temps) / n
+    sxx = math.fsum((t - mean_t) ** 2 for t in times)
     if sxx == 0.0:
         return None
-    sxy = math.fsum((r.time_s - mean_t) * (r.temp_c - mean_c) for r in window)
+    sxy = math.fsum((t - mean_t) * (c - mean_c) for t, c in zip(times, temps))
     return (sxy / sxx) * 60.0
 
 

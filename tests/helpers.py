@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+from typing import Optional
+
 from thermnet.config import ScenarioConfig
 from thermnet.delays import mcu_prep_delay
 from thermnet.energy import EnergyLedger
+from thermnet.monitor import HIGH_TEMP, RAPID_RISE, Alert, AlertRule, Reading
 from thermnet.sim import SimResult
 
 
@@ -83,3 +87,45 @@ def access_point_ledger(result: SimResult, config: ScenarioConfig) -> EnergyLedg
     return EnergyLedger(
         receive_j=prof.supply_voltage_v * prof.radio_i_receive_a * result.end_time_s
     )
+
+
+def evaluate_alerts_oracle(series: list[Reading], rule: AlertRule) -> list[Alert]:
+    """The quadratic reference scan: each window is filtered from the whole prefix.
+
+    This is the monitor's earlier implementation, kept verbatim so the
+    bisecting one can be checked against it for exact equality.
+    """
+    alerts: list[Alert] = []
+    high_armed = True
+    rise_armed = True
+    for i, reading in enumerate(series):
+        if reading.temp_c >= rule.high_threshold_c:
+            if high_armed:
+                alerts.append(Alert(HIGH_TEMP, reading.sensor_id, reading.time_s, reading.temp_c))
+                high_armed = False
+        else:
+            high_armed = True
+
+        window = [r for r in series[: i + 1] if r.time_s >= reading.time_s - rule.rise_window_s]
+        slope = _slope_c_per_min_oracle(window)
+        if slope is not None and slope >= rule.rise_rate_c_per_min:
+            if rise_armed:
+                alerts.append(Alert(RAPID_RISE, reading.sensor_id, reading.time_s, slope))
+                rise_armed = False
+        else:
+            rise_armed = True
+    return alerts
+
+
+def _slope_c_per_min_oracle(window: list[Reading]) -> Optional[float]:
+    """Least-squares slope of temp vs time, or None below two points."""
+    n = len(window)
+    if n < 2:
+        return None
+    mean_t = math.fsum(r.time_s for r in window) / n
+    mean_c = math.fsum(r.temp_c for r in window) / n
+    sxx = math.fsum((r.time_s - mean_t) ** 2 for r in window)
+    if sxx == 0.0:
+        return None
+    sxy = math.fsum((r.time_s - mean_t) * (r.temp_c - mean_c) for r in window)
+    return (sxy / sxx) * 60.0

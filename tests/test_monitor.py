@@ -9,8 +9,9 @@ import random
 import statistics
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from helpers import evaluate_alerts_oracle
 from thermnet.frames import SensorId, make_sensor_id
 from thermnet.monitor import (
     Alert,
@@ -200,6 +201,61 @@ def test_alert_rule_validation():
     RULE.validate()
     with pytest.raises(ValueError):
         AlertRule(high_threshold_c=0).validate()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["high_threshold_c", "rise_rate_c_per_min", "rise_window_s"])
+def test_alert_rule_rejects_non_finite(field, value):
+    with pytest.raises(ValueError):
+        AlertRule(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("bad_time", [9.5, math.nan])
+def test_alerts_reject_unordered_series(bad_time):
+    late = Reading(make_sensor_id(serial=1), bad_time, 592, 99, 0.0, 0.0)
+    series = series_from([37.0] * 12) + [late]
+    with pytest.raises(ValueError, match="time-ordered"):
+        evaluate_alerts(series, RULE)
+
+
+@st.composite
+def alert_cases(draw):
+    """A time-ordered series and a rule, on a grid of quarter seconds.
+
+    Times and the window are multiples of 0.25 s, so ``t - window`` is
+    exact and readings land exactly on the window's start.  Steps mix
+    ties, exact window lengths, irregular gaps, gaps longer than the
+    window and off-grid float steps.
+    """
+    window_q = draw(st.sampled_from([1, 3, 8, 32, 240]))
+    window = window_q * 0.25
+    rule = AlertRule(
+        high_threshold_c=draw(st.sampled_from([36.5, 37.0, 38.0])),
+        rise_rate_c_per_min=draw(st.sampled_from([0.05, 0.5, 3.0, 30.0])),
+        rise_window_s=window,
+    )
+    step = st.one_of(
+        st.just(0.0),
+        st.just(window),
+        st.integers(1, 2 * window_q).map(lambda q: q * 0.25),
+        st.integers(window_q + 1, 4 * window_q).map(lambda q: q * 0.25),
+        st.floats(0.0, 2.0 * window),
+    )
+    sid = make_sensor_id(serial=1)
+    t, raw = draw(st.sampled_from([0.0, 1000.25])), 584
+    series = [Reading(sid, t, raw, 0, 0.0, t)]
+    moves = draw(st.lists(st.tuples(step, st.integers(-6, 6)), max_size=80))
+    for k, (dt, d_raw) in enumerate(moves, 1):
+        t, raw = t + dt, raw + d_raw
+        series.append(Reading(sid, t, raw, k, 0.0, t))
+    return series, rule
+
+
+@settings(max_examples=300, deadline=None)
+@given(alert_cases())
+def test_alerts_equal_quadratic_oracle(case):
+    series, rule = case
+    assert evaluate_alerts(series, rule) == evaluate_alerts_oracle(series, rule)
 
 
 # -- agreement ---------------------------------------------------------

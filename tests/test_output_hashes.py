@@ -1,8 +1,9 @@
 """Regression guard: the shipped configs' simulate outputs, byte for byte.
 
-The configs use zero sensor noise and integer-hash traces, so their
-outputs do not depend on the platform's libm.  A change that alters any
-result must update the pinned hashes here and say why in CHANGES.md.
+The configs use zero sensor noise and integer-hash or piecewise-linear
+traces, so their outputs do not depend on the platform's libm.  A change
+that alters any result must update the pinned hashes here and say why in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -24,6 +25,14 @@ PINNED = {
         "alerts.csv": "30c8b808c6bb14b007bf1d8bf4e699ff02b4821592a7796930982e1aeb2c5389",
         "agreement.csv": "c443799f805935ee277174dc23ced77eb9ec4ba514d2d57fca1b303dfb685bd2",
         "stats.csv": "6f583af1186bb42039867528ebc339cdc845d7b95d836dc0ccdc25b2d16dc6fd",
+    },
+    "fever.conf": {
+        "events.csv": "15519aa96ad782aebc7fcb545fc7a395faf407d2cf43daff45624c037a8277f8",
+        "readings.csv": "3f76e5094126124324342deadb5b29887ee91deb9c1a6cf7a6791f0bd182eb32",
+        "ledgers.csv": "127d4504b9e9fa8dc1b2d02bd69b8c423a85828ce444e2ed91fdd3b725f5d65b",
+        "alerts.csv": "6761f59cf59b215d8e9bc3a0ecc23833f7509de3355d51cb75a6040bd06e3587",
+        "agreement.csv": "3ada6c005687608407eee73506bb5a55bd71665ebab597e8c96aeac1abb0ca51",
+        "stats.csv": "0e368fddd977746f6947a01612e7bb933077d0082c686e8c05284ba5e6570127",
     },
     "interference.conf": {
         "events.csv": "358ff56dbb977b26fdd92df53d6558b594d701fad7d6acbea98831e49cfb54a2",
