@@ -78,13 +78,24 @@ class ScenarioConfig:
         return [n.sensor_id(self.family_code) for n in self.nodes]
 
     def validate(self) -> None:
+        for section, record in (
+            (None, self),
+            *((node.name, node) for node in self.nodes),
+            *((intf.name, intf) for intf in self.interferers),
+            ("delay", self.delay_params),
+            ("power", self.power_profile),
+        ):
+            for f in fields(record):
+                value = getattr(record, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValidationError(f"{section or _SECTION_OF[f.name]}.{f.name} must be finite")
         # Zero is allowed and yields an empty run.
-        if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
-            raise ValidationError("scenario.duration_s must be finite and >= 0")
+        if self.duration_s < 0:
+            raise ValidationError("scenario.duration_s must be >= 0")
         if self.mac_mode not in (TDMA, ALOHA):
             raise ValidationError(f"scenario.mac_mode must be '{TDMA}' or '{ALOHA}'")
-        if not (math.isfinite(self.sample_period_s) and self.sample_period_s > 0):
-            raise ValidationError("scenario.sample_period_s must be finite and positive")
+        if self.sample_period_s <= 0:
+            raise ValidationError("scenario.sample_period_s must be positive")
         if not self.nodes:
             raise ValidationError("at least one node section is required")
         serials = [n.serial for n in self.nodes]
@@ -136,6 +147,7 @@ _SCENARIO_SECTIONS = {
     "medium": {"range_m": finite_float},
     "mac": {"guard_s": finite_float, "beacon_s": finite_float, "family_code": lambda v: int(v, 0)},
 }
+_SECTION_OF = {name: section for section, keys in _SCENARIO_SECTIONS.items() for name in keys}
 # Sections whose keys are the fields of one parameter record.
 _RECORD_SECTIONS = {
     "delay": {

@@ -34,9 +34,6 @@ class DelayParams:
     usb_rate_bps: float = 12_000_000.0
     sensor_conversion_s: float = 0.750
     propagation_speed_mps: float = 2.998e8
-    # Optional per-meter penalty so distance sweeps can show a visible
-    # trend; pure physics keeps this at zero.
-    distance_penalty_s_per_m: float = 0.0
 
     def validate(self) -> None:
         for name in (
@@ -52,8 +49,6 @@ class DelayParams:
                 raise ValueError(f"{name} must be positive")
         if self.mac_instruction_clocks < 0:
             raise ValueError("mac_instruction_clocks must be >= 0")
-        if self.distance_penalty_s_per_m < 0:
-            raise ValueError("distance_penalty_s_per_m must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -88,10 +83,10 @@ def airtime(bits: int, params: DelayParams) -> float:
 
 
 def propagation_delay(distance_m: float, params: DelayParams) -> float:
-    """t3: distance over propagation speed, plus any configured penalty."""
+    """t3: distance over propagation speed."""
     if distance_m < 0:
         raise ValueError("distance_m must be >= 0")
-    return distance_m / params.propagation_speed_mps + distance_m * params.distance_penalty_s_per_m
+    return distance_m / params.propagation_speed_mps
 
 
 def serial_delay(bits: int, params: DelayParams) -> float:

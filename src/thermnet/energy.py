@@ -17,11 +17,7 @@ from .delays import DelayParams, airtime
 
 @dataclass(frozen=True)
 class DevicePowerProfile:
-    """Supply voltage and per-state current draws of one node's devices.
-
-    battery_energy_budget_j approximates a 9 V, 500 mAh block and is
-    used only for lifetime estimates, never by the energy arithmetic.
-    """
+    """Supply voltage and per-state current draws of one node's devices."""
 
     supply_voltage_v: float = 9.0
     radio_i_transmit_a: float = 0.016
@@ -31,7 +27,6 @@ class DevicePowerProfile:
     sensor_i_idle_a: float = 8e-9
     mcu_i_active_a: float = 0.0036
     mcu_i_idle_a: float = 0.001
-    battery_energy_budget_j: float = 16_200.0
 
     def validate(self) -> None:
         if self.supply_voltage_v <= 0:
@@ -130,10 +125,3 @@ def energy_sweep(
                 )
             )
     return rows
-
-
-def estimated_lifetime_s(profile: DevicePowerProfile, average_power_w: float) -> float:
-    """Battery budget divided by average draw; inf for zero draw."""
-    if average_power_w <= 0:
-        return float("inf")
-    return profile.battery_energy_budget_j / average_power_w

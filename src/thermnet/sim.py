@@ -3,12 +3,13 @@
 Nodes sample their temperature trace, frame the reading, and contend
 for the shared radio under either the slotted (beacon-synchronized)
 MAC or a send-on-ready mode with no arbitration.  The access point
-receives, decodes and forwards to the serial side.  Every action is a
+receives, decodes and forwards to the serial side.  Sampling instants
+``k * sample_period_s`` and beacon instants ``k * frame_period_s`` are
+schedule arithmetic: the run loop starts conversion k on every node, in
+node order, before any queued event at that instant, and beacons are
+neither queued nor logged, only counted.  Every other action is a
 handler call on one queue ordered by (time, insertion sequence), so a
 run is a pure function of the scenario config and seed.
-
-Beacon instants are schedule arithmetic, ``k * frame_period_s``, so
-they are neither queued nor logged; only their count is reported.
 
 Each delivered packet carries its full stage-by-stage timestamp record;
 differencing those timestamps reproduces the analytical delay terms,
@@ -318,26 +319,27 @@ class _Engine:
 
     def run(self) -> SimResult:
         if self.end_time_s > 0:
-            self._seed_events()
-        while self._heap:
-            time_s, _, handler, payload = heapq.heappop(self._heap)
-            if time_s > self.end_time_s:
-                break
-            self.now = time_s
-            handler(*payload)
-        return self._finish()
-
-    def _seed_events(self) -> None:
+            for intf in self.config.interferers:
+                self._push(intf.start_s, self._on_interferer_burst, intf)
         period = self.config.sample_period_s
-        n_samples = math.ceil(self.end_time_s / period)
-        for k in range(n_samples):
+        for k in range(math.ceil(self.end_time_s / period)):
             t = k * period
             if t >= self.end_time_s:
                 break
+            self._dispatch_before(t)
+            self.now = t
             for node in self.nodes:
-                self._push(t, self._on_conversion_start, node, k)
-        for intf in self.config.interferers:
-            self._push(intf.start_s, self._on_interferer_burst, intf)
+                self._on_conversion_start(node, k)
+        # Events due exactly at the end still run.
+        self._dispatch_before(math.nextafter(self.end_time_s, math.inf))
+        return self._finish()
+
+    def _dispatch_before(self, t: float) -> None:
+        """Run the queued handlers due strictly before ``t``, in queue order."""
+        heap = self._heap
+        while heap and heap[0][0] < t:
+            self.now, _, handler, payload = heapq.heappop(heap)
+            handler(*payload)
 
     def _finish(self) -> SimResult:
         end = self.end_time_s

@@ -15,6 +15,7 @@ import thermnet
 from thermnet.cli import _write_simulation_outputs, main
 from thermnet.config import (
     ConfigError,
+    InterfererSpec,
     ParseError,
     ScenarioConfig,
     NodeSpec,
@@ -25,6 +26,7 @@ from thermnet.config import (
 )
 from thermnet.csvio import read_rows
 from thermnet.delays import DelayParams, total_delay
+from thermnet.energy import DevicePowerProfile
 from thermnet.sim import run_scenario
 from thermnet.traces import BandNoiseTrace, ConstantTrace, CsvTrace, RampTrace, SinusoidTrace
 
@@ -251,6 +253,25 @@ def test_bad_trace_spec_exits_1_naming_key_and_line(tmp_path, capsys, spec):
 def test_validate_rejects_non_finite_timing(field, value):
     config = replace(ScenarioConfig(nodes=(NodeSpec("node1", 1),)), **{field: value})
     with pytest.raises(ValidationError, match=f"scenario.{field} must be finite"):
+        config.validate()
+
+
+NON_FINITE_FIELDS = [
+    ("node1.distance_m", lambda c, v: replace(c, nodes=(replace(c.nodes[0], distance_m=v),))),
+    ("medium.range_m", lambda c, v: replace(c, range_m=v)),
+    ("sensor.noise_sigma_c", lambda c, v: replace(c, noise_sigma_c=v)),
+    ("mac.guard_s", lambda c, v: replace(c, guard_s=v)),
+    ("delay.air_data_rate_bps", lambda c, v: replace(c, delay_params=DelayParams(air_data_rate_bps=v))),
+    ("power.supply_voltage_v", lambda c, v: replace(c, power_profile=DevicePowerProfile(supply_voltage_v=v))),
+    ("interferer1.start_s", lambda c, v: replace(c, interferers=(InterfererSpec("interferer1", start_s=v),))),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("key, build", NON_FINITE_FIELDS, ids=[key for key, _ in NON_FINITE_FIELDS])
+def test_validate_rejects_non_finite_field(key, build, value):
+    config = build(ScenarioConfig(nodes=(NodeSpec("node1", 1),), duration_s=5.0), value)
+    with pytest.raises(ValidationError, match=f"^{key} must be finite$"):
         config.validate()
 
 

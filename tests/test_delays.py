@@ -105,12 +105,6 @@ def test_monotone_in_distance():
     assert totals[0] <= totals[1] <= totals[2]
 
 
-def test_distance_penalty_term():
-    params = DelayParams(distance_penalty_s_per_m=1e-4)
-    base = propagation_delay(50.0, DEFAULTS)
-    assert abs(propagation_delay(50.0, params) - (base + 50 * 1e-4)) < 1e-15
-
-
 def test_fast_serial_limit():
     params = DelayParams(serial_rate_bps=1e15)
     assert serial_delay(256, params) < 1e-12

@@ -13,7 +13,6 @@ from thermnet.energy import (
     EnergyLedger,
     energy,
     energy_sweep,
-    estimated_lifetime_s,
     power,
 )
 from thermnet.frames import make_sensor_id
@@ -89,11 +88,6 @@ def test_sweep_rejects_empty_axes():
         energy_sweep([], [1], PROFILE, PARAMS)
     with pytest.raises(ValueError):
         energy_sweep([256], [], PROFILE, PARAMS)
-
-
-def test_lifetime():
-    assert estimated_lifetime_s(PROFILE, 1.0) == PROFILE.battery_energy_budget_j
-    assert estimated_lifetime_s(PROFILE, 0.0) == float("inf")
 
 
 def test_profile_validation():

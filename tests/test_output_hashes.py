@@ -58,6 +58,14 @@ PINNED = {
         "agreement.csv": "047a842351b53bc9fbd147f5dc47d95ce532b0d77bc17f21fe0e6e070f7c762f",
         "stats.csv": "f9f5d640bbd0a1acdb828a4f61e78115d512bb3d883f348d98b8c844a757c462",
     },
+    "ties.conf": {
+        "events.csv": "b452bb559a71e635bd424e171c0cdc1769aed49e9905f21e7287c9154194ae56",
+        "readings.csv": "4fd67bd9c2ad0135038ab9b73179cf0c2a5f886fab8d4611d182e1736bf69954",
+        "ledgers.csv": "c1c6f01274218209faec0b3ed50058efd5574b6498f45e92e823d9d76085030c",
+        "alerts.csv": "30c8b808c6bb14b007bf1d8bf4e699ff02b4821592a7796930982e1aeb2c5389",
+        "agreement.csv": "09ce55e2a5eef82699ada0da7a9f144ea5e4ce252e1c6f341c439245c9abd178",
+        "stats.csv": "9cca817fa4ac44a73e1eb499f84bf8804cb19d8b0b2578c2b17e687647cf8b0d",
+    },
 }
 
 

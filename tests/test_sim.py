@@ -18,6 +18,7 @@ from thermnet.mac import build_schedule
 from thermnet.sim import (
     Medium,
     Transmission,
+    _Engine,
     access_point_forward,
     medium_transmit,
     run_scenario,
@@ -365,6 +366,41 @@ def test_beacon_count_is_schedule_arithmetic(n, mac_mode, duration_s):
         expected = sum(1 for k in range(int(duration_s / period) + 2) if k * period <= duration_s)
     assert result.stats.beacons == expected
     assert not any(e.kind == "beacon" for e in result.events)
+
+
+class _QueueWatch(_Engine):
+    """Records the longest the event queue gets."""
+
+    max_queue = 0
+
+    def _push(self, time_s, handler, *payload):
+        super()._push(time_s, handler, *payload)
+        self.max_queue = max(self.max_queue, len(self._heap))
+
+
+@pytest.mark.parametrize("duration_s", [60.0, 600.0])
+def test_queue_holds_only_what_is_in_flight(duration_s):
+    # Sampling instants are not queued, so the queue is bounded by the
+    # cell's size, not by the number of samples in the run.
+    cfg = replace(
+        _cell(5, TDMA, duration_s),
+        interferers=(
+            InterfererSpec("interferer1", distance_m=20.0, period_s=0.3, bits=1024),
+            InterfererSpec("interferer2", distance_m=60.0, period_s=0.7, start_s=0.2, bits=256),
+        ),
+    )
+    engine = _QueueWatch(cfg)
+    result = engine.run()
+    assert result.stats.conversions == 5 * duration_s
+    assert 0 < engine.max_queue <= 8 * 5 + 2 * 2
+
+
+def test_conversion_count_stops_at_ceil_bound():
+    # 290 * 0.8 < 232.00000000000003, but the float quotient is exactly
+    # 290, so the ceil bound, not the ``t < end`` test, ends sampling.
+    cfg = replace(_cell(1, TDMA, 232.00000000000003), sample_period_s=0.8)
+    assert 290 * 0.8 < cfg.duration_s
+    assert run_scenario(cfg).stats.conversions == 290
 
 
 def test_invalid_config_raises_config_error():
