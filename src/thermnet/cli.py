@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .config import ConfigError, ScenarioConfig, config_help, load_config
-from .csvio import write_csv
+from .csvio import open_csv, write_csv
 from .delays import DelayParams, total_delay
 from .energy import DevicePowerProfile, EnergyLedger, energy_sweep
 from .frames import FRAME_BITS
@@ -32,7 +32,7 @@ _EVENTS_TAG = "format v2"
 
 
 def _write_simulation_outputs(config: ScenarioConfig, result: SimResult, out_dir: Path) -> None:
-    write_csv(out_dir / "events.csv", f"event log, {_EVENTS_TAG}", SimEvent._fields, result.events)
+    """Write every simulate CSV but ``events.csv``, which the run streams."""
     write_csv(
         out_dir / "readings.csv",
         f"delivered readings, {_VERSION_TAG}",
@@ -88,19 +88,30 @@ def _write_simulation_outputs(config: ScenarioConfig, result: SimResult, out_dir
 
 
 def cmd_simulate(config: ScenarioConfig, out_dir: str | Path) -> int:
-    """Run one scenario and write its CSV outputs under out_dir."""
+    """Run one scenario and write its CSV outputs under out_dir.
+
+    The config is validated before anything is written, so a bad one
+    leaves no output behind; the event log is written to ``events.csv``
+    row by row while the run goes on.
+    """
     try:
-        result = run_scenario(config)
+        config.validate()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    out = Path(out_dir)
     try:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        with open_csv(out / "events.csv", f"event log, {_EVENTS_TAG}", SimEvent._fields) as events:
+            result = run_scenario(config, on_event=events.writerow)
         _write_simulation_outputs(config, result, out)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
+    schedule = result.schedule
+    if schedule is not None and schedule.frame_period_s > config.sample_period_s:
+        print(f"warning: TDMA frame period {schedule.frame_period_s} s exceeds the sample period "
+              f"{config.sample_period_s} s; {result.stats.replaced_pending} frames were replaced "
+              f"before their slot", file=sys.stderr)
     print(f"simulated {result.end_time_s} s: {len(result.readings)} readings, "
           f"{result.stats.collisions} collisions -> {out}")
     return 0

@@ -9,25 +9,43 @@ the same reason.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterator, Sequence
 
 
-def write_csv(
-    path: str | Path,
-    comment: str,
-    header: Sequence[str],
-    rows: Iterable[Sequence[object]],
-) -> Path:
-    """Write rows under a '# ...' provenance comment and a header line."""
+@contextmanager
+def open_csv(path: str | Path, comment: str, header: Sequence[str]) -> Iterator[Any]:
+    """Open path for writing, put a '# ...' provenance comment and the
+    header line in it, and yield the ``csv.writer`` for its rows.
+
+    Rows can then be written one at a time while they are produced; the
+    file is closed when the block exits.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
+        yield writer
+
+
+def write_csv(
+    path: str | Path,
+    comment: str,
+    header: Sequence[str],
+    rows: Sequence[Sequence[object]],
+) -> Path:
+    """Write a list of rows under a '# ...' provenance comment and a header
+    line.
+
+    ``rows`` is a list, never a generator: ``perfbench/trace.py`` counts
+    the rows of every call with ``len(rows)``.
+    """
+    with open_csv(path, comment, header) as writer:
         writer.writerows(rows)
-    return path
+    return Path(path)
 
 
 def read_rows(path: str | Path) -> list[dict[str, str]]:

@@ -68,7 +68,7 @@ class BadFrameCrc(FrameError):
     """Frame CRC mismatch over the covered bytes."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorId:
     """64-bit ROM code: family byte, 48-bit serial, CRC-8 over both."""
 
@@ -110,7 +110,7 @@ def validate_sensor_id(sensor_id: SensorId) -> bool:
     return crc8(body) == sensor_id.crc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frame:
     """Decoded contents of one over-air packet."""
 

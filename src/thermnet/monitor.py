@@ -26,7 +26,7 @@ class EmptySeries(ValueError):
     """Agreement asked for on a sensor with no stored readings."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reading:
     """One delivered measurement.
 

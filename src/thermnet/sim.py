@@ -11,6 +11,11 @@ neither queued nor logged, only counted.  Every other action is a
 handler call on one queue ordered by (time, insertion sequence), so a
 run is a pure function of the scenario config and seed.
 
+The event log goes to a sink as it is written, or is collected in
+``SimResult.events`` when no sink is given; ``thermnet simulate``
+streams it straight into ``events.csv``, so the log does not stay in
+memory for the run.  Delivered readings and delay samples do.
+
 Each delivered packet carries its full stage-by-stage timestamp record;
 differencing those timestamps reproduces the analytical delay terms,
 which is how the closed-form model and the simulator check each other.
@@ -76,7 +81,7 @@ class SimEvent(NamedTuple):
     detail: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class Transmission:
     """A signal on the air; collided is set while overlaps are live.
     ``frame`` is empty for an interferer burst."""
@@ -169,7 +174,7 @@ def access_point_forward(arrival_s: float, bits: int, params: DelayParams) -> tu
     return serial_start, usb_start, serial_out
 
 
-@dataclass
+@dataclass(slots=True)
 class MeasuredDelay:
     """Stage timestamps of one packet, filled in as events fire.
 
@@ -273,7 +278,7 @@ class _Node:
 
 
 class _Engine:
-    def __init__(self, config: ScenarioConfig):
+    def __init__(self, config: ScenarioConfig, on_event: Optional[Callable[[SimEvent], object]] = None):
         config.validate()
         self.config = config
         self.params = config.delay_params
@@ -282,6 +287,8 @@ class _Engine:
         self.end_time_s = float(config.duration_s)
         self.now = 0.0
         self.events: list[SimEvent] = []
+        self._emit = self.events.append if on_event is None else on_event
+        self._n_events = 0
         self.readings: list[Reading] = []
         self.delay_samples: list[MeasuredDelay] = []
         self.stats = SimStats()
@@ -313,7 +320,8 @@ class _Engine:
 
     def _log(self, kind: str, subject: str, detail: str = "") -> None:
         assert kind in LOGGED_KINDS
-        self.events.append(SimEvent(self.now, len(self.events), kind, subject, detail))
+        self._emit(SimEvent(self.now, self._n_events, kind, subject, detail))
+        self._n_events += 1
 
     # -- run -----------------------------------------------------------
 
@@ -527,10 +535,15 @@ def _instants_up_to(period_s: float, end_s: float) -> int:
     return k + 1
 
 
-def run_scenario(config: ScenarioConfig) -> SimResult:
+def run_scenario(
+    config: ScenarioConfig, on_event: Optional[Callable[[SimEvent], object]] = None
+) -> SimResult:
     """Simulate one scenario; raises ConfigError on invalid configs.
 
-    Identical (config, seed) pairs produce identical results, event for
-    event and byte for byte once serialized.
+    Each logged event goes to ``on_event`` as it happens, in log order,
+    and ``SimResult.events`` is then empty; without a sink the log is
+    collected in ``SimResult.events``.  Identical (config, seed) pairs
+    produce identical results, event for event and byte for byte once
+    serialized.
     """
-    return _Engine(config).run()
+    return _Engine(config, on_event).run()

@@ -6,13 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import thermnet
-from thermnet.cli import _write_simulation_outputs, main
+from thermnet.cli import _write_simulation_outputs, cmd_simulate, main
 from thermnet.config import (
     ConfigError,
     InterfererSpec,
@@ -343,6 +344,60 @@ def test_simulate_bad_config_exits_1(tmp_path, capsys):
     code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_simulate_bad_config_writes_nothing(tmp_path, capsys):
+    # Validation comes before the output directory and events.csv are
+    # created, so a rejected config leaves nothing behind.
+    bad = ScenarioConfig(nodes=(NodeSpec("node1", 1), NodeSpec("node2", 1)))
+    out = tmp_path / "out"
+    assert cmd_simulate(bad, out) == 1
+    assert "unique" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _one_node_cell(duration_s: float) -> ScenarioConfig:
+    return ScenarioConfig(nodes=(NodeSpec("node1", 1, ConstantTrace(37.0)),), duration_s=duration_s)
+
+
+def _traced_peak_bytes(config: ScenarioConfig, out: Path) -> int:
+    tracemalloc.start()
+    try:
+        assert cmd_simulate(config, out) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_hold_the_event_log(tmp_path, capsys):
+    # events.csv is streamed, so only readings and delay samples grow
+    # with the run: about 0.85 KB per sample.  Holding the event log as
+    # well costs over 2 KB per sample.
+    _traced_peak_bytes(_one_node_cell(10.0), tmp_path / "warm")
+    short = _traced_peak_bytes(_one_node_cell(600.0), tmp_path / "short")
+    long = _traced_peak_bytes(_one_node_cell(2400.0), tmp_path / "long")
+    assert (long - short) / (2400 - 600) <= 1200
+
+
+def _cell_of(n: int) -> ScenarioConfig:
+    return ScenarioConfig(
+        nodes=tuple(NodeSpec(f"node{i}", i + 1) for i in range(1, n + 1)), duration_s=60.0
+    )
+
+
+def test_simulate_warns_when_the_frame_outlasts_the_sample_period(tmp_path, capsys):
+    # At default timings 52 slots fit in the 1 s sample period and 53 do
+    # not: the 53-node cell replaces frames before their slot comes.
+    assert cmd_simulate(_cell_of(52), tmp_path / "fits") == 0
+    assert capsys.readouterr().err == ""
+    assert cmd_simulate(_cell_of(53), tmp_path / "over") == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("warning: TDMA frame period 1.009")
+    assert "sample period 1.0 s" in err
+    assert "28 frames were replaced" in err
+    stats = {row["counter"]: row["value"] for row in read_rows(tmp_path / "over" / "stats.csv")}
+    assert stats["replaced_pending"] == "28"
 
 
 def test_simulate_missing_config_exits_1(tmp_path):

@@ -403,6 +403,27 @@ def test_conversion_count_stops_at_ceil_bound():
     assert run_scenario(cfg).stats.conversions == 290
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        two_nodes(),
+        two_nodes(
+            mac_mode=ALOHA,
+            interferers=(InterfererSpec("interferer1", distance_m=5.0, period_s=0.3, bits=1024),),
+        ),
+    ],
+    ids=["tdma", "aloha_interferer"],
+)
+def test_sink_receives_the_event_log(cfg):
+    collected = run_scenario(cfg)
+    rows = []
+    streamed = run_scenario(cfg, on_event=rows.append)
+    assert rows == collected.events
+    assert [e.seq for e in rows] == list(range(len(rows)))
+    assert streamed.events == []
+    assert replace(streamed, events=collected.events) == collected
+
+
 def test_invalid_config_raises_config_error():
     from thermnet.config import ConfigError
 
