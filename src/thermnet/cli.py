@@ -29,6 +29,10 @@ from .sim import SimEvent, SimResult, run_scenario
 _VERSION_TAG = "format v1"
 # v2: beacon rows dropped; beacon instants are k * frame_period_s.
 _EVENTS_TAG = "format v2"
+# One events.csv line.  Each SimEvent cell is a float, an int or a word
+# of letters, digits and "_=.- " (validate() checks the config names the
+# engine puts in words), so this is the line csv.writer would write.
+_EVENT_ROW = "%r,%d,%s,%s,%s\n"
 
 
 def _write_simulation_outputs(config: ScenarioConfig, result: SimResult, out_dir: Path) -> None:
@@ -102,7 +106,8 @@ def cmd_simulate(config: ScenarioConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     try:
         with open_csv(out / "events.csv", f"event log, {_EVENTS_TAG}", SimEvent._fields) as events:
-            result = run_scenario(config, on_event=events.writerow)
+            write = events.write
+            result = run_scenario(config, on_event=lambda event: write(_EVENT_ROW % event))
         _write_simulation_outputs(config, result, out)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ different ``<k>`` tokens to declare several entities.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -21,6 +22,9 @@ from .traces import ConstantTrace, TemperatureTrace, finite_float, parse_trace
 
 TDMA = "tdma"
 ALOHA = "aloha"
+
+# A node or interferer name, which events.csv carries unquoted.
+_SECTION_NAME = re.compile(r"[A-Za-z0-9_]+")
 
 
 class ConfigError(ValueError):
@@ -78,6 +82,11 @@ class ScenarioConfig:
         return [n.sensor_id(self.family_code) for n in self.nodes]
 
     def validate(self) -> None:
+        for spec in (*self.nodes, *self.interferers):
+            if not _SECTION_NAME.fullmatch(spec.name):
+                raise ValidationError(
+                    f"section name {spec.name!r} must be letters, digits and underscores"
+                )
         for section, record in (
             (None, self),
             *((node.name, node) for node in self.nodes),

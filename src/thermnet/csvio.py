@@ -3,7 +3,9 @@
 Rows go to ``csv.writer`` unchanged: it writes a float as ``str(float)``,
 which equals ``repr`` on Python >= 3.2, so re-running the same scenario
 produces byte-identical files; newline handling is pinned to "\n" for
-the same reason.
+the same reason.  ``thermnet simulate`` formats its ``events.csv``
+lines itself, to the bytes ``csv.writer`` would write (a test pins the
+two together).
 """
 
 from __future__ import annotations
@@ -11,13 +13,13 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 
 @contextmanager
-def open_csv(path: str | Path, comment: str, header: Sequence[str]) -> Iterator[Any]:
+def open_csv(path: str | Path, comment: str, header: Sequence[str]) -> Iterator[TextIO]:
     """Open path for writing, put a '# ...' provenance comment and the
-    header line in it, and yield the ``csv.writer`` for its rows.
+    header line in it, and yield the open file for its rows.
 
     Rows can then be written one at a time while they are produced; the
     file is closed when the block exits.
@@ -26,9 +28,8 @@ def open_csv(path: str | Path, comment: str, header: Sequence[str]) -> Iterator[
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# {comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        yield writer
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        yield fh
 
 
 def write_csv(
@@ -43,8 +44,8 @@ def write_csv(
     ``rows`` is a list, never a generator: ``perfbench/trace.py`` counts
     the rows of every call with ``len(rows)``.
     """
-    with open_csv(path, comment, header) as writer:
-        writer.writerows(rows)
+    with open_csv(path, comment, header) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     return Path(path)
 
 

@@ -19,6 +19,7 @@ exactly the meaningful bytes.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -123,22 +124,48 @@ class Frame:
         return self.raw_temp * TEMP_LSB_C
 
 
+@functools.lru_cache(maxsize=1024)
+def _checked_id_bytes(sensor_id: SensorId) -> bytes:
+    """Wire form of an id that passes its CRC check, else InvalidId.
+
+    Only a valid id is cached, so an invalid one raises on every call.
+    """
+    if not validate_sensor_id(sensor_id):
+        raise InvalidId(f"sensor id {sensor_id.hex()} fails crc check")
+    return sensor_id.to_bytes()
+
+
+@functools.lru_cache(maxsize=1024)
+def _checked_wire_id(raw: bytes) -> SensorId:
+    """The id carried by 8 wire bytes that pass its CRC check, else BadIdCrc."""
+    sensor_id = SensorId.from_bytes(raw)
+    if not validate_sensor_id(sensor_id):
+        raise BadIdCrc(f"sensor id {sensor_id.hex()} fails crc check")
+    return sensor_id
+
+
+# Packed layouts (see the module docstring): the reading's two fields;
+# the whole word, with the 12 covered bytes as one field and zero
+# padding; and the word's first 15 bytes, field by field.
+_READING = struct.Struct(">hH")
+_WORD = struct.Struct(f">H12sB{FRAME_BYTES - 15}x")
+_HEAD = struct.Struct(">H8shHB")
+
+
 def encode_frame(sensor_id: SensorId, raw_temp: int, sequence: int) -> bytes:
     """Serialize to the 256-bit word (32 bytes, hex form is 64 chars).
 
     Raises InvalidId if the sensor id fails validation, ValueError for
-    field values that do not fit their widths.
+    field values that do not fit their widths.  Each distinct valid id
+    is checked once.
     """
-    if not validate_sensor_id(sensor_id):
-        raise InvalidId(f"sensor id {sensor_id.hex()} fails crc check")
+    id_bytes = _checked_id_bytes(sensor_id)
     if not -(1 << 15) <= raw_temp < (1 << 15):
         raise ValueError(f"raw_temp out of 16-bit signed range: {raw_temp}")
     if not 0 <= sequence < (1 << 16):
         raise ValueError(f"sequence out of 16-bit range: {sequence}")
-    covered = sensor_id.to_bytes() + struct.pack(">hH", raw_temp, sequence)
-    word = struct.pack(">H", PREAMBLE) + covered + bytes([crc8(covered)])
-    word += bytes(FRAME_BYTES - len(word))
-    return word
+    covered = id_bytes + _READING.pack(raw_temp, sequence)
+    return _WORD.pack(PREAMBLE, covered, crc8(covered))
 
 
 def decode_frame(word: bytes) -> Frame:
@@ -146,17 +173,15 @@ def decode_frame(word: bytes) -> Frame:
 
     Checks run in order: preamble, id CRC, frame CRC, each with its own
     error class so corruption types can be counted separately.  Padding
-    bytes are not covered by any check.
+    bytes are not covered by any check.  The id CRC is checked once per
+    distinct valid id; the frame CRC on every word.
     """
     if len(word) != FRAME_BYTES:
         raise FrameError(f"frame must be {FRAME_BYTES} bytes, got {len(word)}")
-    if struct.unpack(">H", word[0:2])[0] != PREAMBLE:
+    preamble, id_bytes, raw_temp, sequence, frame_crc = _HEAD.unpack_from(word)
+    if preamble != PREAMBLE:
         raise BadPreamble(f"bad preamble {word[0:2].hex()}")
-    sensor_id = SensorId.from_bytes(word[2:10])
-    if not validate_sensor_id(sensor_id):
-        raise BadIdCrc(f"sensor id {sensor_id.hex()} fails crc check")
-    if crc8(word[2:14]) != word[14]:
-        raise BadFrameCrc(f"frame crc mismatch, stored {word[14]:#04x}")
-    raw_temp = struct.unpack(">h", word[10:12])[0]
-    sequence = struct.unpack(">H", word[12:14])[0]
+    sensor_id = _checked_wire_id(id_bytes)
+    if crc8(word[2:14]) != frame_crc:
+        raise BadFrameCrc(f"frame crc mismatch, stored {frame_crc:#04x}")
     return Frame(sensor_id, raw_temp, sequence)

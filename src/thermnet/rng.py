@@ -5,10 +5,16 @@ finalizer used to seed the xoshiro generator family.  Values are pure
 functions of (seed, key...) rather than draws from a stateful stream, so
 any sample can be recomputed in isolation and runs are reproducible
 byte-for-byte.
+
+Hashing takes one splitmix64 step for the seed and one per key.  A
+stream is keyed by a constant prefix (seed, stream, node ...) and one
+varying last key, so ``mix64`` caches the hash of the prefix and a warm
+call takes a single step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 
@@ -27,6 +33,14 @@ def splitmix64(x: int) -> int:
 
 def mix64(seed: int, *keys: int) -> int:
     """Hash a seed plus integer keys into one 64-bit word."""
+    if not keys:
+        return splitmix64(seed & _MASK64)
+    return splitmix64(_prefix(seed, keys[:-1]) ^ (keys[-1] & _MASK64))
+
+
+@functools.lru_cache(maxsize=4096)
+def _prefix(seed: int, keys: tuple[int, ...]) -> int:
+    """``mix64(seed, *keys)`` computed step by step; cached by ``mix64``."""
     h = splitmix64(seed & _MASK64)
     for k in keys:
         h = splitmix64(h ^ (k & _MASK64))
@@ -44,8 +58,13 @@ def unit_uniform(seed: int, *keys: int) -> float:
 
 
 def gauss(seed: int, *keys: int) -> float:
-    """Standard normal deviate via Box-Muller, pure in (seed, keys)."""
-    # u1 in (0, 1] so the log is finite.
-    u1 = (mix64(seed, *keys, 0) + 1) * (1.0 / (1 << 64))
-    u2 = unit_uniform(seed, *keys, 1)
+    """Standard normal deviate via Box-Muller, pure in (seed, keys).
+
+    Its uniforms are those of the keys (seed, *keys, 0) and
+    (seed, *keys, 1), both one step on from the hash of (seed, keys).
+    """
+    h = mix64(seed, *keys)
+    # u1 in (0, 1] so the log is finite; h ^ 0 is h.
+    u1 = (splitmix64(h) + 1) * (1.0 / (1 << 64))
+    u2 = (splitmix64(h ^ 1) >> 11) * (1.0 / (1 << 53))
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)

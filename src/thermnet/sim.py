@@ -129,11 +129,13 @@ def medium_transmit(medium: Medium, tx: Transmission) -> Transmission:
     a later sender can still collide with it; callers read ``collided``
     at end time.
     """
-    if tx.end_s <= tx.start_s:
+    start, end = tx.start_s, tx.end_s
+    if end <= start:
         raise ValueError("transmission must have positive duration")
-    for other in medium.active:
-        if tx.start_s < other.end_s and other.start_s < tx.end_s:
-            if medium.in_ap_range(tx) and medium.in_ap_range(other):
+    if medium.in_ap_range(tx):
+        range_m = medium.range_m
+        for other in medium.active:
+            if start < other.end_s and other.start_s < end and other.distance_m <= range_m:
                 tx.collided = True
                 other.collided = True
     medium.active.append(tx)
@@ -269,6 +271,7 @@ class _Node:
     sensor_id: SensorId
     subject: str
     index: int
+    propagation_s: float
     slot_offset_s: float = 0.0
     pending: Optional[tuple[int, MeasuredDelay]] = None
     slot_k: int = 0
@@ -295,10 +298,14 @@ class _Engine:
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._heap_seq = itertools.count()
 
+        # Per-run delay terms, computed once.
+        self._frame_airtime_s = airtime(FRAME_BITS, self.params)
+        self._prep_s = mcu_prep_delay(self.params)
         self.nodes: list[_Node] = []
         for i, spec in enumerate(config.nodes):
             sid = spec.sensor_id(config.family_code)
-            self.nodes.append(_Node(spec, sid, sid.hex(), index=i))
+            propagation_s = propagation_delay(spec.distance_m, self.params)
+            self.nodes.append(_Node(spec, sid, sid.hex(), i, propagation_s))
 
         self.schedule: Optional[SlotSchedule] = None
         if config.mac_mode == TDMA:
@@ -328,7 +335,7 @@ class _Engine:
     def run(self) -> SimResult:
         if self.end_time_s > 0:
             for intf in self.config.interferers:
-                self._push(intf.start_s, self._on_interferer_burst, intf)
+                self._push(intf.start_s, self._on_interferer_burst, intf, airtime(intf.bits, self.params))
         period = self.config.sample_period_s
         for k in range(math.ceil(self.end_time_s / period)):
             t = k * period
@@ -396,11 +403,11 @@ class _Engine:
             conversion_start_s=started_s,
             conversion_done_s=self.now,
         )
-        self._push(self.now + mcu_prep_delay(self.params), self._on_frame_ready, node, md, raw)
+        self._push(self.now + self._prep_s, self._on_frame_ready, node, md, raw)
 
     def _on_frame_ready(self, node: _Node, md: MeasuredDelay, raw: int) -> None:
         md.frame_ready_s = self.now
-        node.mcu_active_s += mcu_prep_delay(self.params)
+        node.mcu_active_s += self._prep_s
         self.stats.frames_queued += 1
         if self.schedule is None:
             md.decision_s = self.now
@@ -440,7 +447,7 @@ class _Engine:
         tx = Transmission(
             sender=node.subject,
             start_s=self.now,
-            end_s=self.now + airtime(FRAME_BITS, self.params),
+            end_s=self.now + self._frame_airtime_s,
             frame=word,
             distance_m=node.spec.distance_m,
         )
@@ -462,7 +469,7 @@ class _Engine:
         if not self.medium.in_ap_range(tx):
             self.stats.out_of_range += 1
             return
-        self._push(self.now + propagation_delay(tx.distance_m, self.params), self._on_arrival, tx, md)
+        self._push(self.now + node.propagation_s, self._on_arrival, tx, md)
 
     # -- access-point handlers -----------------------------------------
 
@@ -505,20 +512,20 @@ class _Engine:
 
     # -- shared-cell handlers ------------------------------------------
 
-    def _on_interferer_burst(self, intf) -> None:
+    def _on_interferer_burst(self, intf, airtime_s: float) -> None:
         """A foreign burst occupies the channel: listening nodes defer
         and a node frame it overlaps is destroyed."""
         tx = Transmission(
             sender=intf.name,
             start_s=self.now,
-            end_s=self.now + airtime(intf.bits, self.params),
+            end_s=self.now + airtime_s,
             frame=b"",
             distance_m=intf.distance_m,
         )
         medium_transmit(self.medium, tx)
         self._log(TX_START, intf.name, f"bits={intf.bits}")
         self._push(tx.end_s, self._on_tx_end, tx, None, None)
-        self._push(self.now + intf.period_s, self._on_interferer_burst, intf)
+        self._push(self.now + intf.period_s, self._on_interferer_burst, intf, airtime_s)
 
 
 def _instants_up_to(period_s: float, end_s: float) -> int:

@@ -78,7 +78,12 @@ class SinusoidTrace:
 
 @dataclass(frozen=True)
 class BandNoiseTrace:
-    """Uniform fluctuation between a lower and an upper band."""
+    """Uniform fluctuation between a lower and an upper band.
+
+    The value is keyed by (seed, t) only, not by node: every band node
+    of a run sees the same truth at the same instant, and only its own
+    sensor noise tells the nodes' readings apart.
+    """
 
     low_c: float
     high_c: float

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 from typing import Optional
 
 from thermnet.config import ScenarioConfig
@@ -129,3 +130,64 @@ def _slope_c_per_min_oracle(window: list[Reading]) -> Optional[float]:
         return None
     sxy = math.fsum((r.time_s - mean_t) * (r.temp_c - mean_c) for r in window)
     return (sxy / sxx) * 60.0
+
+
+# -- keyed RNG, as first written ----------------------------------------
+#
+# The package caches the constant (seed, stream, node) prefix of a key
+# and draws both Box-Muller uniforms from one hash.  These are the
+# step-by-step originals, kept verbatim so the cached path can be
+# checked against them for exact equality.
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_NOISE_STREAM = 0x5E
+_BAND_STREAM = 0x7B
+
+
+def _splitmix64(x: int) -> int:
+    x = (x + _GOLDEN) & _MASK64
+    z = x
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) & _MASK64
+
+
+def mix64_oracle(seed: int, *keys: int) -> int:
+    h = _splitmix64(seed & _MASK64)
+    for k in keys:
+        h = _splitmix64(h ^ (k & _MASK64))
+    return h
+
+
+def _float_key(t: float) -> int:
+    return struct.unpack(">Q", struct.pack(">d", t))[0]
+
+
+def unit_uniform_oracle(seed: int, *keys: int) -> float:
+    return (mix64_oracle(seed, *keys) >> 11) * (1.0 / (1 << 53))
+
+
+def gauss_oracle(seed: int, *keys: int) -> float:
+    u1 = (mix64_oracle(seed, *keys, 0) + 1) * (1.0 / (1 << 64))
+    u2 = unit_uniform_oracle(seed, *keys, 1)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def band_value_oracle(low_c: float, high_c: float, t: float, seed: int) -> float:
+    """``BandNoiseTrace(low_c, high_c).value(t, seed)``."""
+    u = unit_uniform_oracle(seed, _BAND_STREAM, _float_key(t))
+    return low_c + (high_c - low_c) * u
+
+
+def sense_band_oracle(
+    low_c: float, high_c: float, t_s: float, seed: int, noise_sigma_c: float, node_key: int
+) -> int:
+    """``sense_and_quantize`` of a band trace: truth plus seeded noise in
+    0.0625 degC counts, clamped to -55..125 degC."""
+    true_c = band_value_oracle(low_c, high_c, t_s, seed)
+    noise_c = 0.0
+    if noise_sigma_c > 0:
+        noise_c = noise_sigma_c * gauss_oracle(seed, _NOISE_STREAM, node_key, _float_key(t_s))
+    counts = (true_c + noise_c) / 0.0625
+    return round(min(max(counts, -880), 2000))

@@ -356,6 +356,28 @@ def test_simulate_bad_config_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["interferer,1.distance_m = 5", "interferer 1.distance_m = 5", 'node"x.serial = 0x12'],
+)
+def test_simulate_rejects_section_name_csv_would_quote(tmp_path, capsys, line):
+    # Interferer names are events.csv cells, which are written unquoted.
+    path = write_config(tmp_path, f"node1.serial = 1\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    section = line.partition(".")[0]
+    assert repr(section) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["", "node-1", "n\u00e9", "i\n1"])
+def test_validate_rejects_section_name(name):
+    with pytest.raises(ValidationError, match="letters, digits and underscores"):
+        ScenarioConfig(nodes=(NodeSpec("node1", 1),), interferers=(InterfererSpec(name),)).validate()
+    with pytest.raises(ValidationError, match="letters, digits and underscores"):
+        ScenarioConfig(nodes=(NodeSpec(name, 1),)).validate()
+
+
 def _one_node_cell(duration_s: float) -> ScenarioConfig:
     return ScenarioConfig(nodes=(NodeSpec("node1", 1, ConstantTrace(37.0)),), duration_s=duration_s)
 

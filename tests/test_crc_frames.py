@@ -128,6 +128,30 @@ def test_encode_rejects_bad_id():
         encode_frame(bad, 0, 0)
 
 
+def test_id_checks_hold_on_every_call():
+    # Valid ids are checked once and remembered; an invalid one must
+    # still fail on each call, not only on the first.
+    sid = make_sensor_id(serial=0x5A5A)
+    bad = SensorId(sid.family_code, sid.serial, sid.crc ^ 0x01)
+    for _ in range(2):
+        with pytest.raises(InvalidId):
+            encode_frame(bad, 0, 0)
+    word = encode_frame(sid, 592, 3)
+    flipped_id = bytearray(word)
+    flipped_id[5] ^= 0x10
+    for _ in range(2):
+        with pytest.raises(BadIdCrc):
+            decode_frame(bytes(flipped_id))
+    # The id is now known good; the frame crc is still checked.
+    assert decode_frame(word).sensor_id == sid
+    bad_crc = bytearray(word)
+    bad_crc[14] ^= 0x01
+    for _ in range(2):
+        with pytest.raises(BadFrameCrc):
+            decode_frame(bytes(bad_crc))
+    assert encode_frame(sid, 592, 3) == word
+
+
 def test_encode_rejects_out_of_range_fields():
     sid = make_sensor_id(serial=9)
     with pytest.raises(ValueError):

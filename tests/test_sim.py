@@ -10,11 +10,19 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import access_point_ledger, ledger_from_events
+from helpers import (
+    access_point_ledger,
+    band_value_oracle,
+    gauss_oracle,
+    ledger_from_events,
+    mix64_oracle,
+    sense_band_oracle,
+)
 from thermnet.config import ALOHA, TDMA, InterfererSpec, NodeSpec, ScenarioConfig
 from thermnet.delays import DelayParams, airtime, total_delay
 from thermnet.frames import FRAME_BITS, make_sensor_id
 from thermnet.mac import build_schedule
+from thermnet.rng import gauss, mix64
 from thermnet.sim import (
     Medium,
     Transmission,
@@ -136,6 +144,47 @@ def test_noise_is_pure_in_time_and_seed():
     assert a == sense_and_quantize(trace, 5.0, seed=4, noise_sigma_c=0.1)
     different = [sense_and_quantize(trace, 5.0, seed=s, noise_sigma_c=0.1) for s in range(30)]
     assert len(set(different)) > 1
+
+
+_SEEDS = st.one_of(
+    st.integers(min_value=-(1 << 80), max_value=-1),
+    st.integers(min_value=0, max_value=(1 << 64) - 1),
+    st.integers(min_value=1 << 64, max_value=1 << 80),
+)
+_INSTANTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e300]),
+    st.floats(min_value=0.0, max_value=1e-300),
+    st.floats(min_value=0.0, max_value=1e6),
+    st.floats(min_value=1e6, max_value=1e300),
+)
+
+
+@settings(max_examples=200)
+@given(
+    _SEEDS,
+    st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=2, max_size=4, unique=True),
+    st.lists(_INSTANTS, min_size=1, max_size=3),
+    st.floats(min_value=-60.0, max_value=130.0),
+    st.floats(min_value=0.0, max_value=10.0),
+    st.sampled_from([0.0, 0.1, 2.5]),
+)
+@example(-1, [0, 1], [0.0, 5e-324, 1e300], 36.0, 2.0, 0.1)
+@example(1 << 64, [0, 7], [1.0], 36.0, 2.0, 0.1)
+def test_sensing_equals_step_by_step_rng(seed, node_keys, instants, low_c, width_c, sigma_c):
+    # The prefix cache must be keyed by seed, stream and node: several
+    # nodes share each seed here, and the seeds vary across examples.
+    trace = BandNoiseTrace(low_c, low_c + width_c)
+    for t in instants:
+        assert trace.value(t, seed) == band_value_oracle(trace.low_c, trace.high_c, t, seed)
+        for node_key in node_keys:
+            expected = sense_band_oracle(trace.low_c, trace.high_c, t, seed, sigma_c, node_key)
+            assert sense_and_quantize(trace, t, seed, sigma_c, node_key) == expected
+
+
+@given(_SEEDS, st.lists(st.integers(min_value=-(1 << 70), max_value=1 << 70), max_size=5))
+def test_mix64_and_gauss_equal_step_by_step_rng(seed, keys):
+    assert mix64(seed, *keys) == mix64_oracle(seed, *keys)
+    assert gauss(seed, *keys) == gauss_oracle(seed, *keys)
 
 
 def test_forward_pipeline_stage_times():

@@ -1,14 +1,18 @@
-"""Check that two source trees write byte-identical simulate outputs.
+"""Check that two source trees write byte-identical outputs.
 
 Usage, from the root of a checkout, against an unpacked copy of another
 commit (for example made with ``git archive <rev> | tar -x -C <dir>``):
 
     python3 tools/compare_outputs.py <other-tree>
 
-Each scenario is simulated once from ``<other-tree>/src`` and once from
-this checkout's ``src``, and the six CSVs are compared byte for byte.
-The scenarios are every ``configs/*.conf`` of this checkout and each
-``perfbench`` workload at seeds 1-10.  Exits 1 if any file differs.
+Each command is run once from ``<other-tree>/src`` and once from this
+checkout's ``src``, and the files it writes are compared byte for byte.
+The commands are ``simulate`` (six CSVs) on every ``configs/*.conf`` of
+this checkout and on each ``perfbench`` workload at seeds 1-10;
+``report schedule`` on every ``configs/*.conf``; and ``report delay``
+(default grid and a 3x4 grid) and ``report energy`` (with and without
+``--duration``), which read no config, so they run once each.  Exits 1
+if any file differs.
 """
 
 from __future__ import annotations
@@ -26,16 +30,21 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import WORKLOADS, scenario_text  # noqa: E402
 
-FILES = ("events.csv", "readings.csv", "ledgers.csv", "alerts.csv", "agreement.csv", "stats.csv")
+SIMULATE_FILES = ("events.csv", "readings.csv", "ledgers.csv", "alerts.csv", "agreement.csv", "stats.csv")
+REPORT = "report.csv"
 SEEDS = range(1, 11)
+# Closed-form reports: name -> arguments before --out.
+REPORTS = {
+    "delay": ["report", "delay"],
+    "delay_3x4": ["report", "delay", "--bits", "64,256,1024", "--distance", "0.5,10,100,1000"],
+    "energy": ["report", "energy"],
+    "energy_duration": ["report", "energy", "--duration", "30"],
+}
 
 
-def simulate(tree: Path, config: Path, out: Path) -> None:
+def run(tree: Path, argv: list[str]) -> None:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    subprocess.run(
-        [sys.executable, "-m", "thermnet", "simulate", "--config", str(config), "--out", str(out)],
-        env=env, check=True, stdout=subprocess.DEVNULL,
-    )
+    subprocess.run([sys.executable, "-m", "thermnet", *argv], env=env, check=True, stdout=subprocess.DEVNULL)
 
 
 def main() -> int:
@@ -44,21 +53,33 @@ def main() -> int:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        scenarios = sorted((ROOT / "configs").glob("*.conf"))
+        configs = sorted((ROOT / "configs").glob("*.conf"))
+        scenarios = list(configs)
         for name, workload in WORKLOADS.items():
             for seed in SEEDS:
                 path = work / f"{name}_{seed}.conf"
                 path.write_text(scenario_text(workload, seed))
                 scenarios.append(path)
+        # (label, argv with the output directory as "{out}", files written there)
+        cases = [
+            (config.name, ["simulate", "--config", str(config), "--out", "{out}"], SIMULATE_FILES)
+            for config in scenarios
+        ]
+        cases += [
+            (f"schedule {config.name}", ["report", "schedule", "--config", str(config), "--out", f"{{out}}/{REPORT}"], (REPORT,))
+            for config in configs
+        ]
+        cases += [(name, [*argv, "--out", f"{{out}}/{REPORT}"], (REPORT,)) for name, argv in REPORTS.items()]
         differing = 0
-        for config in scenarios:
-            outs = [work / f"{side}_{config.stem}" for side in ("other", "this")]
-            simulate(args.other.resolve(), config, outs[0])
-            simulate(ROOT, config, outs[1])
-            diff = [f for f in FILES if not filecmp.cmp(outs[0] / f, outs[1] / f, shallow=False)]
-            print(f"{config.name}: {'differs in ' + ', '.join(diff) if diff else 'identical'}", flush=True)
+        for i, (label, argv, files) in enumerate(cases):
+            outs = [work / f"{side}_{i}" for side in ("other", "this")]
+            for tree, out in zip((args.other.resolve(), ROOT), outs):
+                out.mkdir()
+                run(tree, [a.replace("{out}", str(out)) for a in argv])
+            diff = [f for f in files if not filecmp.cmp(outs[0] / f, outs[1] / f, shallow=False)]
+            print(f"{label}: {'differs in ' + ', '.join(diff) if diff else 'identical'}", flush=True)
             differing += bool(diff)
-    print(f"{len(scenarios) - differing}/{len(scenarios)} scenarios byte-identical")
+    print(f"{len(cases) - differing}/{len(cases)} outputs byte-identical")
     return 1 if differing else 0
 
 
