@@ -21,8 +21,6 @@ from .config import ConfigError, ScenarioConfig, config_help, load_config
 from .csvio import open_csv, write_csv
 from .delays import DelayParams, total_delay
 from .energy import DevicePowerProfile, EnergyLedger, energy_sweep
-from .frames import FRAME_BITS
-from .mac import build_schedule
 from .monitor import EmptySeries, agreement, evaluate_alerts
 from .sim import SimEvent, SimResult, run_scenario
 
@@ -164,13 +162,7 @@ def cmd_report_energy(
 
 
 def cmd_report_schedule(config: ScenarioConfig, out: str | Path) -> int:
-    schedule = build_schedule(
-        config.sensor_ids(),
-        FRAME_BITS,
-        config.delay_params,
-        guard_s=config.guard_s,
-        beacon_s=config.beacon_s,
-    )
+    schedule = config.schedule()
     by_slot = sorted(schedule.assignments.items(), key=lambda kv: kv[1])
     rows = [
         [slot, sid.hex(), schedule.slot_offset_s(sid), schedule.slot_duration_s, schedule.frame_period_s]

@@ -15,8 +15,8 @@ from pathlib import Path
 
 from .delays import DelayParams
 from .energy import DevicePowerProfile
-from .frames import DEFAULT_FAMILY, SensorId, make_sensor_id
-from .mac import DEFAULT_BEACON_S, DEFAULT_GUARD_S
+from .frames import DEFAULT_FAMILY, FRAME_BITS, SensorId, make_sensor_id
+from .mac import DEFAULT_BEACON_S, DEFAULT_GUARD_S, SlotSchedule, build_schedule
 from .monitor import AlertRule
 from .traces import ConstantTrace, TemperatureTrace, finite_float, parse_trace
 
@@ -80,6 +80,12 @@ class ScenarioConfig:
 
     def sensor_ids(self) -> list[SensorId]:
         return [n.sensor_id(self.family_code) for n in self.nodes]
+
+    def schedule(self) -> SlotSchedule:
+        """The TDMA slot layout of this cell's nodes, for its frame size."""
+        return build_schedule(
+            self.sensor_ids(), FRAME_BITS, self.delay_params, guard_s=self.guard_s, beacon_s=self.beacon_s
+        )
 
     def validate(self) -> None:
         for spec in (*self.nodes, *self.interferers):

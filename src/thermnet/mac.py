@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .delays import DelayParams, airtime
 from .frames import SensorId
@@ -75,22 +74,6 @@ def build_schedule(
         guard_s=guard_s,
         assignments={nid: i for i, nid in enumerate(ordered)},
     )
-
-
-def slot_owner(schedule: SlotSchedule, t: float) -> Optional[SensorId]:
-    """Node owning the slot containing time ``t``, or None in the beacon."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    pos = t % schedule.frame_period_s
-    if pos < schedule.beacon_slot_s:
-        return None
-    index = int((pos - schedule.beacon_slot_s) // schedule.slot_duration_s)
-    if index >= schedule.n_slots:
-        return None
-    for node_id, slot in schedule.assignments.items():
-        if slot == index:
-            return node_id
-    return None
 
 
 def next_slot_index(schedule: SlotSchedule, node_id: SensorId, now: float) -> int:

@@ -82,13 +82,15 @@ class ReadingStore:
     A single writer ingests; ``series`` hands out copies so readers
     never observe a partially applied insert.  Arrival order does not
     matter: readings are kept sorted by delivery time, and duplicates
-    are detected on (sensor, sequence).
+    are detected on (sensor, sample_time_s).  A sensor starts at most one
+    conversion per instant, so that key stays unique after the 16-bit
+    sequence number wraps.
     """
 
     def __init__(self, roster: Optional[Iterable[SensorId]] = None):
         self.roster = set(roster) if roster is not None else None
         self._series: dict[SensorId, list[Reading]] = {}
-        self._seen: dict[SensorId, set[int]] = {}
+        self._seen: dict[SensorId, set[float]] = {}
         self.duplicate_count = 0
         self.unknown_count = 0
 
@@ -98,10 +100,10 @@ class ReadingStore:
             self.unknown_count += 1
             return
         seen = self._seen.setdefault(sid, set())
-        if reading.sequence in seen:
+        if reading.sample_time_s in seen:
             self.duplicate_count += 1
             return
-        seen.add(reading.sequence)
+        seen.add(reading.sample_time_s)
         series = self._series.setdefault(sid, [])
         bisect.insort(series, reading, key=lambda r: (r.time_s, r.sequence))
 

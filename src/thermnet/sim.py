@@ -14,11 +14,11 @@ run is a pure function of the scenario config and seed.
 The event log goes to a sink as it is written, or is collected in
 ``SimResult.events`` when no sink is given; ``thermnet simulate``
 streams it straight into ``events.csv``, so the log does not stay in
-memory for the run.  Delivered readings and delay samples do.
+memory for the run.  Delivered readings do.
 
-Each delivered packet carries its full stage-by-stage timestamp record;
-differencing those timestamps reproduces the analytical delay terms,
-which is how the closed-form model and the simulator check each other.
+Each packet in flight carries its stage-by-stage timestamp record; at
+delivery, differencing those timestamps gives the analytical delay
+terms, whose sum is the reading's ``total_delay_s``.
 """
 
 from __future__ import annotations
@@ -30,18 +30,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .config import NodeSpec, ScenarioConfig, TDMA
-from .delays import (
-    DelayBudget,
-    DelayParams,
-    airtime,
-    mcu_prep_delay,
-    propagation_delay,
-    serial_delay,
-    usb_delay,
-)
+from .delays import DelayBudget, airtime, mcu_prep_delay, propagation_delay, serial_delay, usb_delay
 from .energy import EnergyLedger, energy, power
 from .frames import FRAME_BITS, Frame, FrameError, SensorId, TEMP_LSB_C, decode_frame, encode_frame
-from .mac import SlotSchedule, build_schedule, next_slot_index
+from .mac import SlotSchedule, next_slot_index
 from .monitor import Reading
 from .rng import float_key, gauss
 from .traces import TemperatureTrace
@@ -164,18 +156,6 @@ def sense_and_quantize(
     return round(min(max(counts, MIN_COUNTS), MAX_COUNTS))
 
 
-def access_point_forward(arrival_s: float, bits: int, params: DelayParams) -> tuple[float, float, float]:
-    """Receiver-side pipeline: mode switch, serial transfer, USB hop.
-
-    Returns (serial_start_s, usb_start_s, serial_out_s) for a frame
-    that finished arriving at arrival_s.
-    """
-    serial_start = arrival_s + params.radio_switch_delay_s
-    usb_start = serial_start + serial_delay(bits, params)
-    serial_out = usb_start + usb_delay(bits, params)
-    return serial_start, usb_start, serial_out
-
-
 @dataclass(slots=True)
 class MeasuredDelay:
     """Stage timestamps of one packet, filled in as events fire.
@@ -185,9 +165,7 @@ class MeasuredDelay:
     time but not part of the per-packet budget.
     """
 
-    sensor_id: SensorId
     sequence: int
-    distance_m: float
     conversion_start_s: float = math.nan
     conversion_done_s: float = math.nan
     frame_ready_s: float = math.nan
@@ -198,10 +176,6 @@ class MeasuredDelay:
     serial_start_s: float = math.nan
     usb_start_s: float = math.nan
     serial_out_s: float = math.nan
-
-    @property
-    def queue_wait_s(self) -> float:
-        return self.decision_s - self.frame_ready_s
 
     def budget(self) -> DelayBudget:
         t1 = self.frame_ready_s - self.conversion_done_s
@@ -252,7 +226,6 @@ class SimResult:
     events: list[SimEvent]
     readings: list[Reading]
     ledgers: dict[str, EnergyLedger]
-    delay_samples: list[MeasuredDelay]
     stats: SimStats
     schedule: Optional[SlotSchedule]
     end_time_s: float
@@ -293,7 +266,6 @@ class _Engine:
         self._emit = self.events.append if on_event is None else on_event
         self._n_events = 0
         self.readings: list[Reading] = []
-        self.delay_samples: list[MeasuredDelay] = []
         self.stats = SimStats()
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._heap_seq = itertools.count()
@@ -301,6 +273,8 @@ class _Engine:
         # Per-run delay terms, computed once.
         self._frame_airtime_s = airtime(FRAME_BITS, self.params)
         self._prep_s = mcu_prep_delay(self.params)
+        self._serial_s = serial_delay(FRAME_BITS, self.params)
+        self._usb_s = usb_delay(FRAME_BITS, self.params)
         self.nodes: list[_Node] = []
         for i, spec in enumerate(config.nodes):
             sid = spec.sensor_id(config.family_code)
@@ -309,13 +283,7 @@ class _Engine:
 
         self.schedule: Optional[SlotSchedule] = None
         if config.mac_mode == TDMA:
-            self.schedule = build_schedule(
-                [n.sensor_id for n in self.nodes],
-                FRAME_BITS,
-                self.params,
-                guard_s=config.guard_s,
-                beacon_s=config.beacon_s,
-            )
+            self.schedule = config.schedule()
             for node in self.nodes:
                 node.slot_offset_s = self.schedule.slot_offset_s(node.sensor_id)
 
@@ -378,7 +346,6 @@ class _Engine:
             events=self.events,
             readings=self.readings,
             ledgers=ledgers,
-            delay_samples=self.delay_samples,
             stats=self.stats,
             schedule=self.schedule,
             end_time_s=end,
@@ -396,13 +363,7 @@ class _Engine:
     def _on_conversion_done(self, node: _Node, k: int, raw: int, started_s: float) -> None:
         self._log(CONVERSION_DONE, node.subject, f"k={k} raw={raw}")
         node.sensor_active_s += self.params.sensor_conversion_s
-        md = MeasuredDelay(
-            sensor_id=node.sensor_id,
-            sequence=k % (1 << 16),
-            distance_m=node.spec.distance_m,
-            conversion_start_s=started_s,
-            conversion_done_s=self.now,
-        )
+        md = MeasuredDelay(sequence=k % (1 << 16), conversion_start_s=started_s, conversion_done_s=self.now)
         self._push(self.now + self._prep_s, self._on_frame_ready, node, md, raw)
 
     def _on_frame_ready(self, node: _Node, md: MeasuredDelay, raw: int) -> None:
@@ -488,10 +449,10 @@ class _Engine:
             return
         self._log(RX_DELIVER, AP, f"from={tx.sender} seq={frame.sequence}")
         md.arrival_s = self.now
-        serial_start, usb_start, out = access_point_forward(self.now, FRAME_BITS, self.params)
-        md.serial_start_s = serial_start
-        md.usb_start_s = usb_start
-        self._push(out, self._on_serial_out, frame, md)
+        # Receiver pipeline: mode switch, serial transfer, USB hop.
+        md.serial_start_s = self.now + self.params.radio_switch_delay_s
+        md.usb_start_s = md.serial_start_s + self._serial_s
+        self._push(md.usb_start_s + self._usb_s, self._on_serial_out, frame, md)
 
     def _on_serial_out(self, frame: Frame, md: MeasuredDelay) -> None:
         md.serial_out_s = self.now
@@ -508,7 +469,6 @@ class _Engine:
                 sample_time_s=md.conversion_start_s,
             )
         )
-        self.delay_samples.append(md)
 
     # -- shared-cell handlers ------------------------------------------
 

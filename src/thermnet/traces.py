@@ -44,9 +44,6 @@ class ConstantTrace:
     def value(self, t: float, seed: int = 0) -> float:
         return self.value_c
 
-    def spec(self) -> str:
-        return f"constant:{self.value_c!r}"
-
 
 @dataclass(frozen=True)
 class RampTrace:
@@ -55,9 +52,6 @@ class RampTrace:
 
     def value(self, t: float, seed: int = 0) -> float:
         return self.start_c + self.rate_c_per_min * (t / 60.0)
-
-    def spec(self) -> str:
-        return f"ramp:{self.start_c!r},{self.rate_c_per_min!r}"
 
 
 @dataclass(frozen=True)
@@ -71,9 +65,6 @@ class SinusoidTrace:
         return self.mean_c + self.amplitude_c * math.sin(
             2.0 * math.pi * t / self.period_s + self.phase_rad
         )
-
-    def spec(self) -> str:
-        return f"sinusoid:{self.mean_c!r},{self.amplitude_c!r},{self.period_s!r},{self.phase_rad!r}"
 
 
 @dataclass(frozen=True)
@@ -92,9 +83,6 @@ class BandNoiseTrace:
         u = unit_uniform(seed, _BAND_STREAM, float_key(t))
         return self.low_c + (self.high_c - self.low_c) * u
 
-    def spec(self) -> str:
-        return f"band:{self.low_c!r},{self.high_c!r}"
-
 
 @dataclass(frozen=True)
 class CsvTrace:
@@ -102,7 +90,6 @@ class CsvTrace:
 
     times_s: tuple[float, ...]
     temps_c: tuple[float, ...]
-    source: str = ""
 
     @classmethod
     def load(cls, path: str | Path) -> "CsvTrace":
@@ -128,7 +115,7 @@ class CsvTrace:
         pairs = sorted(zip(times, temps))
         times = [p[0] for p in pairs]
         temps = [p[1] for p in pairs]
-        return cls(tuple(times), tuple(temps), str(path))
+        return cls(tuple(times), tuple(temps))
 
     def value(self, t: float, seed: int = 0) -> float:
         times = self.times_s
@@ -142,9 +129,6 @@ class CsvTrace:
         if t1 == t0:
             return c1
         return c0 + (c1 - c0) * (t - t0) / (t1 - t0)
-
-    def spec(self) -> str:
-        return f"csv:{self.source}"
 
 
 TemperatureTrace = Union[ConstantTrace, RampTrace, SinusoidTrace, BandNoiseTrace, CsvTrace]

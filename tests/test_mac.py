@@ -1,8 +1,8 @@
 """Slotted access layer tests.
 
 Slot layout values are recomputed by hand from the airtime and guard
-numbers; ownership and next-slot arithmetic are checked against brute
-force scans so the modular arithmetic cannot hide an off-by-one.  The
+numbers; next-slot arithmetic is checked against a brute force scan so
+the modular arithmetic cannot hide an off-by-one.  The
 listen-before-send loop is checked on the event log of whole runs.
 """
 
@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 from thermnet.config import InterfererSpec, NodeSpec, ScenarioConfig
 from thermnet.delays import DelayParams, airtime, mcu_prep_delay
 from thermnet.frames import FRAME_BITS, make_sensor_id
-from thermnet.mac import DuplicateNode, build_schedule, next_slot_time, slot_owner
+from thermnet.mac import DuplicateNode, build_schedule, next_slot_time
 from thermnet.sim import run_scenario
 from thermnet.traces import ConstantTrace
 
@@ -69,30 +69,6 @@ def test_larger_guard_means_longer_slots():
     tight = build_schedule(ids(1), FRAME_BITS, PARAMS, guard_s=0.001)
     wide = build_schedule(ids(1), FRAME_BITS, PARAMS, guard_s=0.010)
     assert wide.slot_duration_s > tight.slot_duration_s
-
-
-def _owner_by_scan(schedule, t):
-    pos = t % schedule.frame_period_s
-    for node_id, index in schedule.assignments.items():
-        start = schedule.beacon_slot_s + index * schedule.slot_duration_s
-        if start <= pos < start + schedule.slot_duration_s:
-            return node_id
-    return None
-
-
-def test_slot_owner_against_interval_scan():
-    schedule = build_schedule(ids(11, 4, 8), FRAME_BITS, PARAMS)
-    period = schedule.frame_period_s
-    for i in range(600):
-        t = i * (period * 3 / 600)
-        assert slot_owner(schedule, t) == _owner_by_scan(schedule, t)
-
-
-def test_beacon_interval_owns_no_slot():
-    schedule = build_schedule(ids(1, 2), FRAME_BITS, PARAMS)
-    assert slot_owner(schedule, 0.0) is None
-    assert slot_owner(schedule, 0.0019) is None
-    assert slot_owner(schedule, schedule.frame_period_s) is None
 
 
 def _next_slot_by_scan(schedule, node_id, now):

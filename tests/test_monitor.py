@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,12 +64,27 @@ def test_interleaved_ingest_partitions_by_id():
 
 
 def test_duplicate_sequence_dropped_with_counter():
+    # The same conversion delivered again later is a duplicate.
     store = ReadingStore()
     first = reading(1, 0, 36.5, seq=7)
     store.ingest(first)
-    store.ingest(reading(1, 1, 37.5, seq=7))
+    store.ingest(replace(first, time_s=first.time_s + 0.5))
     assert store.duplicate_count == 1
     assert store.series(make_sensor_id(serial=1)) == [first]
+
+
+def test_sequence_wrap_is_not_a_duplicate(tmp_path):
+    # Samples k and k + 65536 share a 16-bit sequence number.
+    store = ReadingStore()
+    for k in (0, 1, 65536, 65537):
+        store.ingest(reading(1, k + 0.777, 36.5, seq=k % (1 << 16)))
+    assert store.total_stored() == 4
+    assert store.duplicate_count == 0
+    export_store(store, tmp_path)
+    again = import_store(tmp_path)
+    assert again == store
+    assert again.total_stored() == 4
+    assert again.duplicate_count == 0
 
 
 def test_unknown_sensor_counted_not_stored():
@@ -102,9 +118,11 @@ def test_partition_accounting():
     store = ReadingStore(roster=[make_sensor_id(serial=1)])
     total = 0
     for t in range(20):
-        store.ingest(reading(1, t, 36.0, seq=t % 10))  # ten duplicates
+        # From t = 10 on, sample t - 10 arrives again: ten duplicates.
+        store.ingest(replace(reading(1, t % 10, 36.0), time_s=float(t)))
         store.ingest(reading(2, t, 30.0, seq=t))  # all unknown
         total += 2
+    assert (store.duplicate_count, store.unknown_count) == (10, 20)
     assert store.total_stored() == total - store.duplicate_count - store.unknown_count
 
 

@@ -27,7 +27,6 @@ from thermnet.sim import (
     Medium,
     Transmission,
     _Engine,
-    access_point_forward,
     medium_transmit,
     run_scenario,
     sense_and_quantize,
@@ -187,19 +186,6 @@ def test_mix64_and_gauss_equal_step_by_step_rng(seed, keys):
     assert gauss(seed, *keys) == gauss_oracle(seed, *keys)
 
 
-def test_forward_pipeline_stage_times():
-    serial_start, usb_start, out = access_point_forward(1.0, FRAME_BITS, PARAMS)
-    assert serial_start - 1.0 == pytest.approx(130e-6, abs=1e-12)
-    assert usb_start - serial_start == pytest.approx(256 / 19_200, abs=1e-12)
-    assert out - usb_start == pytest.approx(256 / 12e6, abs=1e-12)
-
-
-def test_forward_fast_serial_limit():
-    fast = replace(PARAMS, serial_rate_bps=1e15)
-    _, _, out = access_point_forward(0.0, FRAME_BITS, fast)
-    assert out == pytest.approx(130e-6 + 256 / 12e6, abs=1e-9)
-
-
 # -- whole runs --------------------------------------------------------
 
 
@@ -247,16 +233,37 @@ def test_different_seed_changes_noisy_run():
     assert [r.raw for r in a.readings] != [r.raw for r in b.readings]
 
 
+class _DeliveryWatch(_Engine):
+    """Records each delivered frame with its stage timestamps."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.delivered = []
+
+    def _on_serial_out(self, frame, md):
+        super()._on_serial_out(frame, md)
+        self.delivered.append((frame, md))
+
+
 def test_measured_stages_match_closed_form():
-    result = run_scenario(two_nodes(duration_s=20.0))
-    assert result.delay_samples
-    for sample in result.delay_samples:
-        measured = sample.budget()
-        closed = total_delay(FRAME_BITS, sample.distance_m, PARAMS)
-        for got, want in zip(measured.terms, closed.terms):
-            assert abs(got - want) < 1e-9
-        assert abs(measured.total - closed.total) < 1e-9
-        assert sample.queue_wait_s >= 0
+    # The serial link at its default rate and near its fast limit.
+    for params, serial_s in ((PARAMS, 256 / 19_200), (replace(PARAMS, serial_rate_bps=1e15), 256 / 1e15)):
+        cfg = two_nodes(duration_s=20.0, delay_params=params)
+        engine = _DeliveryWatch(cfg)
+        engine.run()
+        assert len(engine.delivered) == 40
+        distance_m = {node.serial: node.distance_m for node in cfg.nodes}
+        for frame, md in engine.delivered:
+            measured = md.budget()
+            closed = total_delay(FRAME_BITS, distance_m[frame.sensor_id.serial], params)
+            for got, want in zip(measured.terms, closed.terms):
+                assert abs(got - want) < 1e-9
+            assert abs(measured.total - closed.total) < 1e-9
+            # The receiver pipeline: mode switch, serial transfer, USB hop.
+            assert measured.t5 == pytest.approx(130e-6, abs=1e-12)
+            assert measured.t6 == pytest.approx(serial_s, abs=1e-12)
+            assert measured.t8 == pytest.approx(256 / 12e6, abs=1e-12)
+            assert md.decision_s >= md.frame_ready_s
 
 
 def test_reading_total_delay_matches_closed_form():

@@ -7,12 +7,13 @@ commit (for example made with ``git archive <rev> | tar -x -C <dir>``):
 
 Each command is run once from ``<other-tree>/src`` and once from this
 checkout's ``src``, and the files it writes are compared byte for byte.
-The commands are ``simulate`` (six CSVs) on every ``configs/*.conf`` of
-this checkout and on each ``perfbench`` workload at seeds 1-10;
-``report schedule`` on every ``configs/*.conf``; and ``report delay``
-(default grid and a 3x4 grid) and ``report energy`` (with and without
-``--duration``), which read no config, so they run once each.  Exits 1
-if any file differs.
+The commands are ``simulate`` on every ``configs/*.conf`` of this
+checkout and on each ``perfbench`` workload at seeds 1-10, compared on
+the CSVs the benchmark hashes (``perfbench/outputs.py``'s
+``OUTPUT_FILES``); ``report schedule`` on every ``configs/*.conf``;
+and ``report delay`` (default grid and a 3x4 grid) and ``report
+energy`` (with and without ``--duration``), which read no config, so
+they run once each.  Exits 1 if any file differs.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from outputs import OUTPUT_FILES  # noqa: E402
 from workloads import WORKLOADS, scenario_text  # noqa: E402
 
-SIMULATE_FILES = ("events.csv", "readings.csv", "ledgers.csv", "alerts.csv", "agreement.csv", "stats.csv")
 REPORT = "report.csv"
 SEEDS = range(1, 11)
 # Closed-form reports: name -> arguments before --out.
@@ -62,7 +63,7 @@ def main() -> int:
                 scenarios.append(path)
         # (label, argv with the output directory as "{out}", files written there)
         cases = [
-            (config.name, ["simulate", "--config", str(config), "--out", "{out}"], SIMULATE_FILES)
+            (config.name, ["simulate", "--config", str(config), "--out", "{out}"], OUTPUT_FILES)
             for config in scenarios
         ]
         cases += [
