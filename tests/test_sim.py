@@ -245,24 +245,39 @@ class _DeliveryWatch(_Engine):
         self.delivered.append((frame, md))
 
 
+def _delivered(params):
+    """Run two nodes for 20 s and return each delivered frame's distance and stages."""
+    cfg = two_nodes(duration_s=20.0, delay_params=params)
+    engine = _DeliveryWatch(cfg)
+    engine.run()
+    assert len(engine.delivered) == 40
+    distance_m = {node.serial: node.distance_m for node in cfg.nodes}
+    return [(distance_m[frame.sensor_id.serial], md) for frame, md in engine.delivered]
+
+
+def test_forward_pipeline_stage_times():
+    # The receiver pipeline: mode switch, serial transfer, USB hop.
+    for _, md in _delivered(PARAMS):
+        assert md.serial_start_s - md.arrival_s == pytest.approx(130e-6, abs=1e-12)
+        assert md.usb_start_s - md.serial_start_s == pytest.approx(256 / 19_200, abs=1e-12)
+        assert md.serial_out_s - md.usb_start_s == pytest.approx(256 / 12e6, abs=1e-12)
+
+
+def test_forward_fast_serial_limit():
+    fast = replace(PARAMS, serial_rate_bps=1e15)
+    for _, md in _delivered(fast):
+        assert md.serial_out_s - md.arrival_s == pytest.approx(130e-6 + 256 / 12e6, abs=1e-9)
+
+
 def test_measured_stages_match_closed_form():
     # The serial link at its default rate and near its fast limit.
-    for params, serial_s in ((PARAMS, 256 / 19_200), (replace(PARAMS, serial_rate_bps=1e15), 256 / 1e15)):
-        cfg = two_nodes(duration_s=20.0, delay_params=params)
-        engine = _DeliveryWatch(cfg)
-        engine.run()
-        assert len(engine.delivered) == 40
-        distance_m = {node.serial: node.distance_m for node in cfg.nodes}
-        for frame, md in engine.delivered:
+    for params in (PARAMS, replace(PARAMS, serial_rate_bps=1e15)):
+        for distance_m, md in _delivered(params):
             measured = md.budget()
-            closed = total_delay(FRAME_BITS, distance_m[frame.sensor_id.serial], params)
+            closed = total_delay(FRAME_BITS, distance_m, params)
             for got, want in zip(measured.terms, closed.terms):
                 assert abs(got - want) < 1e-9
             assert abs(measured.total - closed.total) < 1e-9
-            # The receiver pipeline: mode switch, serial transfer, USB hop.
-            assert measured.t5 == pytest.approx(130e-6, abs=1e-12)
-            assert measured.t6 == pytest.approx(serial_s, abs=1e-12)
-            assert measured.t8 == pytest.approx(256 / 12e6, abs=1e-12)
             assert md.decision_s >= md.frame_ready_s
 
 
