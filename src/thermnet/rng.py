@@ -47,9 +47,13 @@ def _prefix(seed: int, keys: tuple[int, ...]) -> int:
     return h
 
 
+_DOUBLE = struct.Struct(">d")
+_WORD = struct.Struct(">Q")
+
+
 def float_key(t: float) -> int:
     """Stable integer key for a float (its IEEE-754 bit pattern)."""
-    return struct.unpack(">Q", struct.pack(">d", t))[0]
+    return _WORD.unpack(_DOUBLE.pack(t))[0]
 
 
 def unit_uniform(seed: int, *keys: int) -> float:

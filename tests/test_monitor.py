@@ -10,10 +10,11 @@ import statistics
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import evaluate_alerts_oracle
-from thermnet.frames import SensorId, make_sensor_id
+from helpers import _slope_c_per_min_oracle, evaluate_alerts_oracle
+from thermnet import monitor
+from thermnet.frames import TEMP_LSB_C, SensorId, make_sensor_id
 from thermnet.monitor import (
     Alert,
     AlertRule,
@@ -236,14 +237,35 @@ def test_alerts_reject_unordered_series(bad_time):
         evaluate_alerts(series, RULE)
 
 
+def ramp_series(start, rate, moves):
+    """Readings on a line of slope exactly ``rate`` degC/min: each move
+    advances ``steps`` count periods (0.0625 * 60 / rate s each) and
+    ``steps`` counts, then offsets that one reading by ``bump`` counts."""
+    sid = make_sensor_id(serial=1)
+    period = TEMP_LSB_C * 60.0 / rate
+    series = [Reading(sid, start, 584, 0, 0.0, start)]
+    done = 0
+    for k, (steps, bump) in enumerate(moves, 1):
+        done += steps
+        t = start + done * period
+        series.append(Reading(sid, t, 584 + done + bump, k, 0.0, t))
+    return series
+
+
 @st.composite
 def alert_cases(draw):
     """A time-ordered series and a rule, on a grid of quarter seconds.
 
     Times and the window are multiples of 0.25 s, so ``t - window`` is
-    exact and readings land exactly on the window's start.  Steps mix
+    exact and readings land exactly on the window's start.  Series start
+    at 0 s, near 1e3 s, or at 1e9 or 3.3e9 s, where the exact slope's
+    centring cancels most of each time's digits.  A random walk mixes
     ties, exact window lengths, irregular gaps, gaps longer than the
-    window and off-grid float steps.
+    window and off-grid float steps.  A ramp of up to 300 readings sits
+    exactly on the rise threshold, bar the odd reading a count off, with
+    ties and gaps longer than the window; its window turns over and
+    re-centres many times.  Either may then put the rate on the exact
+    slope of one of its windows.
     """
     window_q = draw(st.sampled_from([1, 3, 8, 32, 240]))
     window = window_q * 0.25
@@ -252,6 +274,16 @@ def alert_cases(draw):
         rise_rate_c_per_min=draw(st.sampled_from([0.05, 0.5, 3.0, 30.0])),
         rise_window_s=window,
     )
+    start = draw(st.sampled_from([0.0, 1000.25, 1e9, 3.3e9]))
+    if draw(st.booleans()):
+        rnd = draw(st.randoms(use_true_random=False))
+        period = TEMP_LSB_C * 60.0 / rule.rise_rate_c_per_min
+        gap = math.ceil(window / period) + 1
+        moves = [
+            (rnd.choice([0, 1, 1, 1, 1, 2, gap]), rnd.choice([0] * 12 + [-1, 1]))
+            for _ in range(draw(st.integers(1, 300)))
+        ]
+        return rate_on_a_slope(draw, ramp_series(start, rule.rise_rate_c_per_min, moves), rule)
     step = st.one_of(
         st.just(0.0),
         st.just(window),
@@ -260,20 +292,67 @@ def alert_cases(draw):
         st.floats(0.0, 2.0 * window),
     )
     sid = make_sensor_id(serial=1)
-    t, raw = draw(st.sampled_from([0.0, 1000.25])), 584
+    t, raw = start, 584
     series = [Reading(sid, t, raw, 0, 0.0, t)]
     moves = draw(st.lists(st.tuples(step, st.integers(-6, 6)), max_size=80))
     for k, (dt, d_raw) in enumerate(moves, 1):
         t, raw = t + dt, raw + d_raw
         series.append(Reading(sid, t, raw, k, 0.0, t))
+    return rate_on_a_slope(draw, series, rule)
+
+
+def rate_on_a_slope(draw, series, rule):
+    """Maybe move the rule's rate onto the exact slope of one of the
+    series' windows, or the next float either side of it, so the alert
+    hangs on the last bits of that slope."""
+    i = draw(st.integers(0, len(series) - 1))
+    t = series[i].time_s
+    window = [r for r in series[: i + 1] if r.time_s >= t - rule.rise_window_s]
+    slope = _slope_c_per_min_oracle(window)
+    if draw(st.booleans()) and slope is not None and 0 < slope < math.inf:
+        rate = math.nextafter(slope, draw(st.sampled_from([slope, math.inf, 0.0])))
+        rule = replace(rule, rise_rate_c_per_min=rate)
     return series, rule
+
+
+def threshold_ramp(start):
+    # 122 readings one count period apart at 0.5 degC/min, with a tie, a
+    # gap longer than the 60 s window and one reading a count high.
+    moves = [(1, 0)] * 60 + [(0, 0), (10, 0)] + [(1, 0)] * 30 + [(1, 1)] + [(1, 0)] * 28
+    return ramp_series(start, 0.5, moves), RULE
 
 
 @settings(max_examples=300, deadline=None)
 @given(alert_cases())
+@example(threshold_ramp(0.777))
+@example(threshold_ramp(1e9))
+@example(threshold_ramp(3.3e9))
 def test_alerts_equal_quadratic_oracle(case):
     series, rule = case
     assert evaluate_alerts(series, rule) == evaluate_alerts_oracle(series, rule)
+
+
+def test_exact_slope_runs_only_near_the_threshold(monkeypatch):
+    # An hour of a 1 Hz fever swing with sensor noise, shaped like the
+    # watch_long benchmark: the exact slope should run for each
+    # rapid-rise alert and for the rare window too close to the
+    # threshold to certify, not for every reading.
+    sid = make_sensor_id(serial=1)
+    series = []
+    for k in range(3600):
+        temp_c = 37.5 + 1.5 * math.sin(2 * math.pi * k / 1200 + 1.0) + 0.1 * gauss(3, k)
+        series.append(Reading(sid, k + 0.777, round(temp_c / TEMP_LSB_C), k, 0.777, float(k)))
+    calls = []
+    exact = monitor._slope_c_per_min
+
+    def counted(times, temps):
+        calls.append(len(times))
+        return exact(times, temps)
+
+    monkeypatch.setattr(monitor, "_slope_c_per_min", counted)
+    rises = [a for a in evaluate_alerts(series, RULE) if a.kind == "rapid_rise"]
+    assert rises
+    assert len(calls) <= len(rises) + 0.02 * len(series)
 
 
 # -- agreement ---------------------------------------------------------

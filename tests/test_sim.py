@@ -5,12 +5,14 @@ conservation against an event-log recompute).
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    _float_key,
     access_point_ledger,
     band_value_oracle,
     gauss_oracle,
@@ -22,7 +24,7 @@ from thermnet.config import ALOHA, TDMA, InterfererSpec, NodeSpec, ScenarioConfi
 from thermnet.delays import DelayParams, airtime, total_delay
 from thermnet.frames import FRAME_BITS, make_sensor_id
 from thermnet.mac import build_schedule
-from thermnet.rng import gauss, mix64
+from thermnet.rng import float_key, gauss, mix64
 from thermnet.sim import (
     Medium,
     Transmission,
@@ -178,6 +180,17 @@ def test_sensing_equals_step_by_step_rng(seed, node_keys, instants, low_c, width
         for node_key in node_keys:
             expected = sense_band_oracle(trace.low_c, trace.high_c, t, seed, sigma_c, node_key)
             assert sense_and_quantize(trace, t, seed, sigma_c, node_key) == expected
+
+
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+def test_float_key_is_the_bit_pattern(t):
+    assert float_key(t) == _float_key(t)
 
 
 @given(_SEEDS, st.lists(st.integers(min_value=-(1 << 70), max_value=1 << 70), max_size=5))
