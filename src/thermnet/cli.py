@@ -27,20 +27,20 @@ from .sim import SimEvent, SimResult, run_scenario
 _VERSION_TAG = "format v1"
 # v2: beacon rows dropped; beacon instants are k * frame_period_s.
 _EVENTS_TAG = "format v2"
-# One events.csv line.  Each SimEvent cell is a float, an int or a word
-# of letters, digits and "_=.- " (validate() checks the config names the
-# engine puts in words), so this is the line csv.writer would write.
-_EVENT_ROW = "%r,%d,%s,%s,%s\n"
 
 
 def _write_simulation_outputs(config: ScenarioConfig, result: SimResult, out_dir: Path) -> None:
     """Write every simulate CSV but ``events.csv``, which the run streams."""
+    hex_of = {sid: sid.hex() for sid in config.sensor_ids()}
     write_csv(
         out_dir / "readings.csv",
         f"delivered readings, {_VERSION_TAG}",
         ["serial_out_time_s", "sensor_id_hex", "raw", "temp_c", "sequence", "total_delay_s"],
         [
-            [r.time_s, r.sensor_id.hex(), r.raw, r.temp_c, r.sequence, r.total_delay_s]
+            [
+                r.time_s, hex_of.get(r.sensor_id) or r.sensor_id.hex(),
+                r.raw, r.temp_c, r.sequence, r.total_delay_s,
+            ]
             for r in result.readings
         ],
     )
@@ -53,7 +53,7 @@ def _write_simulation_outputs(config: ScenarioConfig, result: SimResult, out_dir
 
     # The engine's readings are on the roster, unique and in delivery
     # order; a sequence number repeats once it wraps at 16 bits.
-    by_sensor = {sid: [] for sid in config.sensor_ids()}
+    by_sensor = {sid: [] for sid in hex_of}
     for reading in result.readings:
         by_sensor[reading.sensor_id].append(reading)
     alert_rows = []
@@ -62,12 +62,12 @@ def _write_simulation_outputs(config: ScenarioConfig, result: SimResult, out_dir
         sid = node.sensor_id(config.family_code)
         series = by_sensor[sid]
         for alert in evaluate_alerts(series, config.alert_rule):
-            alert_rows.append([alert.kind, alert.sensor_id.hex(), alert.trigger_time_s, alert.value])
+            alert_rows.append([alert.kind, hex_of[sid], alert.trigger_time_s, alert.value])
         try:
             report = agreement(series, node.trace, config.seed)
         except EmptySeries:
             continue
-        agreement_rows.append([sid.hex(), report.mae_c, report.max_err_c, report.n])
+        agreement_rows.append([hex_of[sid], report.mae_c, report.max_err_c, report.n])
     write_csv(
         out_dir / "alerts.csv",
         f"alerts, {_VERSION_TAG}",
@@ -104,8 +104,7 @@ def cmd_simulate(config: ScenarioConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     try:
         with open_csv(out / "events.csv", f"event log, {_EVENTS_TAG}", SimEvent._fields) as events:
-            write = events.write
-            result = run_scenario(config, on_event=lambda event: write(_EVENT_ROW % event))
+            result = run_scenario(config, on_event=events.write)
         _write_simulation_outputs(config, result, out)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)

@@ -3,9 +3,9 @@
 Rows go to ``csv.writer`` unchanged: it writes a float as ``str(float)``,
 which equals ``repr`` on Python >= 3.2, so re-running the same scenario
 produces byte-identical files; newline handling is pinned to "\n" for
-the same reason.  ``thermnet simulate`` formats its ``events.csv``
-lines itself, to the bytes ``csv.writer`` would write (a test pins the
-two together).
+the same reason.  The simulator formats ``events.csv`` lines itself
+(``thermnet.sim.EVENT_ROW``), to the bytes ``csv.writer`` would write
+(a test pins the two together).
 """
 
 from __future__ import annotations

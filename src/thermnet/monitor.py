@@ -286,9 +286,16 @@ def _certified_rise(
 
 
 def _slope_c_per_min(times: list[float], temps: list[float]) -> Optional[float]:
-    """Least-squares slope of temp vs time, or None below two points."""
+    """Least-squares slope of temp vs time, or None below two points or
+    when every time is the same.
+
+    ``times`` is ordered, so its ends tell whether all are equal.  That
+    test is needed: when ``fsum(times) / n`` does not round back to the
+    common time, every deviation is the same ulp, sxx is tiny but not 0,
+    and the quotient would be rounding noise.
+    """
     n = len(times)
-    if n < 2:
+    if n < 2 or times[0] == times[-1]:
         return None
     mean_t = math.fsum(times) / n
     mean_c = math.fsum(temps) / n

@@ -5,16 +5,20 @@ for the shared radio under either the slotted (beacon-synchronized)
 MAC or a send-on-ready mode with no arbitration.  The access point
 receives, decodes and forwards to the serial side.  Sampling instants
 ``k * sample_period_s`` and beacon instants ``k * frame_period_s`` are
-schedule arithmetic: the run loop starts conversion k on every node, in
-node order, before any queued event at that instant, and beacons are
-neither queued nor logged, only counted.  Every other action is a
-handler call on one queue ordered by (time, insertion sequence), so a
-run is a pure function of the scenario config and seed.
+schedule arithmetic: the run loop senses conversion k of every node in
+one step, before any queued event at that instant, and beacons are
+neither queued nor logged, only counted.  Each distinct trace is
+evaluated once per instant, however many nodes read it, and the
+instant's conversions finish together, as one queue entry that logs
+them in node order.  Every other action is a handler call on one queue
+ordered by (time, insertion sequence), so a run is a pure function of
+the scenario config and seed.
 
-The event log goes to a sink as it is written, or is collected in
-``SimResult.events`` when no sink is given; ``thermnet simulate``
-streams it straight into ``events.csv``, so the log does not stay in
-memory for the run.  Delivered readings do.
+Each logged event is formatted once, as its finished ``events.csv``
+line (``EVENT_ROW``).  The lines go to a sink as they are written, or
+are parsed back into ``SimResult.events`` when no sink is given;
+``thermnet simulate`` passes the file's ``write``, so the log does not
+stay in memory for the run.  Delivered readings do.
 
 Each packet in flight carries its stage-by-stage timestamp record; at
 delivery, differencing those timestamps gives the analytical delay
@@ -27,7 +31,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .config import NodeSpec, ScenarioConfig, TDMA
 from .delays import DelayBudget, airtime, mcu_prep_delay, propagation_delay, serial_delay, usb_delay
@@ -71,6 +75,20 @@ class SimEvent(NamedTuple):
     kind: str
     subject: str
     detail: str = ""
+
+    @classmethod
+    def from_row(cls, row: str) -> "SimEvent":
+        """The event an ``EVENT_ROW`` line was formatted from; ``repr``
+        round-trips a float exactly."""
+        time_s, seq, kind, subject, detail = row.split(",", 4)
+        return cls(float(time_s), int(seq), kind, subject, detail[:-1])
+
+
+# One events.csv line.  Each SimEvent cell is a float, an int or a word
+# of letters, digits and "_=.- " (validate() checks the config names the
+# engine puts in words), so this is the line csv.writer would write, and
+# splitting it at its first four commas gives the cells back.
+EVENT_ROW = "%r,%d,%s,%s,%s\n"
 
 
 @dataclass(slots=True)
@@ -135,10 +153,18 @@ def medium_transmit(medium: Medium, tx: Transmission) -> Transmission:
 
 
 def sense_and_quantize(
-    trace: TemperatureTrace, t_s: float, seed: int, noise_sigma_c: float = 0.0, node_key: int = 0
-) -> int:
-    """Raw counts for the temperature at t_s, with seeded Gaussian noise,
-    clamped to the device's range.
+    truths: Sequence[TemperatureTrace],
+    node_truth: Sequence[int],
+    t_s: float,
+    seed: int,
+    noise_sigma_c: float = 0.0,
+) -> list[int]:
+    """Raw counts of every node's conversion at t_s, in node order.
+
+    Node i reads the temperature of ``truths[node_truth[i]]`` at t_s,
+    plus seeded Gaussian noise keyed by i, clamped to the device's
+    range.  Each of ``truths`` is evaluated once, however many nodes
+    read it.
 
     The value is determined at conversion start; the device only makes
     it readable ``delay.sensor_conversion_s`` later (the engine enforces
@@ -146,14 +172,17 @@ def sense_and_quantize(
     """
     if t_s < 0:
         raise ValueError("t_s must be >= 0")
-    true_c = trace.value(t_s, seed)
-    noise_c = 0.0
+    true_c = [trace.value(t_s, seed) for trace in truths]
     if noise_sigma_c > 0:
-        noise_c = noise_sigma_c * gauss(seed, _NOISE_STREAM, node_key, float_key(t_s))
+        key = float_key(t_s)
+        temps = [
+            true_c[j] + noise_sigma_c * gauss(seed, _NOISE_STREAM, i, key) for i, j in enumerate(node_truth)
+        ]
+    else:
+        temps = [true_c[j] for j in node_truth]
     # Clamped before rounding, so a finite reading too large for a float
     # count (1e308 degC) still saturates; the bounds are whole counts.
-    counts = (true_c + noise_c) / TEMP_LSB_C
-    return round(min(max(counts, MIN_COUNTS), MAX_COUNTS))
+    return [round(min(max(c / TEMP_LSB_C, MIN_COUNTS), MAX_COUNTS)) for c in temps]
 
 
 @dataclass(slots=True)
@@ -243,7 +272,6 @@ class _Node:
     spec: NodeSpec
     sensor_id: SensorId
     subject: str
-    index: int
     propagation_s: float
     slot_offset_s: float = 0.0
     pending: Optional[tuple[int, MeasuredDelay]] = None
@@ -254,7 +282,7 @@ class _Node:
 
 
 class _Engine:
-    def __init__(self, config: ScenarioConfig, on_event: Optional[Callable[[SimEvent], object]] = None):
+    def __init__(self, config: ScenarioConfig, on_event: Optional[Callable[[str], object]] = None):
         config.validate()
         self.config = config
         self.params = config.delay_params
@@ -262,8 +290,8 @@ class _Engine:
         self.medium = Medium(config.range_m)
         self.end_time_s = float(config.duration_s)
         self.now = 0.0
-        self.events: list[SimEvent] = []
-        self._emit = self.events.append if on_event is None else on_event
+        self._rows: list[str] = []
+        self._emit = self._rows.append if on_event is None else on_event
         self._n_events = 0
         self.readings: list[Reading] = []
         self.stats = SimStats()
@@ -276,10 +304,18 @@ class _Engine:
         self._serial_s = serial_delay(FRAME_BITS, self.params)
         self._usb_s = usb_delay(FRAME_BITS, self.params)
         self.nodes: list[_Node] = []
-        for i, spec in enumerate(config.nodes):
+        for spec in config.nodes:
             sid = spec.sensor_id(config.family_code)
             propagation_s = propagation_delay(spec.distance_m, self.params)
-            self.nodes.append(_Node(spec, sid, sid.hex(), i, propagation_s))
+            self.nodes.append(_Node(spec, sid, sid.hex(), propagation_s))
+        self._subject_of = {node.sensor_id: node.subject for node in self.nodes}
+        # Equal traces (dataclass equality) read the same truth, so each
+        # distinct one is evaluated once per instant.  Floats that compare
+        # equal differ at most in the sign of a zero, which rounding to
+        # counts erases.
+        truth_of: dict[TemperatureTrace, int] = {}
+        self._node_truth = [truth_of.setdefault(spec.trace, len(truth_of)) for spec in config.nodes]
+        self._truths = list(truth_of)
 
         self.schedule: Optional[SlotSchedule] = None
         if config.mac_mode == TDMA:
@@ -295,7 +331,7 @@ class _Engine:
 
     def _log(self, kind: str, subject: str, detail: str = "") -> None:
         assert kind in LOGGED_KINDS
-        self._emit(SimEvent(self.now, self._n_events, kind, subject, detail))
+        self._emit(EVENT_ROW % (self.now, self._n_events, kind, subject, detail))
         self._n_events += 1
 
     # -- run -----------------------------------------------------------
@@ -304,15 +340,19 @@ class _Engine:
         if self.end_time_s > 0:
             for intf in self.config.interferers:
                 self._push(intf.start_s, self._on_interferer_burst, intf, airtime(intf.bits, self.params))
-        period = self.config.sample_period_s
+        cfg = self.config
+        period = cfg.sample_period_s
+        conversion_s = self.params.sensor_conversion_s
+        n_nodes = len(self.nodes)
         for k in range(math.ceil(self.end_time_s / period)):
             t = k * period
             if t >= self.end_time_s:
                 break
             self._dispatch_before(t)
             self.now = t
-            for node in self.nodes:
-                self._on_conversion_start(node, k)
+            self.stats.conversions += n_nodes
+            raws = sense_and_quantize(self._truths, self._node_truth, t, cfg.seed, cfg.noise_sigma_c)
+            self._push(t + conversion_s, self._on_conversions_done, k, t, raws)
         # Events due exactly at the end still run.
         self._dispatch_before(math.nextafter(self.end_time_s, math.inf))
         return self._finish()
@@ -343,7 +383,7 @@ class _Engine:
         if self.schedule is not None and end > 0:
             self.stats.beacons = _instants_up_to(self.schedule.frame_period_s, end)
         return SimResult(
-            events=self.events,
+            events=[SimEvent.from_row(row) for row in self._rows],
             readings=self.readings,
             ledgers=ledgers,
             stats=self.stats,
@@ -353,18 +393,24 @@ class _Engine:
 
     # -- node-side handlers --------------------------------------------
 
-    def _on_conversion_start(self, node: _Node, k: int) -> None:
-        self.stats.conversions += 1
-        cfg = self.config
-        raw = sense_and_quantize(node.spec.trace, self.now, cfg.seed, cfg.noise_sigma_c, node.index)
-        done = self.now + self.params.sensor_conversion_s
-        self._push(done, self._on_conversion_done, node, k, raw, self.now)
+    def _on_conversions_done(self, k: int, started_s: float, raws: list[int]) -> None:
+        """Conversion k finishes on every node, in node order.
 
-    def _on_conversion_done(self, node: _Node, k: int, raw: int, started_s: float) -> None:
-        self._log(CONVERSION_DONE, node.subject, f"k={k} raw={raw}")
-        node.sensor_active_s += self.params.sensor_conversion_s
-        md = MeasuredDelay(sequence=k % (1 << 16), conversion_start_s=started_s, conversion_done_s=self.now)
-        self._push(self.now + self._prep_s, self._on_frame_ready, node, md, raw)
+        This one queue entry runs the instant's N conversion-done events
+        in the order N entries would.  Those would share one time and be
+        pushed back to back, so they would hold consecutive sequence
+        numbers and nothing could sort between them; and whatever their
+        handlers push gets a later sequence number, so it still runs
+        after all N.
+        """
+        conversion_s = self.params.sensor_conversion_s
+        ready_s = self.now + self._prep_s
+        sequence = k % (1 << 16)
+        for node, raw in zip(self.nodes, raws):
+            self._log(CONVERSION_DONE, node.subject, f"k={k} raw={raw}")
+            node.sensor_active_s += conversion_s
+            md = MeasuredDelay(sequence, conversion_start_s=started_s, conversion_done_s=self.now)
+            self._push(ready_s, self._on_frame_ready, node, md, raw)
 
     def _on_frame_ready(self, node: _Node, md: MeasuredDelay, raw: int) -> None:
         md.frame_ready_s = self.now
@@ -456,7 +502,8 @@ class _Engine:
 
     def _on_serial_out(self, frame: Frame, md: MeasuredDelay) -> None:
         md.serial_out_s = self.now
-        self._log(SERIAL_OUT, AP, f"id={frame.sensor_id.hex()} seq={frame.sequence}")
+        sid = frame.sensor_id
+        self._log(SERIAL_OUT, AP, f"id={self._subject_of.get(sid) or sid.hex()} seq={frame.sequence}")
         self.stats.delivered += 1
         budget = md.budget()
         self.readings.append(
@@ -503,14 +550,15 @@ def _instants_up_to(period_s: float, end_s: float) -> int:
 
 
 def run_scenario(
-    config: ScenarioConfig, on_event: Optional[Callable[[SimEvent], object]] = None
+    config: ScenarioConfig, on_event: Optional[Callable[[str], object]] = None
 ) -> SimResult:
     """Simulate one scenario; raises ConfigError on invalid configs.
 
     Each logged event goes to ``on_event`` as it happens, in log order,
-    and ``SimResult.events`` is then empty; without a sink the log is
-    collected in ``SimResult.events``.  Identical (config, seed) pairs
-    produce identical results, event for event and byte for byte once
-    serialized.
+    as its finished ``events.csv`` line (``EVENT_ROW``, newline
+    included), and ``SimResult.events`` is then empty; without a sink
+    the log is collected in ``SimResult.events``.  Identical (config,
+    seed) pairs produce identical results, event for event and byte for
+    byte once serialized.
     """
     return _Engine(config, on_event).run()

@@ -119,9 +119,10 @@ def evaluate_alerts_oracle(series: list[Reading], rule: AlertRule) -> list[Alert
 
 
 def _slope_c_per_min_oracle(window: list[Reading]) -> Optional[float]:
-    """Least-squares slope of temp vs time, or None below two points."""
+    """Least-squares slope of temp vs time, or None below two points or
+    when all its readings share one time."""
     n = len(window)
-    if n < 2:
+    if n < 2 or all(r.time_s == window[0].time_s for r in window):
         return None
     mean_t = math.fsum(r.time_s for r in window) / n
     mean_c = math.fsum(r.temp_c for r in window) / n

@@ -1,5 +1,6 @@
 """CSV text of the written cells: floats round-trip exactly, and an
-events.csv line is the one csv.writer would write."""
+events.csv line is the one csv.writer would write and parses back to its
+event."""
 
 from __future__ import annotations
 
@@ -11,9 +12,8 @@ from pathlib import Path
 
 from hypothesis import example, given, strategies as st
 
-from thermnet.cli import _EVENT_ROW
 from thermnet.csvio import read_rows, write_csv
-from thermnet.sim import SimEvent
+from thermnet.sim import EVENT_ROW, SimEvent
 
 
 @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=20))
@@ -47,4 +47,6 @@ def test_event_row_is_csv_writer_line(time_s, seq, kind, subject, detail):
     event = SimEvent(time_s, seq, kind, subject, detail)
     fh = io.StringIO()
     csv.writer(fh, lineterminator="\n").writerow(event)
-    assert _EVENT_ROW % event == fh.getvalue()
+    assert EVENT_ROW % event == fh.getvalue()
+    if isinstance(time_s, float):
+        assert SimEvent.from_row(EVENT_ROW % event) == event

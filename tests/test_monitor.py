@@ -322,11 +322,30 @@ def threshold_ramp(start):
     return ramp_series(start, 0.5, moves), RULE
 
 
+def tied_series():
+    # Nine readings at one time whose mean, fsum(times) / 9, does not
+    # round back to it: every deviation is the same ulp, and the
+    # least-squares quotient of those would be 10,240 degC/min.
+    t = 0.11599750802544773
+    sid = make_sensor_id(serial=1)
+    raws = [584] * 8 + [608]
+    return [Reading(sid, t, raw, k, 0.0, t) for k, raw in enumerate(raws)], RULE
+
+
+def test_all_tied_window_has_no_slope():
+    series, rule = tied_series()
+    times = [r.time_s for r in series]
+    assert monitor._slope_c_per_min(times, [r.temp_c for r in series]) is None
+    assert _slope_c_per_min_oracle(series) is None
+    assert evaluate_alerts(series, rule) == [Alert("high_temp", series[8].sensor_id, times[8], 38.0)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(alert_cases())
 @example(threshold_ramp(0.777))
 @example(threshold_ramp(1e9))
 @example(threshold_ramp(3.3e9))
+@example(tied_series())
 def test_alerts_equal_quadratic_oracle(case):
     series, rule = case
     assert evaluate_alerts(series, rule) == evaluate_alerts_oracle(series, rule)

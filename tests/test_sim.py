@@ -20,6 +20,7 @@ from helpers import (
     mix64_oracle,
     sense_band_oracle,
 )
+from thermnet.cli import cmd_simulate
 from thermnet.config import ALOHA, TDMA, InterfererSpec, NodeSpec, ScenarioConfig
 from thermnet.delays import DelayParams, airtime, total_delay
 from thermnet.frames import FRAME_BITS, make_sensor_id
@@ -27,6 +28,7 @@ from thermnet.mac import build_schedule
 from thermnet.rng import float_key, gauss, mix64
 from thermnet.sim import (
     Medium,
+    SimEvent,
     Transmission,
     _Engine,
     medium_transmit,
@@ -118,32 +120,38 @@ def test_zero_length_transmission_rejected():
 # -- sensor physics ----------------------------------------------------
 
 
+def sense_one(trace, t_s, seed, noise_sigma_c=0.0):
+    """The raw count of a one-node cell reading ``trace`` at t_s."""
+    (raw,) = sense_and_quantize([trace], [0], t_s, seed, noise_sigma_c)
+    return raw
+
+
 def test_quantize_constant_26():
-    assert sense_and_quantize(ConstantTrace(26.0), 3.0, seed=1) == 416
+    assert sense_one(ConstantTrace(26.0), 3.0, seed=1) == 416
 
 
 def test_quantize_zero():
-    assert sense_and_quantize(ConstantTrace(0.0), 0.0, seed=1) == 0
+    assert sense_one(ConstantTrace(0.0), 0.0, seed=1) == 0
 
 
 def test_quantize_band_bounds():
     trace = BandNoiseTrace(26.0, 30.0)
-    values = [sense_and_quantize(trace, float(t), seed=9) for t in range(500)]
+    values = [sense_one(trace, float(t), seed=9) for t in range(500)]
     assert all(416 <= v <= 480 for v in values)
     assert len(set(values)) > 10
 
 
 def test_quantize_clamps_to_device_range():
-    assert sense_and_quantize(ConstantTrace(500.0), 0.0, seed=1) == 2000
-    assert sense_and_quantize(ConstantTrace(-500.0), 0.0, seed=1) == -880
-    assert sense_and_quantize(ConstantTrace(1e308), 0.0, seed=1) == 2000
+    assert sense_one(ConstantTrace(500.0), 0.0, seed=1) == 2000
+    assert sense_one(ConstantTrace(-500.0), 0.0, seed=1) == -880
+    assert sense_one(ConstantTrace(1e308), 0.0, seed=1) == 2000
 
 
 def test_noise_is_pure_in_time_and_seed():
     trace = ConstantTrace(37.0)
-    a = sense_and_quantize(trace, 5.0, seed=4, noise_sigma_c=0.1)
-    assert a == sense_and_quantize(trace, 5.0, seed=4, noise_sigma_c=0.1)
-    different = [sense_and_quantize(trace, 5.0, seed=s, noise_sigma_c=0.1) for s in range(30)]
+    a = sense_one(trace, 5.0, seed=4, noise_sigma_c=0.1)
+    assert a == sense_one(trace, 5.0, seed=4, noise_sigma_c=0.1)
+    different = [sense_one(trace, 5.0, seed=s, noise_sigma_c=0.1) for s in range(30)]
     assert len(set(different)) > 1
 
 
@@ -163,23 +171,27 @@ _INSTANTS = st.one_of(
 @settings(max_examples=200)
 @given(
     _SEEDS,
-    st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=2, max_size=4, unique=True),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=6),
     st.lists(_INSTANTS, min_size=1, max_size=3),
     st.floats(min_value=-60.0, max_value=130.0),
     st.floats(min_value=0.0, max_value=10.0),
     st.sampled_from([0.0, 0.1, 2.5]),
 )
 @example(-1, [0, 1], [0.0, 5e-324, 1e300], 36.0, 2.0, 0.1)
-@example(1 << 64, [0, 7], [1.0], 36.0, 2.0, 0.1)
-def test_sensing_equals_step_by_step_rng(seed, node_keys, instants, low_c, width_c, sigma_c):
+@example(1 << 64, [2, 0, 2, 2], [1.0], 36.0, 2.0, 0.1)
+def test_sensing_equals_step_by_step_rng(seed, node_truth, instants, low_c, width_c, sigma_c):
     # The prefix cache must be keyed by seed, stream and node: several
-    # nodes share each seed here, and the seeds vary across examples.
-    trace = BandNoiseTrace(low_c, low_c + width_c)
+    # nodes share each seed and each truth here, and the seeds vary
+    # across examples.  Node i's noise is keyed by i.
+    truths = [BandNoiseTrace(low_c + d, low_c + d + width_c) for d in (0.0, 0.5, 3.0)]
     for t in instants:
-        assert trace.value(t, seed) == band_value_oracle(trace.low_c, trace.high_c, t, seed)
-        for node_key in node_keys:
-            expected = sense_band_oracle(trace.low_c, trace.high_c, t, seed, sigma_c, node_key)
-            assert sense_and_quantize(trace, t, seed, sigma_c, node_key) == expected
+        for trace in truths:
+            assert trace.value(t, seed) == band_value_oracle(trace.low_c, trace.high_c, t, seed)
+        expected = [
+            sense_band_oracle(truths[j].low_c, truths[j].high_c, t, seed, sigma_c, i)
+            for i, j in enumerate(node_truth)
+        ]
+        assert sense_and_quantize(truths, node_truth, t, seed, sigma_c) == expected
 
 
 @given(st.floats())
@@ -498,14 +510,40 @@ def test_conversion_count_stops_at_ceil_bound():
     ],
     ids=["tdma", "aloha_interferer"],
 )
-def test_sink_receives_the_event_log(cfg):
-    collected = run_scenario(cfg)
-    rows = []
-    streamed = run_scenario(cfg, on_event=rows.append)
-    assert rows == collected.events
-    assert [e.seq for e in rows] == list(range(len(rows)))
+def test_sink_receives_the_event_log(tmp_path, cfg):
+    lines = []
+    streamed = run_scenario(cfg, on_event=lines.append)
     assert streamed.events == []
+    assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+    # The sink gets the body of the events.csv that simulate writes ...
+    assert cmd_simulate(cfg, tmp_path) == 0
+    comment, header, *body = (tmp_path / "events.csv").read_text().splitlines(keepends=True)
+    assert header == ",".join(SimEvent._fields) + "\n"
+    assert "".join(lines) == "".join(body)
+    # ... and without a sink the same lines are parsed into the result.
+    collected = run_scenario(cfg)
+    assert [SimEvent.from_row(line) for line in lines] == collected.events
+    assert [e.seq for e in collected.events] == list(range(len(lines)))
     assert replace(streamed, events=collected.events) == collected
+
+
+def test_each_distinct_trace_is_evaluated_once_per_instant(monkeypatch):
+    calls = []
+    value = BandNoiseTrace.value
+
+    def counted(self, t, seed=0):
+        calls.append(t)
+        return value(self, t, seed)
+
+    monkeypatch.setattr(BandNoiseTrace, "value", counted)
+    cfg = ScenarioConfig(
+        nodes=tuple(NodeSpec(f"node{i}", i, BandNoiseTrace(36.0, 38.0)) for i in range(1, 51)),
+        duration_s=150.0,
+        noise_sigma_c=0.1,
+    )
+    result = run_scenario(cfg)
+    assert result.stats.conversions == 50 * 150
+    assert calls == [float(k) for k in range(150)]
 
 
 def test_invalid_config_raises_config_error():
