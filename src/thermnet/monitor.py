@@ -126,184 +126,98 @@ class ReadingStore:
         return self._series == other._series
 
 
-# The rounding unit of binary64, and the ranges in which no step of
-# _slope_c_per_min leaves the normal floating-point range.
-_U = 2.0**-53
-_MIN_TIME_S = 2.0**-20
-_MAX_TIME_S = 2.0**64
-_MAX_RAW = 1 << 15
-
-
 def evaluate_alerts(series: list[Reading], rule: AlertRule) -> list[Alert]:
     """Scan a time-ordered series for threshold and slope excursions.
 
     Each alert kind fires once per excursion and re-arms when the value
-    (temperature, or fitted rise rate) drops back below its threshold.
-    The rise rate is the least-squares slope, in degC per minute, that
-    ``_slope_c_per_min`` returns for the readings at or after
-    ``time_s - rule.rise_window_s``.  Raises ValueError if ``time_s``
-    decreases.
+    (temperature, or rise rate) drops back below its threshold.  The rise
+    rate is the exact least-squares slope, in degC per minute, of the
+    readings at or after ``time_s - rule.rise_window_s``, with each time
+    the exact value of its float and each temperature ``raw / 16``; a
+    window whose times are all equal has none.  A rapid-rise alert fires
+    when that slope is at least ``rule.rise_rate_c_per_min``, compared
+    exactly, and its ``value`` is the slope rounded once to a float (inf
+    if it overflows).  Raises ValueError if the rule is invalid, or unless
+    every ``time_s`` is finite and non-negative and none is below the one
+    before.
 
     The window moves with two pointers and keeps exact running sums, so
     a reading costs O(1) amortised.  At the start, and each time the
     window has turned over (every reading summed at the last re-centring
     has left it), ``ref`` moves to the window's first time and the sums
-    are taken afresh.  With ``q = ulp(ref)`` every window time
-    ``t >= ref`` is a multiple of ``q``, so ``U = (t - ref) / q`` is an
-    integer, and the sums of U, U*U, U*raw and raw are Python ints:
-    adding a reading as it enters and subtracting it as it leaves is
-    exact, so nothing drifts, and re-centring keeps the ints small (the
-    updates of Chan, Golub & LeVeque, Am. Stat. 37(3), 1983, done
-    exactly).
-
-    Only ``slope >= rate`` reaches the output unless a rapid-rise alert
-    fires, so the exact slope runs only when the running sums cannot
-    certify that comparison, and when an armed rapid-rise is about to
-    fire, so the written ``value`` is the exact one.  The certificate,
-    with u = 2**-53, n readings in the window, t_max the window's last
-    time and c_max the series' largest ``abs(temp_c)``:
-
-    - X = sum (t - mean t)**2 and Y = sum (t - mean t)(c - mean c) are
-      exact rationals of the integer sums (c = raw / 16 is exact), and
-      so is the true slope b = 60 Y / X.
-    - ``_slope_c_per_min`` returns B = 60 * sxy / sxx, rounded twice.
-      fsum and the division by n round once each, so its means are off
-      by |e| <= 3u t_max and |f| <= 3u c_max.  Each term of sxx is
-      (t - mean t - e)**2 times a factor within (1 +- u)**5 (the
-      subtraction squared, pow taken as accurate to 1 ulp, fsum) and all
-      are >= 0; the deviations sum to 0, so the e terms add n e**2, and
-      |sxx - X| <= rho X with rho = 6u + 2 n e**2 / X.  Each term of sxy
-      is (t - mean t - e)(c - mean c - f) up to three roundings and fsum
-      adds one; the cross terms add n e f, |c - mean c - f| <=
-      2.01 c_max and, by Cauchy-Schwarz, sum |t - mean t - e| <=
-      sqrt(n (X + n e**2)), so |sxy - Y| <= eta with
-      eta = 6u c_max (n e + 3 sqrt(n (X + n e**2))).  Hence, for
-      rho <= 1/4, |B - b| <= (|b| (3u + rho) + 61 eta / X) / (1 - rho).
-    - The running slope A = float(num) / float(den) * 3.75 / q is b
-      rounded four times, |A - b| <= 5u |b|, and together
-      |B - A| <= M = |A| (10u + 2 rho) + 82 eta / X.
-    - M is evaluated from non-negative terms in a few dozen roundings,
-      so twice the computed value bounds it.  The comparison is
-      certified when ``A - rate`` exceeds that in either direction;
-      otherwise the exact slope decides.
-
-    The bounds assume every rounding stays in the normal range, so the
-    sums are used only where no step of ``_slope_c_per_min`` can
-    overflow or underflow: window times in [2**-20, 2**64] s, raw counts
-    of 16 bits, rho <= 1/8 as computed (which also keeps sxx > 0, so the
-    exact slope is not None) and X > 0.  Any other window, including one
-    with a NaN or infinite time, runs the exact slope.
+    are taken afresh.  With ``q = ulp(ref)`` and ``ref >= 0``, every later
+    time ``t`` is a whole multiple of ``q``, so ``U = (t - ref) / q``,
+    taken from ``t.as_integer_ratio()``, is an exact integer, and the sums
+    of U, U*U, U*raw and raw are Python ints: adding a reading as it enters
+    and subtracting it as it leaves is exact, so nothing drifts, and
+    re-centring keeps the ints small (the updates of Chan, Golub &
+    LeVeque, Am. Stat. 37(3), 1983, done exactly).  Over n readings the
+    slope is 15 (n sum U*raw - sum U sum raw) / (4 q (n sum U*U - (sum U)**2))
+    degC/min, which is compared and rounded as a ratio of ints.
     """
-    times: list[float] = []
+    rule.validate()
+    prev = 0.0
     for reading in series:
-        if times and not reading.time_s >= times[-1]:  # also rejects NaN
-            raise ValueError(f"series is not time-ordered at t={reading.time_s!r}")
-        times.append(reading.time_s)
-    raws = [reading.raw for reading in series]
-    temps = [raw * TEMP_LSB_C for raw in raws]
-    max_raw = max(map(abs, raws), default=0)
-    certifiable = bool(series) and times[-1] <= _MAX_TIME_S and max_raw <= _MAX_RAW
-    c_max = max_raw * TEMP_LSB_C
+        if not prev <= reading.time_s < math.inf:  # also rejects NaN
+            raise ValueError(f"series is not time-ordered in [0, inf) at t={reading.time_s!r}")
+        prev = reading.time_s
+
+    def units(t: float) -> int:  # t / q, whole for every t >= ref
+        t_n, t_d = t.as_integer_ratio()
+        return t_n * q_d // (t_d * q_n)
 
     high = rule.high_threshold_c
     window = rule.rise_window_s
-    rate = rule.rise_rate_c_per_min
+    rate_n, rate_d = rule.rise_rate_c_per_min.as_integer_ratio()
     alerts: list[Alert] = []
     high_armed = True
     rise_armed = True
     lo = 0
     turned_over_at = 0  # the window has turned over once lo reaches this
-    tracking = False
-    ks = [0] * len(series)  # U of each reading since the last re-centring
-    for i, t in enumerate(times):
-        if temps[i] >= high:
+    for i, reading in enumerate(series):
+        t, temp = reading.time_s, reading.temp_c
+        if temp >= high:
             if high_armed:
-                alerts.append(Alert(HIGH_TEMP, series[i].sensor_id, t, temps[i]))
+                alerts.append(Alert(HIGH_TEMP, reading.sensor_id, t, temp))
                 high_armed = False
         else:
             high_armed = True
 
         start = t - window
-        while times[lo] < start:
-            if tracking:
-                k, r = ks[lo], raws[lo]
-                su, suu, sur, sr = su - k, suu - k * k, sur - k * r, sr - r
+        first = lo
+        while series[lo].time_s < start:
             lo += 1
         if lo >= turned_over_at:
             turned_over_at = i + 1
-            ref = times[lo]
-            tracking = certifiable and ref >= _MIN_TIME_S
-            if tracking:
-                q = math.ulp(ref)
-                base = int(ref / q)
-                su = suu = sur = sr = 0
-                for j in range(lo, i):
-                    k = ks[j] = int(times[j] / q) - base
-                    r = raws[j]
-                    su, suu, sur, sr = su + k, suu + k * k, sur + k * r, sr + r
-        if tracking:
-            k = ks[i] = int(t / q) - base
-            r = raws[i]
+            ref = series[lo].time_s
+            q_n, q_d = math.ulp(ref).as_integer_ratio()
+            base = units(ref)
+            su = suu = sur = sr = 0
+            entering = series[lo : i + 1]
+        else:
+            for old in series[first:lo]:
+                k, r = units(old.time_s) - base, old.raw
+                su, suu, sur, sr = su - k, suu - k * k, sur - k * r, sr - r
+            entering = (reading,)
+        for new in entering:
+            k, r = units(new.time_s) - base, new.raw
             su, suu, sur, sr = su + k, suu + k * k, sur + k * r, sr + r
 
+        # The slope is top / bottom degC/min; bottom is 0 if all times are equal.
         n = i + 1 - lo
-        rising = _certified_rise(n, su, suu, sur, sr, q, t, c_max, rate) if tracking else None
-        if rising is None or (rising and rise_armed):
-            slope = _slope_c_per_min(times[lo : i + 1], temps[lo : i + 1]) if n >= 2 else None
-            rising = slope is not None and slope >= rate
-        if rising:
+        top = 15 * q_d * (n * sur - su * sr)
+        bottom = 4 * q_n * (n * suu - su * su)
+        if bottom > 0 and top * rate_d >= bottom * rate_n:
             if rise_armed:
-                alerts.append(Alert(RAPID_RISE, series[i].sensor_id, t, slope))
+                try:
+                    value = top / bottom
+                except OverflowError:
+                    value = math.inf if top > 0 else -math.inf
+                alerts.append(Alert(RAPID_RISE, reading.sensor_id, t, value))
                 rise_armed = False
         else:
             rise_armed = True
     return alerts
-
-
-def _certified_rise(
-    n: int, su: int, suu: int, sur: int, sr: int, q: float, t_max: float, c_max: float, rate: float
-) -> Optional[bool]:
-    """Whether ``_slope_c_per_min`` of the window is ``>= rate``, or None if
-    the running sums cannot tell; ``evaluate_alerts`` derives the bound."""
-    den = float(n * suu - su * su)  # n X / q**2
-    if not den > 0:
-        return None
-    x = den * q * q / n
-    e = 3 * _U * t_max
-    ne2 = n * e * e
-    rho = 6 * _U + 2 * ne2 / x
-    if not rho <= 0.125:
-        return None
-    eta = 6 * _U * c_max * (n * e + 3 * math.sqrt(n * (x + ne2)))
-    approx = float(n * sur - su * sr) / den * 3.75 / q
-    margin = 2.0 * (abs(approx) * (10 * _U + 2 * rho) + 82 * eta / x)
-    diff = approx - rate
-    if diff > margin:
-        return True
-    if -diff > margin:
-        return False
-    return None
-
-
-def _slope_c_per_min(times: list[float], temps: list[float]) -> Optional[float]:
-    """Least-squares slope of temp vs time, or None below two points or
-    when every time is the same.
-
-    ``times`` is ordered, so its ends tell whether all are equal.  That
-    test is needed: when ``fsum(times) / n`` does not round back to the
-    common time, every deviation is the same ulp, sxx is tiny but not 0,
-    and the quotient would be rounding noise.
-    """
-    n = len(times)
-    if n < 2 or times[0] == times[-1]:
-        return None
-    mean_t = math.fsum(times) / n
-    mean_c = math.fsum(temps) / n
-    sxx = math.fsum((t - mean_t) ** 2 for t in times)
-    if sxx == 0.0:
-        return None
-    sxy = math.fsum((t - mean_t) * (c - mean_c) for t, c in zip(times, temps))
-    return (sxy / sxx) * 60.0
 
 
 def agreement(series: list[Reading], truth: TemperatureTrace, seed: int = 0) -> AgreementReport:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
+from fractions import Fraction
 from typing import Optional
 
 from thermnet.config import ScenarioConfig
@@ -91,11 +92,13 @@ def access_point_ledger(result: SimResult, config: ScenarioConfig) -> EnergyLedg
 
 
 def evaluate_alerts_oracle(series: list[Reading], rule: AlertRule) -> list[Alert]:
-    """The quadratic reference scan: each window is filtered from the whole prefix.
+    """The quadratic reference scan: each window is filtered from the whole
+    prefix and its slope taken in exact rationals.
 
-    This is the monitor's earlier implementation, kept verbatim so the
-    bisecting one can be checked against it for exact equality.
+    A rapid-rise alert fires when the exact slope is at least the rule's
+    rate, and its value is that slope rounded once to a float.
     """
+    rate = Fraction(rule.rise_rate_c_per_min)
     alerts: list[Alert] = []
     high_armed = True
     rise_armed = True
@@ -109,28 +112,35 @@ def evaluate_alerts_oracle(series: list[Reading], rule: AlertRule) -> list[Alert
 
         window = [r for r in series[: i + 1] if r.time_s >= reading.time_s - rule.rise_window_s]
         slope = _slope_c_per_min_oracle(window)
-        if slope is not None and slope >= rule.rise_rate_c_per_min:
+        if slope is not None and slope >= rate:
             if rise_armed:
-                alerts.append(Alert(RAPID_RISE, reading.sensor_id, reading.time_s, slope))
+                alerts.append(Alert(RAPID_RISE, reading.sensor_id, reading.time_s, rounded(slope)))
                 rise_armed = False
         else:
             rise_armed = True
     return alerts
 
 
-def _slope_c_per_min_oracle(window: list[Reading]) -> Optional[float]:
-    """Least-squares slope of temp vs time, or None below two points or
-    when all its readings share one time."""
-    n = len(window)
-    if n < 2 or all(r.time_s == window[0].time_s for r in window):
+def _slope_c_per_min_oracle(window: list[Reading]) -> Optional[Fraction]:
+    """Exact least-squares slope of ``raw / 16`` vs ``time_s``, per minute,
+    or None when the window has fewer than two distinct times."""
+    times = [Fraction(r.time_s) for r in window]
+    temps = [Fraction(r.raw, 16) for r in window]
+    mean_t = sum(times) / len(window)
+    mean_c = sum(temps) / len(window)
+    sxx = sum((t - mean_t) ** 2 for t in times)
+    if sxx == 0:
         return None
-    mean_t = math.fsum(r.time_s for r in window) / n
-    mean_c = math.fsum(r.temp_c for r in window) / n
-    sxx = math.fsum((r.time_s - mean_t) ** 2 for r in window)
-    if sxx == 0.0:
-        return None
-    sxy = math.fsum((r.time_s - mean_t) * (r.temp_c - mean_c) for r in window)
-    return (sxy / sxx) * 60.0
+    sxy = sum((t - mean_t) * (c - mean_c) for t, c in zip(times, temps))
+    return 60 * sxy / sxx
+
+
+def rounded(value: Fraction) -> float:
+    """``value`` rounded once to a float, or an infinity if it overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 # -- keyed RNG, as first written ----------------------------------------

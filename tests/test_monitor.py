@@ -12,8 +12,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import _slope_c_per_min_oracle, evaluate_alerts_oracle
-from thermnet import monitor
+from helpers import _slope_c_per_min_oracle, evaluate_alerts_oracle, rounded
 from thermnet.frames import TEMP_LSB_C, SensorId, make_sensor_id
 from thermnet.monitor import (
     Alert,
@@ -225,14 +224,19 @@ def test_alert_rule_validation():
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("field", ["high_threshold_c", "rise_rate_c_per_min", "rise_window_s"])
 def test_alert_rule_rejects_non_finite(field, value):
+    rule = AlertRule(**{field: value})
     with pytest.raises(ValueError):
-        AlertRule(**{field: value}).validate()
+        rule.validate()
+    with pytest.raises(ValueError, match="finite and positive"):
+        evaluate_alerts(series_from([37.0] * 3), rule)
 
 
-@pytest.mark.parametrize("bad_time", [9.5, math.nan])
+@pytest.mark.parametrize("bad_time", [9.5, math.nan, math.inf, -1.0])
 def test_alerts_reject_unordered_series(bad_time):
-    late = Reading(make_sensor_id(serial=1), bad_time, 592, 99, 0.0, 0.0)
-    series = series_from([37.0] * 12) + [late]
+    # A negative time goes first, where only its sign is wrong; the rest last.
+    bad = Reading(make_sensor_id(serial=1), bad_time, 592, 99, 0.0, 0.0)
+    series = series_from([37.0] * 12)
+    series = [bad] + series if bad_time < 0 else series + [bad]
     with pytest.raises(ValueError, match="time-ordered"):
         evaluate_alerts(series, RULE)
 
@@ -258,8 +262,8 @@ def alert_cases(draw):
 
     Times and the window are multiples of 0.25 s, so ``t - window`` is
     exact and readings land exactly on the window's start.  Series start
-    at 0 s, near 1e3 s, or at 1e9 or 3.3e9 s, where the exact slope's
-    centring cancels most of each time's digits.  A random walk mixes
+    at 0 s, near 1e3 s, or at 1e9 or 3.3e9 s, where centring a window
+    in floats would cancel most of each time's digits.  A random walk mixes
     ties, exact window lengths, irregular gaps, gaps longer than the
     window and off-grid float steps.  A ramp of up to 300 readings sits
     exactly on the rise threshold, bar the odd reading a count off, with
@@ -303,12 +307,13 @@ def alert_cases(draw):
 
 def rate_on_a_slope(draw, series, rule):
     """Maybe move the rule's rate onto the exact slope of one of the
-    series' windows, or the next float either side of it, so the alert
-    hangs on the last bits of that slope."""
+    series' windows, rounded, or the next float either side of that, so
+    the alert hangs on the last bits of that slope."""
     i = draw(st.integers(0, len(series) - 1))
     t = series[i].time_s
     window = [r for r in series[: i + 1] if r.time_s >= t - rule.rise_window_s]
     slope = _slope_c_per_min_oracle(window)
+    slope = rounded(slope) if slope is not None else None
     if draw(st.booleans()) and slope is not None and 0 < slope < math.inf:
         rate = math.nextafter(slope, draw(st.sampled_from([slope, math.inf, 0.0])))
         rule = replace(rule, rise_rate_c_per_min=rate)
@@ -332,12 +337,32 @@ def tied_series():
     return [Reading(sid, t, raw, k, 0.0, t) for k, raw in enumerate(raws)], RULE
 
 
+def extreme_series():
+    # From 0 s to the smallest subnormal time, where the slope overflows
+    # to inf, then to 1e300 s: exact units need no range limit.
+    sid = make_sensor_id(serial=1)
+    times_raws = [(0.0, -880), (5e-324, 2000), (1e300, 2000), (1e300, -880), (1.5e300, 1 << 40)]
+    series = [Reading(sid, t, raw, k, 0.0, t) for k, (t, raw) in enumerate(times_raws)]
+    return series, replace(RULE, rise_window_s=1e301)
+
+
 def test_all_tied_window_has_no_slope():
     series, rule = tied_series()
-    times = [r.time_s for r in series]
-    assert monitor._slope_c_per_min(times, [r.temp_c for r in series]) is None
-    assert _slope_c_per_min_oracle(series) is None
-    assert evaluate_alerts(series, rule) == [Alert("high_temp", series[8].sensor_id, times[8], 38.0)]
+    expected = [Alert("high_temp", series[8].sensor_id, series[8].time_s, 38.0)]
+    assert evaluate_alerts(series, rule) == expected
+    assert evaluate_alerts_oracle(series, rule) == expected
+
+
+def test_threshold_ramp_fires_on_the_exact_slope():
+    # The readings' float times sit just off the 0.5 degC/min line: the
+    # exact slope is a hair above 0.5 at 8.277 s, below it from 23.277 s
+    # and back on it at 75.777 s.  A slope rounded several times wrote
+    # 0.5000000000000001 at 8.277 s and fired again at 38.277 s.
+    series, rule = threshold_ramp(0.777)
+    rises = [a for a in evaluate_alerts(series, rule) if a.kind == "rapid_rise"]
+    assert rises == [a for a in evaluate_alerts_oracle(series, rule) if a.kind == "rapid_rise"]
+    assert [a.trigger_time_s for a in rises[:2]] == [8.277, 75.777]
+    assert [a.value for a in rises] == [0.5] * len(rises)
 
 
 @settings(max_examples=300, deadline=None)
@@ -346,32 +371,10 @@ def test_all_tied_window_has_no_slope():
 @example(threshold_ramp(1e9))
 @example(threshold_ramp(3.3e9))
 @example(tied_series())
+@example(extreme_series())
 def test_alerts_equal_quadratic_oracle(case):
     series, rule = case
     assert evaluate_alerts(series, rule) == evaluate_alerts_oracle(series, rule)
-
-
-def test_exact_slope_runs_only_near_the_threshold(monkeypatch):
-    # An hour of a 1 Hz fever swing with sensor noise, shaped like the
-    # watch_long benchmark: the exact slope should run for each
-    # rapid-rise alert and for the rare window too close to the
-    # threshold to certify, not for every reading.
-    sid = make_sensor_id(serial=1)
-    series = []
-    for k in range(3600):
-        temp_c = 37.5 + 1.5 * math.sin(2 * math.pi * k / 1200 + 1.0) + 0.1 * gauss(3, k)
-        series.append(Reading(sid, k + 0.777, round(temp_c / TEMP_LSB_C), k, 0.777, float(k)))
-    calls = []
-    exact = monitor._slope_c_per_min
-
-    def counted(times, temps):
-        calls.append(len(times))
-        return exact(times, temps)
-
-    monkeypatch.setattr(monitor, "_slope_c_per_min", counted)
-    rises = [a for a in evaluate_alerts(series, RULE) if a.kind == "rapid_rise"]
-    assert rises
-    assert len(calls) <= len(rises) + 0.02 * len(series)
 
 
 # -- agreement ---------------------------------------------------------

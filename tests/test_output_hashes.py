@@ -32,7 +32,7 @@ PINNED = {
         "events.csv": "15519aa96ad782aebc7fcb545fc7a395faf407d2cf43daff45624c037a8277f8",
         "readings.csv": "3f76e5094126124324342deadb5b29887ee91deb9c1a6cf7a6791f0bd182eb32",
         "ledgers.csv": "127d4504b9e9fa8dc1b2d02bd69b8c423a85828ce444e2ed91fdd3b725f5d65b",
-        "alerts.csv": "6761f59cf59b215d8e9bc3a0ecc23833f7509de3355d51cb75a6040bd06e3587",
+        "alerts.csv": "7a50a0b0fe8fcd9a8667c52d05e5149730f07f149d1faed292991f62529e639e",
         "agreement.csv": "3ada6c005687608407eee73506bb5a55bd71665ebab597e8c96aeac1abb0ca51",
         "stats.csv": "0e368fddd977746f6947a01612e7bb933077d0082c686e8c05284ba5e6570127",
     },
@@ -48,7 +48,7 @@ PINNED = {
         "events.csv": "144b48bac61819b0210231eaac52364eb54d5b67a02a21552712e2a543f7d708",
         "readings.csv": "1f161ad0e5c6a470dbf2d420d8fb4c39d0326be2781ee67e8e5cc13e7e9c0a67",
         "ledgers.csv": "17b692b4e960d8d59a52f94112d8c8b697060e7661e0647e15e44eee9f056618",
-        "alerts.csv": "a75346bd2ac2f8bb2cc956a9c88660deb6d001f3da1aa175cd1522e407929f9e",
+        "alerts.csv": "43d98ee7e5a31f89b5ebf4ccc5e22871c6fea26b9ab75dc0f2cd50e28b4fad73",
         "agreement.csv": "d011468e9bab8d854a2d9ee4088bec71842f35fe20af9a758952fc9e83aaddb1",
         "stats.csv": "575c60c547ed9b974ce180a5de45c6675d839068bdfb1b1c652eceffef961c20",
     },

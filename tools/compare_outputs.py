@@ -13,13 +13,15 @@ the CSVs the benchmark hashes (``perfbench/outputs.py``'s
 ``OUTPUT_FILES``); ``report schedule`` on every ``configs/*.conf``;
 and ``report delay`` (default grid and a 3x4 grid) and ``report
 energy`` (with and without ``--duration``), which read no config, so
-they run once each.  Exits 1 if any file differs.
+they run once each.  For each file that differs, the first differing
+line of both trees is printed.  Exits 1 if any file differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import itertools
 import os
 import subprocess
 import sys
@@ -46,6 +48,16 @@ REPORTS = {
 def run(tree: Path, argv: list[str]) -> None:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     subprocess.run([sys.executable, "-m", "thermnet", *argv], env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def first_difference(other: Path, this: Path) -> str:
+    """The number of the first line at which two files differ, and that line of each."""
+    with other.open("rb") as a, this.open("rb") as b:
+        for number, lines in enumerate(itertools.zip_longest(a, b), 1):
+            if lines[0] != lines[1]:
+                shown = [line.decode(errors="replace").rstrip("\r\n") if line else "(end of file)" for line in lines]
+                return f"line {number}\n    other: {shown[0]}\n    this:  {shown[1]}"
+    return "no line differs"
 
 
 def main() -> int:
@@ -79,6 +91,8 @@ def main() -> int:
                 run(tree, [a.replace("{out}", str(out)) for a in argv])
             diff = [f for f in files if not filecmp.cmp(outs[0] / f, outs[1] / f, shallow=False)]
             print(f"{label}: {'differs in ' + ', '.join(diff) if diff else 'identical'}", flush=True)
+            for f in diff:
+                print(f"  {f} {first_difference(outs[0] / f, outs[1] / f)}", flush=True)
             differing += bool(diff)
     print(f"{len(cases) - differing}/{len(cases)} outputs byte-identical")
     return 1 if differing else 0
