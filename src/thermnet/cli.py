@@ -21,7 +21,7 @@ from .config import ConfigError, ScenarioConfig, config_help, load_config
 from .csvio import open_csv, write_csv
 from .delays import DelayParams, total_delay
 from .energy import DevicePowerProfile, EnergyLedger, energy_sweep
-from .monitor import EmptySeries, agreement, evaluate_alerts
+from .monitor import EmptySeries, ReadingStore, agreement, evaluate_alerts
 from .sim import SimEvent, SimResult, run_scenario
 
 _VERSION_TAG = "format v1"
@@ -51,16 +51,13 @@ def _write_simulation_outputs(config: ScenarioConfig, result: SimResult, out_dir
         [[name, *astuple(led), led.total_j] for name, led in sorted(result.ledgers.items())],
     )
 
-    # The engine's readings are on the roster, unique and in delivery
-    # order; a sequence number repeats once it wraps at 16 bits.
-    by_sensor = {sid: [] for sid in hex_of}
-    for reading in result.readings:
-        by_sensor[reading.sensor_id].append(reading)
+    store = ReadingStore(roster=hex_of)
+    store.ingest_all(result.readings)
     alert_rows = []
     agreement_rows = []
     for node in config.nodes:
         sid = node.sensor_id(config.family_code)
-        series = by_sensor[sid]
+        series = store.series(sid)
         for alert in evaluate_alerts(series, config.alert_rule):
             alert_rows.append([alert.kind, hex_of[sid], alert.trigger_time_s, alert.value])
         try:

@@ -8,7 +8,6 @@ agreement metrics.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,33 +78,34 @@ class AgreementReport:
 class ReadingStore:
     """Per-sensor reading series with duplicate and roster filtering.
 
-    A single writer ingests; ``series`` hands out copies so readers
-    never observe a partially applied insert.  Arrival order does not
-    matter: readings are kept sorted by delivery time, and duplicates
-    are detected on (sensor, sample_time_s).  A sensor starts at most one
-    conversion per instant, so that key stays unique after the 16-bit
-    sequence number wraps.
+    A single writer ingests; ``series`` hands out new lists so readers
+    never observe a partially applied insert.  Each sensor's readings are
+    kept by ``sample_time_s``, which is also the duplicate key: a sensor
+    starts at most one conversion per instant, so that key stays unique
+    after the 16-bit sequence number wraps.  An id's CRC and roster
+    membership are checked at its first reading; an unknown id is counted
+    on every reading.  Arrival order does not matter: ``series`` sorts by
+    delivery time, then sequence, with ties in arrival order.
     """
 
     def __init__(self, roster: Optional[Iterable[SensorId]] = None):
         self.roster = set(roster) if roster is not None else None
-        self._series: dict[SensorId, list[Reading]] = {}
-        self._seen: dict[SensorId, set[float]] = {}
+        self._series: dict[SensorId, dict[float, Reading]] = {}
         self.duplicate_count = 0
         self.unknown_count = 0
 
     def ingest(self, reading: Reading) -> None:
         sid = reading.sensor_id
-        if not validate_sensor_id(sid) or (self.roster is not None and sid not in self.roster):
-            self.unknown_count += 1
-            return
-        seen = self._seen.setdefault(sid, set())
-        if reading.sample_time_s in seen:
+        series = self._series.get(sid)
+        if series is None:
+            if not validate_sensor_id(sid) or (self.roster is not None and sid not in self.roster):
+                self.unknown_count += 1
+                return
+            series = self._series[sid] = {}
+        if reading.sample_time_s in series:
             self.duplicate_count += 1
             return
-        seen.add(reading.sample_time_s)
-        series = self._series.setdefault(sid, [])
-        bisect.insort(series, reading, key=lambda r: (r.time_s, r.sequence))
+        series[reading.sample_time_s] = reading
 
     def ingest_all(self, readings: Iterable[Reading]) -> None:
         for reading in readings:
@@ -115,7 +115,7 @@ class ReadingStore:
         return list(self._series)
 
     def series(self, sensor_id: SensorId) -> list[Reading]:
-        return list(self._series.get(sensor_id, []))
+        return sorted(self._series.get(sensor_id, {}).values(), key=lambda r: (r.time_s, r.sequence))
 
     def total_stored(self) -> int:
         return sum(len(s) for s in self._series.values())

@@ -20,9 +20,12 @@ are parsed back into ``SimResult.events`` when no sink is given;
 ``thermnet simulate`` passes the file's ``write``, so the log does not
 stay in memory for the run.  Delivered readings do.
 
-Each packet in flight carries its stage-by-stage timestamp record; at
-delivery, differencing those timestamps gives the analytical delay
-terms, whose sum is the reading's ``total_delay_s``.
+Every stage of a packet's path takes a fixed model delay, so each
+node's eight-term latency budget (``delays.total_delay`` at its
+distance) is computed once per run and is the ``total_delay_s`` of every
+reading it delivers.  A packet in flight carries only its raw count,
+sequence number and conversion-start time; the queue wait before a slot
+shows in the event log, not in the budget.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .config import NodeSpec, ScenarioConfig, TDMA
-from .delays import DelayBudget, airtime, mcu_prep_delay, propagation_delay, serial_delay, usb_delay
+from .delays import airtime, mcu_prep_delay, serial_delay, total_delay, usb_delay
 from .energy import EnergyLedger, energy, power
 from .frames import FRAME_BITS, Frame, FrameError, SensorId, TEMP_LSB_C, decode_frame, encode_frame
 from .mac import SlotSchedule, next_slot_index
@@ -185,40 +188,6 @@ def sense_and_quantize(
     return [round(min(max(c / TEMP_LSB_C, MIN_COUNTS), MAX_COUNTS)) for c in temps]
 
 
-@dataclass(slots=True)
-class MeasuredDelay:
-    """Stage timestamps of one packet, filled in as events fire.
-
-    budget() differences them into the eight analytical terms; the
-    queue wait between frame-ready and the transmit decision is real
-    time but not part of the per-packet budget.
-    """
-
-    sequence: int
-    conversion_start_s: float = math.nan
-    conversion_done_s: float = math.nan
-    frame_ready_s: float = math.nan
-    decision_s: float = math.nan
-    tx_start_s: float = math.nan
-    tx_end_s: float = math.nan
-    arrival_s: float = math.nan
-    serial_start_s: float = math.nan
-    usb_start_s: float = math.nan
-    serial_out_s: float = math.nan
-
-    def budget(self) -> DelayBudget:
-        t1 = self.frame_ready_s - self.conversion_done_s
-        t2 = self.tx_start_s - self.decision_s
-        t3 = self.arrival_s - self.tx_end_s
-        t4 = self.tx_end_s - self.tx_start_s
-        t5 = self.serial_start_s - self.arrival_s
-        t6 = self.usb_start_s - self.serial_start_s
-        t7 = self.conversion_done_s - self.conversion_start_s
-        t8 = self.serial_out_s - self.usb_start_s
-        total = t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8
-        return DelayBudget(t1, t2, t3, t4, t5, t6, t7, t8, total)
-
-
 @dataclass
 class SimStats:
     """Run counters, one ``stats.csv`` row each, in field order.
@@ -264,17 +233,20 @@ class SimResult:
 class _Node:
     """One sensor node.
 
-    ``pending`` holds the raw reading waiting for the node's slot, with
-    its delay record; exactly while it is set, one SLOT_START is queued for
-    slot ``slot_k``, at ``slot_k * frame_period_s + slot_offset_s``.
+    ``budget_s`` is the closed-form total delay at the node's distance,
+    the ``total_delay_s`` of each reading it delivers.  ``pending`` holds
+    the packet (raw, sequence, conversion start) waiting for the node's
+    slot; exactly while it is set, one SLOT_START is queued for slot
+    ``slot_k``, at ``slot_k * frame_period_s + slot_offset_s``.
     """
 
     spec: NodeSpec
     sensor_id: SensorId
     subject: str
     propagation_s: float
+    budget_s: float
     slot_offset_s: float = 0.0
-    pending: Optional[tuple[int, MeasuredDelay]] = None
+    pending: Optional[tuple[int, int, float]] = None
     slot_k: int = 0
     radio_active_s: float = 0.0
     sensor_active_s: float = 0.0
@@ -306,8 +278,8 @@ class _Engine:
         self.nodes: list[_Node] = []
         for spec in config.nodes:
             sid = spec.sensor_id(config.family_code)
-            propagation_s = propagation_delay(spec.distance_m, self.params)
-            self.nodes.append(_Node(spec, sid, sid.hex(), propagation_s))
+            budget = total_delay(FRAME_BITS, spec.distance_m, self.params)
+            self.nodes.append(_Node(spec, sid, sid.hex(), budget.t3, budget.total))
         self._subject_of = {node.sensor_id: node.subject for node in self.nodes}
         # Equal traces (dataclass equality) read the same truth, so each
         # distinct one is evaluated once per instant.  Floats that compare
@@ -409,16 +381,13 @@ class _Engine:
         for node, raw in zip(self.nodes, raws):
             self._log(CONVERSION_DONE, node.subject, f"k={k} raw={raw}")
             node.sensor_active_s += conversion_s
-            md = MeasuredDelay(sequence, conversion_start_s=started_s, conversion_done_s=self.now)
-            self._push(ready_s, self._on_frame_ready, node, md, raw)
+            self._push(ready_s, self._on_frame_ready, node, (raw, sequence, started_s))
 
-    def _on_frame_ready(self, node: _Node, md: MeasuredDelay, raw: int) -> None:
-        md.frame_ready_s = self.now
+    def _on_frame_ready(self, node: _Node, packet: tuple[int, int, float]) -> None:
         node.mcu_active_s += self._prep_s
         self.stats.frames_queued += 1
         if self.schedule is None:
-            md.decision_s = self.now
-            self._push(self.now + self.params.radio_switch_delay_s, self._on_tx_start, node, raw, md)
+            self._push(self.now + self.params.radio_switch_delay_s, self._on_tx_start, node, packet)
             return
         if node.pending is not None:
             # A still-undelivered older reading is superseded by this one
@@ -427,7 +396,7 @@ class _Engine:
         else:
             node.slot_k = next_slot_index(self.schedule, node.sensor_id, self.now)
             self._push_slot(node)
-        node.pending = (raw, md)
+        node.pending = packet
 
     def _push_slot(self, node: _Node) -> None:
         self._push(node.slot_k * self.schedule.frame_period_s + node.slot_offset_s, self._on_slot_start, node)
@@ -444,13 +413,12 @@ class _Engine:
             node.slot_k += 1
             self._push_slot(node)
             return
-        raw, md = node.pending
-        node.pending = None
-        md.decision_s = self.now
-        self._push(self.now + self.params.radio_switch_delay_s, self._on_tx_start, node, raw, md)
+        packet, node.pending = node.pending, None
+        self._push(self.now + self.params.radio_switch_delay_s, self._on_tx_start, node, packet)
 
-    def _on_tx_start(self, node: _Node, raw: int, md: MeasuredDelay) -> None:
-        word = encode_frame(node.sensor_id, raw, md.sequence)
+    def _on_tx_start(self, node: _Node, packet: tuple[int, int, float]) -> None:
+        raw, sequence, started_s = packet
+        word = encode_frame(node.sensor_id, raw, sequence)
         tx = Transmission(
             sender=node.subject,
             start_s=self.now,
@@ -459,28 +427,26 @@ class _Engine:
             distance_m=node.spec.distance_m,
         )
         medium_transmit(self.medium, tx)
-        md.tx_start_s = self.now
         self.stats.transmissions += 1
-        self._log(TX_START, node.subject, f"seq={md.sequence}")
-        self._push(tx.end_s, self._on_tx_end, tx, node, md)
+        self._log(TX_START, node.subject, f"seq={sequence}")
+        self._push(tx.end_s, self._on_tx_end, tx, node, started_s)
 
-    def _on_tx_end(self, tx: Transmission, node: Optional[_Node], md: Optional[MeasuredDelay]) -> None:
-        """End of a node's frame, or of an interferer burst (node and md
-        None), which only occupied the channel."""
+    def _on_tx_end(self, tx: Transmission, node: Optional[_Node], started_s: Optional[float]) -> None:
+        """End of a node's frame, sampled at ``started_s``, or of an
+        interferer burst (node None), which only occupied the channel."""
         self._log(TX_END, tx.sender, f"collided={tx.collided}")
         self.medium.finish(tx)
         if node is None:
             return
-        md.tx_end_s = self.now
         node.radio_active_s += tx.end_s - tx.start_s
         if not self.medium.in_ap_range(tx):
             self.stats.out_of_range += 1
             return
-        self._push(self.now + node.propagation_s, self._on_arrival, tx, md)
+        self._push(self.now + node.propagation_s, self._on_arrival, tx, node, started_s)
 
     # -- access-point handlers -----------------------------------------
 
-    def _on_arrival(self, tx: Transmission, md: MeasuredDelay) -> None:
+    def _on_arrival(self, tx: Transmission, node: _Node, started_s: float) -> None:
         """A node frame reaches the access point; ``tx.collided`` is final
         because the transmission has ended."""
         if tx.collided:
@@ -494,26 +460,22 @@ class _Engine:
             self._log(RX_DELIVER, AP, f"from={tx.sender} corrupt={type(exc).__name__}")
             return
         self._log(RX_DELIVER, AP, f"from={tx.sender} seq={frame.sequence}")
-        md.arrival_s = self.now
         # Receiver pipeline: mode switch, serial transfer, USB hop.
-        md.serial_start_s = self.now + self.params.radio_switch_delay_s
-        md.usb_start_s = md.serial_start_s + self._serial_s
-        self._push(md.usb_start_s + self._usb_s, self._on_serial_out, frame, md)
+        serial_out_s = self.now + self.params.radio_switch_delay_s + self._serial_s + self._usb_s
+        self._push(serial_out_s, self._on_serial_out, frame, node, started_s)
 
-    def _on_serial_out(self, frame: Frame, md: MeasuredDelay) -> None:
-        md.serial_out_s = self.now
+    def _on_serial_out(self, frame: Frame, node: _Node, started_s: float) -> None:
         sid = frame.sensor_id
         self._log(SERIAL_OUT, AP, f"id={self._subject_of.get(sid) or sid.hex()} seq={frame.sequence}")
         self.stats.delivered += 1
-        budget = md.budget()
         self.readings.append(
             Reading(
                 sensor_id=frame.sensor_id,
                 time_s=self.now,
                 raw=frame.raw_temp,
                 sequence=frame.sequence,
-                total_delay_s=budget.total,
-                sample_time_s=md.conversion_start_s,
+                total_delay_s=node.budget_s,
+                sample_time_s=started_s,
             )
         )
 

@@ -406,9 +406,10 @@ def test_simulate_memory_does_not_hold_the_event_log(tmp_path, capsys):
 
 
 def test_simulate_memory_does_not_hold_delay_records(tmp_path, capsys):
-    # Each packet's stage timestamps are dropped once its reading is
-    # built; holding them to the end of the run costs about 0.37 KB more
-    # per sample.
+    # A packet in flight carries only its raw count, sequence number and
+    # conversion-start time, and nothing of it outlives its reading.  A
+    # per-packet delay record held to the end of the run cost about
+    # 0.37 KB more per sample.
     assert _growth_bytes_per_sample(tmp_path) <= 600
 
 

@@ -30,7 +30,7 @@ PINNED = {
     },
     "fever.conf": {
         "events.csv": "15519aa96ad782aebc7fcb545fc7a395faf407d2cf43daff45624c037a8277f8",
-        "readings.csv": "3f76e5094126124324342deadb5b29887ee91deb9c1a6cf7a6791f0bd182eb32",
+        "readings.csv": "b5d1ad314603a0b2808b85c6a4e901a1fc08a1a000c4b4901dc374e4b6b4abc6",
         "ledgers.csv": "127d4504b9e9fa8dc1b2d02bd69b8c423a85828ce444e2ed91fdd3b725f5d65b",
         "alerts.csv": "7a50a0b0fe8fcd9a8667c52d05e5149730f07f149d1faed292991f62529e639e",
         "agreement.csv": "3ada6c005687608407eee73506bb5a55bd71665ebab597e8c96aeac1abb0ca51",
@@ -38,7 +38,7 @@ PINNED = {
     },
     "interference.conf": {
         "events.csv": "358ff56dbb977b26fdd92df53d6558b594d701fad7d6acbea98831e49cfb54a2",
-        "readings.csv": "6ccae0ca6cb1283ba24b65b704c16f3248134002fcd8189207b61c7bbf49ffbc",
+        "readings.csv": "cd6b3c14cbc2059887a0d3eed6570f67c65ef2f6f3e49dac5ff97ebce8292fc0",
         "ledgers.csv": "cb2b8c225f307cc05573c39b2183700a3524b24cfb72019bdf3ccde3e8e76e27",
         "alerts.csv": "30c8b808c6bb14b007bf1d8bf4e699ff02b4821592a7796930982e1aeb2c5389",
         "agreement.csv": "694e3c29e7e929c4525c991c0dd1cb3adef6122f8e4b4830508c3d5fa839ce54",
@@ -46,7 +46,7 @@ PINNED = {
     },
     "mixed_traces.conf": {
         "events.csv": "144b48bac61819b0210231eaac52364eb54d5b67a02a21552712e2a543f7d708",
-        "readings.csv": "1f161ad0e5c6a470dbf2d420d8fb4c39d0326be2781ee67e8e5cc13e7e9c0a67",
+        "readings.csv": "6644c2e31c8340e2cf7cee1c00672d1144209ca3f61d544e8d0fdbee6c25597a",
         "ledgers.csv": "17b692b4e960d8d59a52f94112d8c8b697060e7661e0647e15e44eee9f056618",
         "alerts.csv": "43d98ee7e5a31f89b5ebf4ccc5e22871c6fea26b9ab75dc0f2cd50e28b4fad73",
         "agreement.csv": "d011468e9bab8d854a2d9ee4088bec71842f35fe20af9a758952fc9e83aaddb1",
@@ -54,7 +54,7 @@ PINNED = {
     },
     "scenario1.conf": {
         "events.csv": "a2becd4b0577d70d12d91aba5e799cab159f68bb0e8b6fbca9f8a7f2847e7ea1",
-        "readings.csv": "05c7f1a0450cb3dd7b03dff4085e616adb7dc07db27cce6482846256ccab5b2c",
+        "readings.csv": "cd68450eb4b956bff9a799f560aebf3a97ace698115a994193fed43e335a8b73",
         "ledgers.csv": "b85fc83a4e832274cd550d51020d08d87ab7bcbd9ee4d416c3d580389fb3718e",
         "alerts.csv": "e47cdfc54b90a59e15d12074f6f78657158fb7717fbd1ffc18dc6120951cf4d6",
         "agreement.csv": "6137400ccc21a771a6343d6398641ef7202818f4de55ae4ef3315476ae44e081",
@@ -62,7 +62,7 @@ PINNED = {
     },
     "scenario2.conf": {
         "events.csv": "eaf3db49553b785b889e56021efd5a4bfc0e57c867b0cffbb186aaf2ba64c12d",
-        "readings.csv": "6484eef7ffeeef4455b393daf39feb3283660319843096ef129226fe4ccff0ce",
+        "readings.csv": "2ac25df90c5127a732db86ed7c5a4962c0b7bfc67cd4dafe424d8663c73ff491",
         "ledgers.csv": "cb2b8c225f307cc05573c39b2183700a3524b24cfb72019bdf3ccde3e8e76e27",
         "alerts.csv": "30c8b808c6bb14b007bf1d8bf4e699ff02b4821592a7796930982e1aeb2c5389",
         "agreement.csv": "047a842351b53bc9fbd147f5dc47d95ce532b0d77bc17f21fe0e6e070f7c762f",
@@ -70,7 +70,7 @@ PINNED = {
     },
     "ties.conf": {
         "events.csv": "b452bb559a71e635bd424e171c0cdc1769aed49e9905f21e7287c9154194ae56",
-        "readings.csv": "4fd67bd9c2ad0135038ab9b73179cf0c2a5f886fab8d4611d182e1736bf69954",
+        "readings.csv": "b633ed7cf31d01dcc8431954131a9bba8858be9a2dd8ed53e856c2ec439f8e21",
         "ledgers.csv": "c1c6f01274218209faec0b3ed50058efd5574b6498f45e92e823d9d76085030c",
         "alerts.csv": "30c8b808c6bb14b007bf1d8bf4e699ff02b4821592a7796930982e1aeb2c5389",
         "agreement.csv": "09ce55e2a5eef82699ada0da7a9f144ea5e4ce252e1c6f341c439245c9abd178",

@@ -30,6 +30,7 @@ LIVE_LAYERS = (
     "frames.encode",
     "frames.decode",
     "sim.medium",
+    "monitor.ingest",
     "monitor.alerts",
     "monitor.agreement",
     "csvio.write",

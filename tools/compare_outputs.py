@@ -14,14 +14,19 @@ the CSVs the benchmark hashes (``perfbench/outputs.py``'s
 and ``report delay`` (default grid and a 3x4 grid) and ``report
 energy`` (with and without ``--duration``), which read no config, so
 they run once each.  For each file that differs, the first differing
-line of both trees is printed.  Exits 1 if any file differs.
+line of both trees is printed; when both are CSVs with the same header
+and row count, so is each column that differs, with the number of rows
+in which it does and, for a numeric column, the largest relative
+difference.  Exits 1 if any file differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -60,6 +65,43 @@ def first_difference(other: Path, this: Path) -> str:
     return "no line differs"
 
 
+def _relative(x: float, y: float) -> float:
+    if x == y:
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    scale = max(abs(x), abs(y))
+    return abs(x / scale - y / scale)
+
+
+def column_differences(other: Path, this: Path) -> list[str]:
+    """One line per differing column of two CSVs with the same header and
+    row count (none if they have not): its name, the number of rows in
+    which it differs and, if every such cell is a number, the largest
+    relative difference."""
+    tables = []
+    for path in (other, this):
+        with path.open(newline="") as fh:
+            reader = csv.DictReader(line for line in fh if not line.startswith("#"))
+            tables.append((reader.fieldnames, list(reader)))
+    (header, rows_a), (header_b, rows_b) = tables
+    if not header or header != header_b or len(rows_a) != len(rows_b):
+        return []
+    lines = []
+    for name in header:
+        pairs = [(a[name], b[name]) for a, b in zip(rows_a, rows_b) if a[name] != b[name]]
+        if not pairs:
+            continue
+        line = f"{name}: {len(pairs)} of {len(rows_a)} rows"
+        try:
+            worst = max(_relative(float(a), float(b)) for a, b in pairs)
+        except (TypeError, ValueError):
+            lines.append(line)
+        else:
+            lines.append(f"{line}, largest relative difference {worst:.3g}")
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="unpacked tree of the commit to compare against")
@@ -93,6 +135,8 @@ def main() -> int:
             print(f"{label}: {'differs in ' + ', '.join(diff) if diff else 'identical'}", flush=True)
             for f in diff:
                 print(f"  {f} {first_difference(outs[0] / f, outs[1] / f)}", flush=True)
+                for line in column_differences(outs[0] / f, outs[1] / f):
+                    print(f"    column {line}", flush=True)
             differing += bool(diff)
     print(f"{len(cases) - differing}/{len(cases)} outputs byte-identical")
     return 1 if differing else 0
