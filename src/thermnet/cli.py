@@ -23,6 +23,7 @@ from .delays import DelayParams, total_delay
 from .energy import DevicePowerProfile, EnergyLedger, energy_sweep
 from .monitor import EmptySeries, ReadingStore, agreement, evaluate_alerts
 from .sim import SimEvent, SimResult, run_scenario
+from .traces import TemperatureTrace
 
 _VERSION_TAG = "format v1"
 # v2: beacon rows dropped; beacon instants are k * frame_period_s.
@@ -55,13 +56,15 @@ def _write_simulation_outputs(config: ScenarioConfig, result: SimResult, out_dir
     store.ingest_all(result.readings)
     alert_rows = []
     agreement_rows = []
+    # Equal traces read the same truth, so each instant of it is evaluated once.
+    truth_at: dict[TemperatureTrace, dict[float, float]] = {}
     for node in config.nodes:
         sid = node.sensor_id(config.family_code)
         series = store.series(sid)
         for alert in evaluate_alerts(series, config.alert_rule):
             alert_rows.append([alert.kind, hex_of[sid], alert.trigger_time_s, alert.value])
         try:
-            report = agreement(series, node.trace, config.seed)
+            report = agreement(series, node.trace, config.seed, truth_at.setdefault(node.trace, {}))
         except EmptySeries:
             continue
         agreement_rows.append([hex_of[sid], report.mae_c, report.max_err_c, report.n])

@@ -220,14 +220,32 @@ def evaluate_alerts(series: list[Reading], rule: AlertRule) -> list[Alert]:
     return alerts
 
 
-def agreement(series: list[Reading], truth: TemperatureTrace, seed: int = 0) -> AgreementReport:
+def agreement(
+    series: list[Reading],
+    truth: TemperatureTrace,
+    seed: int = 0,
+    truth_at: Optional[dict[float, float]] = None,
+) -> AgreementReport:
     """Mean absolute and max error against the ground-truth trace.
 
-    Truth is evaluated at each reading's conversion-start time.
+    Truth is evaluated at each reading's conversion-start time, once per
+    distinct time in ``truth_at``, which maps those times to the truth's
+    values and is filled as it goes.  Passing one dict for every series
+    read against equal traces evaluates each of their instants once.
+    Times that compare equal share an entry, so the series must not
+    hold both 0.0 and -0.0 (the engine's are ``k * sample_period_s``).
     """
     if not series:
         raise EmptySeries("no readings to compare")
-    errors = [abs(r.temp_c - truth.value(r.sample_time_s, seed)) for r in series]
+    if truth_at is None:
+        truth_at = {}
+    errors = []
+    for r in series:
+        t = r.sample_time_s
+        true_c = truth_at.get(t)
+        if true_c is None:
+            true_c = truth_at[t] = truth.value(t, seed)
+        errors.append(abs(r.temp_c - true_c))
     return AgreementReport(
         mae_c=math.fsum(errors) / len(errors),
         max_err_c=max(errors),

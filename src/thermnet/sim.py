@@ -8,24 +8,44 @@ receives, decodes and forwards to the serial side.  Sampling instants
 schedule arithmetic: the run loop senses conversion k of every node in
 one step, before any queued event at that instant, and beacons are
 neither queued nor logged, only counted.  Each distinct trace is
-evaluated once per instant, however many nodes read it, and the
-instant's conversions finish together, as one queue entry that logs
-them in node order.  Every other action is a handler call on one queue
-ordered by (time, insertion sequence), so a run is a pure function of
-the scenario config and seed.
+evaluated once per instant, however many nodes read it.  Every other
+action is a handler call on one queue ordered by (time, insertion
+sequence), so a run is a pure function of the scenario config and seed.
+
+Aligned nodes move through a stage together, as one queue entry per
+cohort.  When one handler run would push the same follow-up handler at
+one time for several nodes in a row, it pushes one entry carrying all of
+them, and the follow-up loops over them in node order.  Those entries
+would hold consecutive sequence numbers at one time, so nothing could
+sort between them, and whatever they push still sorts after all of them:
+the cohort runs exactly as they would.  An instant's conversions finish
+as one cohort and are framed as one; under send-on-ready its frames go
+on the air as one and end together, at one ``now + airtime``.  A TDMA
+slot start and an interferer burst are cohorts of one, and arrivals at
+the access point stay one entry per frame, since each node has its own
+propagation delay.
 
 Each logged event is formatted once, as its finished ``events.csv``
-line (``EVENT_ROW``).  The lines go to a sink as they are written, or
-are parsed back into ``SimResult.events`` when no sink is given;
-``thermnet simulate`` passes the file's ``write``, so the log does not
-stay in memory for the run.  Delivered readings do.
+line (``EVENT_ROW``), and its time is formatted once per distinct time:
+a stamp is reused while the time compares equal to the last logged one
+and is not zero (``0.0 == -0.0`` but they print differently).  The lines
+go to a sink as they are written, or are parsed back into
+``SimResult.events`` when no sink is given; ``thermnet simulate`` passes
+the file's ``write``, so the log does not stay in memory for the run.
+Delivered readings do.
 
 Every stage of a packet's path takes a fixed model delay, so each
 node's eight-term latency budget (``delays.total_delay`` at its
 distance) is computed once per run and is the ``total_delay_s`` of every
 reading it delivers.  A packet in flight carries only its raw count,
 sequence number and conversion-start time; the queue wait before a slot
-shows in the event log, not in the budget.
+shows in the event log, not in the budget.  The packet is encoded into
+its 256-bit word only where it is decoded, at the access point, for a
+frame that arrived unoverlapped.
+
+The medium decides collisions in O(1) per transmission on the
+precondition that transmissions start in non-decreasing time, which the
+engine's clock guarantees and ``medium_transmit`` asserts.
 """
 
 from __future__ import annotations
@@ -90,29 +110,40 @@ class SimEvent(NamedTuple):
 # One events.csv line.  Each SimEvent cell is a float, an int or a word
 # of letters, digits and "_=.- " (validate() checks the config names the
 # engine puts in words), so this is the line csv.writer would write, and
-# splitting it at its first four commas gives the cells back.
-EVENT_ROW = "%r,%d,%s,%s,%s\n"
+# splitting it at its first four commas gives the cells back.  The time
+# cell is a stamp already formatted with ``repr``, which round-trips.
+EVENT_ROW = "%s,%d,%s,%s,%s\n"
 
 
 @dataclass(slots=True)
 class Transmission:
-    """A signal on the air; collided is set while overlaps are live.
-    ``frame`` is empty for an interferer burst."""
+    """A signal on the air; collided is set while overlaps are live."""
 
     sender: str
     start_s: float
     end_s: float
-    frame: bytes
     distance_m: float
     collided: bool = False
 
 
 class Medium:
-    """Shared radio channel with a binary in-range/out-of-range disk."""
+    """Shared radio channel with a binary in-range/out-of-range disk.
+
+    ``active`` holds the signals on the air, keyed by ``id``.  Signals
+    enter in non-decreasing start time, so a new in-range one overlaps
+    an earlier in-range one exactly when ``latest_end_s``, the latest
+    in-range end so far, is after its start.  And of the in-range
+    signals still on the air, all have collided but possibly ``clean``,
+    the last one to enter unoverlapped: every earlier one had ended by
+    the time it started.
+    """
 
     def __init__(self, range_m: float = 100.0):
         self.range_m = range_m
-        self.active: list[Transmission] = []
+        self.active: dict[int, Transmission] = {}
+        self.last_start_s = -math.inf
+        self.latest_end_s = -math.inf
+        self.clean: Optional[Transmission] = None
 
     def in_ap_range(self, tx: Transmission) -> bool:
         return tx.distance_m <= self.range_m
@@ -126,11 +157,11 @@ class Medium:
         return any(
             tx.start_s <= t < tx.end_s
             and abs(tx.distance_m - listener_distance_m) <= self.range_m
-            for tx in self.active
+            for tx in self.active.values()
         )
 
     def finish(self, tx: Transmission) -> None:
-        self.active.remove(tx)
+        del self.active[id(tx)]
 
 
 def medium_transmit(medium: Medium, tx: Transmission) -> Transmission:
@@ -140,18 +171,23 @@ def medium_transmit(medium: Medium, tx: Transmission) -> Transmission:
     point destroys both; there is no capture of the stronger one.  The
     outcome is final once the transmission's end time has passed, since
     a later sender can still collide with it; callers read ``collided``
-    at end time.
+    at end time.  Transmissions must be put on the air in non-decreasing
+    start time.
     """
     start, end = tx.start_s, tx.end_s
     if end <= start:
         raise ValueError("transmission must have positive duration")
+    assert start >= medium.last_start_s, "transmissions must start in time order"
+    medium.last_start_s = start
     if medium.in_ap_range(tx):
-        range_m = medium.range_m
-        for other in medium.active:
-            if start < other.end_s and other.start_s < end and other.distance_m <= range_m:
-                tx.collided = True
-                other.collided = True
-    medium.active.append(tx)
+        if start < medium.latest_end_s:
+            tx.collided = True
+            if start < medium.clean.end_s:
+                medium.clean.collided = True
+        else:
+            medium.clean = tx
+        medium.latest_end_s = max(medium.latest_end_s, end)
+    medium.active[id(tx)] = tx
     return tx
 
 
@@ -229,6 +265,10 @@ class SimResult:
     end_time_s: float
 
 
+# A packet in flight: raw count, sequence number, conversion start.
+_Packet = tuple[int, int, float]
+
+
 @dataclass
 class _Node:
     """One sensor node.
@@ -246,7 +286,7 @@ class _Node:
     propagation_s: float
     budget_s: float
     slot_offset_s: float = 0.0
-    pending: Optional[tuple[int, int, float]] = None
+    pending: Optional[_Packet] = None
     slot_k: int = 0
     radio_active_s: float = 0.0
     sensor_active_s: float = 0.0
@@ -265,6 +305,8 @@ class _Engine:
         self._rows: list[str] = []
         self._emit = self._rows.append if on_event is None else on_event
         self._n_events = 0
+        self._stamp_s: Optional[float] = None
+        self._stamp = ""
         self.readings: list[Reading] = []
         self.stats = SimStats()
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
@@ -303,7 +345,11 @@ class _Engine:
 
     def _log(self, kind: str, subject: str, detail: str = "") -> None:
         assert kind in LOGGED_KINDS
-        self._emit(EVENT_ROW % (self.now, self._n_events, kind, subject, detail))
+        now = self.now
+        if now != self._stamp_s or not now:
+            self._stamp_s = now
+            self._stamp = repr(now)
+        self._emit(EVENT_ROW % (self._stamp, self._n_events, kind, subject, detail))
         self._n_events += 1
 
     # -- run -----------------------------------------------------------
@@ -366,37 +412,34 @@ class _Engine:
     # -- node-side handlers --------------------------------------------
 
     def _on_conversions_done(self, k: int, started_s: float, raws: list[int]) -> None:
-        """Conversion k finishes on every node, in node order.
-
-        This one queue entry runs the instant's N conversion-done events
-        in the order N entries would.  Those would share one time and be
-        pushed back to back, so they would hold consecutive sequence
-        numbers and nothing could sort between them; and whatever their
-        handlers push gets a later sequence number, so it still runs
-        after all N.
-        """
+        """Conversion k finishes on every node, in node order; the
+        instant's frames then become ready together, as one cohort."""
         conversion_s = self.params.sensor_conversion_s
-        ready_s = self.now + self._prep_s
-        sequence = k % (1 << 16)
         for node, raw in zip(self.nodes, raws):
             self._log(CONVERSION_DONE, node.subject, f"k={k} raw={raw}")
             node.sensor_active_s += conversion_s
-            self._push(ready_s, self._on_frame_ready, node, (raw, sequence, started_s))
+        self._push(self.now + self._prep_s, self._on_frames_ready, k % (1 << 16), started_s, raws)
 
-    def _on_frame_ready(self, node: _Node, packet: tuple[int, int, float]) -> None:
-        node.mcu_active_s += self._prep_s
-        self.stats.frames_queued += 1
+    def _on_frames_ready(self, sequence: int, started_s: float, raws: list[int]) -> None:
+        """Every node frames its reading, in node order.  Send-on-ready
+        puts the whole cohort on the air after the radio switch; under
+        TDMA each node waits for its own slot."""
+        self.stats.frames_queued += len(raws)
+        for node in self.nodes:
+            node.mcu_active_s += self._prep_s
         if self.schedule is None:
-            self._push(self.now + self.params.radio_switch_delay_s, self._on_tx_start, node, packet)
+            cohort = [(node, (raw, sequence, started_s)) for node, raw in zip(self.nodes, raws)]
+            self._push(self.now + self.params.radio_switch_delay_s, self._on_tx_start, cohort)
             return
-        if node.pending is not None:
-            # A still-undelivered older reading is superseded by this one
-            # and goes out in the slot already queued for it.
-            self.stats.replaced_pending += 1
-        else:
-            node.slot_k = next_slot_index(self.schedule, node.sensor_id, self.now)
-            self._push_slot(node)
-        node.pending = packet
+        for node, raw in zip(self.nodes, raws):
+            if node.pending is not None:
+                # A still-undelivered older reading is superseded by this
+                # one and goes out in the slot already queued for it.
+                self.stats.replaced_pending += 1
+            else:
+                node.slot_k = next_slot_index(self.schedule, node.sensor_id, self.now)
+                self._push_slot(node)
+            node.pending = (raw, sequence, started_s)
 
     def _push_slot(self, node: _Node) -> None:
         self._push(node.slot_k * self.schedule.frame_period_s + node.slot_offset_s, self._on_slot_start, node)
@@ -414,47 +457,51 @@ class _Engine:
             self._push_slot(node)
             return
         packet, node.pending = node.pending, None
-        self._push(self.now + self.params.radio_switch_delay_s, self._on_tx_start, node, packet)
+        self._push(self.now + self.params.radio_switch_delay_s, self._on_tx_start, [(node, packet)])
 
-    def _on_tx_start(self, node: _Node, packet: tuple[int, int, float]) -> None:
-        raw, sequence, started_s = packet
-        word = encode_frame(node.sensor_id, raw, sequence)
-        tx = Transmission(
-            sender=node.subject,
-            start_s=self.now,
-            end_s=self.now + self._frame_airtime_s,
-            frame=word,
-            distance_m=node.spec.distance_m,
-        )
-        medium_transmit(self.medium, tx)
-        self.stats.transmissions += 1
-        self._log(TX_START, node.subject, f"seq={sequence}")
-        self._push(tx.end_s, self._on_tx_end, tx, node, started_s)
+    def _on_tx_start(self, cohort: list[tuple[_Node, _Packet]]) -> None:
+        """Each node of the cohort puts its frame on the air, in node
+        order; all of them end at one time."""
+        start_s = self.now
+        end_s = start_s + self._frame_airtime_s
+        on_air = []
+        for node, packet in cohort:
+            tx = Transmission(node.subject, start_s, end_s, node.spec.distance_m)
+            medium_transmit(self.medium, tx)
+            self._log(TX_START, node.subject, f"seq={packet[1]}")
+            on_air.append((tx, node, packet))
+        self.stats.transmissions += len(cohort)
+        self._push(end_s, self._on_tx_end, on_air)
 
-    def _on_tx_end(self, tx: Transmission, node: Optional[_Node], started_s: Optional[float]) -> None:
-        """End of a node's frame, sampled at ``started_s``, or of an
-        interferer burst (node None), which only occupied the channel."""
-        self._log(TX_END, tx.sender, f"collided={tx.collided}")
-        self.medium.finish(tx)
-        if node is None:
-            return
-        node.radio_active_s += tx.end_s - tx.start_s
-        if not self.medium.in_ap_range(tx):
-            self.stats.out_of_range += 1
-            return
-        self._push(self.now + node.propagation_s, self._on_arrival, tx, node, started_s)
+    def _on_tx_end(self, on_air: list[tuple[Transmission, Optional[_Node], Optional[_Packet]]]) -> None:
+        """End of each signal of a cohort: a node's frame and its packet,
+        or an interferer burst (node None), which only occupied the
+        channel."""
+        for tx, node, packet in on_air:
+            self._log(TX_END, tx.sender, f"collided={tx.collided}")
+            self.medium.finish(tx)
+            if node is None:
+                continue
+            node.radio_active_s += tx.end_s - tx.start_s
+            if not self.medium.in_ap_range(tx):
+                self.stats.out_of_range += 1
+                continue
+            self._push(self.now + node.propagation_s, self._on_arrival, tx, node, packet)
 
     # -- access-point handlers -----------------------------------------
 
-    def _on_arrival(self, tx: Transmission, node: _Node, started_s: float) -> None:
+    def _on_arrival(self, tx: Transmission, node: _Node, packet: _Packet) -> None:
         """A node frame reaches the access point; ``tx.collided`` is final
-        because the transmission has ended."""
+        because the transmission has ended.  Only a clean frame is
+        encoded, and decoded at once."""
         if tx.collided:
             self._log(RX_COLLISION, AP, f"from={tx.sender}")
             self.stats.collisions += 1
             return
+        raw, sequence, started_s = packet
+        word = encode_frame(node.sensor_id, raw, sequence)
         try:
-            frame = decode_frame(tx.frame)
+            frame = decode_frame(word)
         except FrameError as exc:
             self.stats.corrupt += 1
             self._log(RX_DELIVER, AP, f"from={tx.sender} corrupt={type(exc).__name__}")
@@ -484,16 +531,10 @@ class _Engine:
     def _on_interferer_burst(self, intf, airtime_s: float) -> None:
         """A foreign burst occupies the channel: listening nodes defer
         and a node frame it overlaps is destroyed."""
-        tx = Transmission(
-            sender=intf.name,
-            start_s=self.now,
-            end_s=self.now + airtime_s,
-            frame=b"",
-            distance_m=intf.distance_m,
-        )
+        tx = Transmission(intf.name, self.now, self.now + airtime_s, intf.distance_m)
         medium_transmit(self.medium, tx)
         self._log(TX_START, intf.name, f"bits={intf.bits}")
-        self._push(tx.end_s, self._on_tx_end, tx, None, None)
+        self._push(tx.end_s, self._on_tx_end, [(tx, None, None)])
         self._push(self.now + intf.period_s, self._on_interferer_burst, intf, airtime_s)
 
 

@@ -83,6 +83,20 @@ def ledger_from_events(result: SimResult, config: ScenarioConfig, subject: str) 
     )
 
 
+def collided_by_pairwise_scan(transmissions: list[tuple[float, float, float]], range_m: float) -> list[bool]:
+    """Each (start, end, distance) transmission's collided flag, by the
+    quadratic scan the medium used to run: any time overlap between two
+    signals both within ``range_m`` of the access point destroys both."""
+    collided = [False] * len(transmissions)
+    for i, (start, end, distance) in enumerate(transmissions):
+        if distance > range_m:
+            continue
+        for j, (other_start, other_end, other_distance) in enumerate(transmissions[:i]):
+            if start < other_end and other_start < end and other_distance <= range_m:
+                collided[i] = collided[j] = True
+    return collided
+
+
 def access_point_ledger(result: SimResult, config: ScenarioConfig) -> EnergyLedger:
     """The receiver listens for the whole run."""
     prof = config.power_profile

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 import os
 import subprocess
@@ -30,6 +31,8 @@ from thermnet.delays import DelayParams, total_delay
 from thermnet.energy import DevicePowerProfile
 from thermnet.sim import run_scenario
 from thermnet.traces import BandNoiseTrace, ConstantTrace, CsvTrace, RampTrace, SinusoidTrace
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TWO_NODE_TEXT = """\
 # two fixed-temperature nodes
@@ -337,6 +340,25 @@ def test_simulate_keeps_readings_after_sequence_wrap(tmp_path):
     _write_simulation_outputs(config, result, tmp_path)
     rows = read_rows(tmp_path / "agreement.csv")
     assert [row["n"] for row in rows] == ["4"]
+
+
+def test_simulate_evaluates_each_truth_once_per_instant(tmp_path, monkeypatch):
+    # The benchmark's cell_tdma cell at seed 1: 50 nodes share one band
+    # trace, sampled at 150 instants, and each instant is evaluated once
+    # for sensing and once for agreement.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    config = parse_config_text(workloads.scenario_text(workloads.WORKLOADS["cell_tdma"], 1))
+    calls = []
+    value = BandNoiseTrace.value
+
+    def counted(self, t, seed=0):
+        calls.append(t)
+        return value(self, t, seed)
+
+    monkeypatch.setattr(BandNoiseTrace, "value", counted)
+    assert cmd_simulate(config, tmp_path) == 0
+    assert len(calls) == 300
 
 
 def test_simulate_bad_config_exits_1(tmp_path, capsys):

@@ -429,6 +429,28 @@ def test_agreement_uses_sample_time_not_delivery_time():
     assert report.max_err_c == 0.0
 
 
+def test_shared_truth_is_evaluated_once_per_instant():
+    calls = []
+
+    class CountedTrace:
+        def value(self, t, seed=0):
+            calls.append(t)
+            return 36.0 + t / 8
+
+    sid = make_sensor_id(serial=1)
+    series = [
+        Reading(sid, time_s=t + 0.5, raw=576 + t, sequence=t, total_delay_s=0.5, sample_time_s=float(t // 2))
+        for t in range(8)
+    ]
+    truth = CountedTrace()
+    truth_at = {}
+    first = agreement(series, truth, truth_at=truth_at)
+    second = agreement(series[::-1], truth, truth_at=truth_at)
+    assert calls == [0.0, 1.0, 2.0, 3.0]
+    assert first == second == agreement(series, truth)
+    assert truth_at == {t: truth.value(t) for t in (0.0, 1.0, 2.0, 3.0)}
+
+
 def test_empty_series_raises():
     with pytest.raises(EmptySeries):
         agreement([], ConstantTrace(36.5))

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,13 +16,15 @@ from helpers import (
     _float_key,
     access_point_ledger,
     band_value_oracle,
+    collided_by_pairwise_scan,
     gauss_oracle,
     ledger_from_events,
     mix64_oracle,
     sense_band_oracle,
 )
 from thermnet.cli import cmd_simulate
-from thermnet.config import ALOHA, TDMA, InterfererSpec, NodeSpec, ScenarioConfig
+from thermnet import sim
+from thermnet.config import ALOHA, TDMA, InterfererSpec, NodeSpec, ScenarioConfig, load_config
 from thermnet.delays import DelayParams, airtime, total_delay
 from thermnet.frames import FRAME_BITS, make_sensor_id
 from thermnet.mac import build_schedule
@@ -38,6 +41,7 @@ from thermnet.sim import (
 from thermnet.traces import BandNoiseTrace, ConstantTrace, RampTrace
 
 PARAMS = DelayParams()
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def two_nodes(**overrides) -> ScenarioConfig:
@@ -58,7 +62,7 @@ def two_nodes(**overrides) -> ScenarioConfig:
 
 
 def _tx(sender, start, bits=FRAME_BITS, distance=10.0):
-    return Transmission(sender, start, start + airtime(bits, PARAMS), bytes(32), distance)
+    return Transmission(sender, start, start + airtime(bits, PARAMS), distance)
 
 
 def test_single_transmission_is_clean():
@@ -114,7 +118,46 @@ def test_busy_verdict_uses_listener_position():
 
 def test_zero_length_transmission_rejected():
     with pytest.raises(ValueError):
-        medium_transmit(Medium(), Transmission("a", 1.0, 1.0, bytes(32), 10.0))
+        medium_transmit(Medium(), Transmission("a", 1.0, 1.0, 10.0))
+
+
+@pytest.mark.parametrize("distance", [10.0, 150.0])
+def test_out_of_order_start_fails_the_assertion(distance):
+    medium = Medium(range_m=100.0)
+    medium_transmit(medium, _tx("a", 1.0))
+    with pytest.raises(AssertionError, match="time order"):
+        medium_transmit(medium, _tx("b", 0.5, distance=distance))
+
+
+# Whole-unit starts and durations, so equal starts and ends tied with
+# starts are common; distances on both sides of a 100 m range.
+_signals = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=1, max_value=5),
+        st.sampled_from([0.0, 40.0, 100.0, 100.5, 160.0]),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300)
+@given(_signals, st.booleans())
+@example([(0, 2, 10.0), (2, 2, 10.0), (2, 1, 10.0)], True)  # a tie with an end, then an equal start
+@example([(0, 5, 10.0), (1, 1, 150.0), (2, 1, 10.0), (3, 1, 10.0)], False)
+def test_medium_matches_pairwise_scan(signals, finish_ended):
+    # The medium keeps only the latest in-range end and one clean signal;
+    # the oracle compares every pair.  Signals that have ended are
+    # finished before the next start, as the engine does, or never.
+    transmissions = sorted(((float(start), float(start + length), d) for start, length, d in signals), key=lambda tx: tx[0])
+    medium = Medium(range_m=100.0)
+    sent = []
+    for start, end, distance in transmissions:
+        if finish_ended:
+            for tx in [tx for tx in medium.active.values() if tx.end_s <= start]:
+                medium.finish(tx)
+        sent.append(medium_transmit(medium, Transmission("n", start, end, distance)))
+    assert [tx.collided for tx in sent] == collided_by_pairwise_scan(transmissions, 100.0)
 
 
 # -- sensor physics ----------------------------------------------------
@@ -578,6 +621,46 @@ def test_each_distinct_trace_is_evaluated_once_per_instant(monkeypatch):
     result = run_scenario(cfg)
     assert result.stats.conversions == 50 * 150
     assert calls == [float(k) for k in range(150)]
+
+
+def test_signed_zero_times_keep_their_own_stamps():
+    # 0.0 == -0.0, so a time stamp reused for equal times, or a cohort
+    # keyed on equal times, would print the second burst's time as 0.0.
+    cfg = two_nodes(
+        duration_s=2.0,
+        interferers=(
+            InterfererSpec("interferer1", distance_m=5.0, period_s=0.5, start_s=0.0),
+            InterfererSpec("interferer2", distance_m=8.0, period_s=0.7, start_s=-0.0),
+        ),
+    )
+    cfg.validate()
+    lines = []
+    run_scenario(cfg, on_event=lines.append)
+    assert lines[:2] == ["0.0,0,tx_start,interferer1,bits=256\n", "-0.0,1,tx_start,interferer2,bits=256\n"]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        one_node(ALOHA, interferers=(InterfererSpec("interferer1", distance_m=5.0, period_s=0.3, bits=1024),)),
+        load_config(CONFIGS / "interference.conf"),
+    ],
+    ids=["aloha_interferer", "interference.conf"],
+)
+def test_frames_are_encoded_only_where_decoded(monkeypatch, cfg):
+    # A collided frame never reaches the decoder, so it is never encoded.
+    encodes = []
+    encode = sim.encode_frame
+
+    def counted(*args):
+        encodes.append(args)
+        return encode(*args)
+
+    monkeypatch.setattr(sim, "encode_frame", counted)
+    result = run_scenario(cfg)
+    assert result.stats.collisions > 0 and result.stats.delivered > 0
+    assert len(encodes) == result.stats.delivered + result.stats.corrupt
+    assert len(encodes) == sum(e.kind == "rx_deliver" for e in result.events)
 
 
 def test_invalid_config_raises_config_error():
