@@ -6,7 +6,8 @@ Subcommands:
   report energy     transmit/receive/idle energy grid over bits x reps
   report schedule   slot layout for the nodes of a scenario
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error.
+Exit codes: 0 success, 1 configuration error or a report argument outside
+the model (such as a negative distance), 2 I/O error or bad usage.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .delays import DelayParams, total_delay
 from .energy import DevicePowerProfile, EnergyLedger, energy_sweep
 from .monitor import EmptySeries, ReadingStore, agreement, evaluate_alerts
 from .sim import SimEvent, SimResult, run_scenario
-from .traces import TemperatureTrace
+from .traces import TemperatureTrace, finite_float
 
 _VERSION_TAG = "format v1"
 # v2: beacon rows dropped; beacon instants are k * frame_period_s.
@@ -176,7 +177,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+    return [finite_float(part) for part in text.split(",") if part]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,7 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     energy = rsub.add_parser("energy", help="energy grid over bits x repetitions")
     energy.add_argument("--bits", type=_int_list, default=[64, 128, 256, 512, 1024])
     energy.add_argument("--reps", type=_int_list, default=[1, 10, 100])
-    energy.add_argument("--duration", type=float, default=None, help="fixed wall-clock span for the idle column")
+    energy.add_argument(
+        "--duration", type=finite_float, default=None, help="fixed wall-clock span for the idle column"
+    )
     energy.add_argument("--out", required=True)
 
     sched = rsub.add_parser("schedule", help="slot layout for a scenario's nodes")
@@ -225,16 +228,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.mac is not None:
                 config = replace(config, mac_mode=args.mac)
             return cmd_simulate(config, args.out)
-        if args.command == "report":
-            if args.report_kind == "delay":
-                return cmd_report_delay(args.bits, args.distance, DelayParams(), args.out)
-            if args.report_kind == "energy":
-                return cmd_report_energy(
-                    args.bits, args.reps, DevicePowerProfile(), DelayParams(), args.out, args.duration
-                )
-            if args.report_kind == "schedule":
-                return cmd_report_schedule(load_config(args.config), args.out)
+        if args.report_kind == "schedule":
+            return cmd_report_schedule(load_config(args.config), args.out)
     except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    try:
+        if args.report_kind == "delay":
+            return cmd_report_delay(args.bits, args.distance, DelayParams(), args.out)
+        if args.report_kind == "energy":
+            return cmd_report_energy(
+                args.bits, args.reps, DevicePowerProfile(), DelayParams(), args.out, args.duration
+            )
+    except ValueError as exc:  # an argument outside the model, such as a negative distance
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable command")

@@ -1,4 +1,4 @@
-"""Deterministic CSV writing and reading.
+"""Deterministic CSV writing.
 
 Rows go to ``csv.writer`` unchanged: it writes a float as ``str(float)``,
 which equals ``repr`` on Python >= 3.2, so re-running the same scenario
@@ -47,10 +47,3 @@ def write_csv(
     with open_csv(path, comment, header) as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
     return Path(path)
-
-
-def read_rows(path: str | Path) -> list[dict[str, str]]:
-    """Read a write_csv file back as dicts, skipping comment lines."""
-    with open(path, newline="") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
-    return list(csv.DictReader(lines))

@@ -90,10 +90,6 @@ class SensorId:
     def hex(self) -> str:
         return self.to_bytes().hex()
 
-    @classmethod
-    def from_hex(cls, text: str) -> "SensorId":
-        return cls.from_bytes(bytes.fromhex(text))
-
 
 def make_sensor_id(family: int = DEFAULT_FAMILY, serial: int = 0) -> SensorId:
     """Build a SensorId with its CRC computed over family and serial."""
@@ -118,10 +114,6 @@ class Frame:
     sensor_id: SensorId
     raw_temp: int
     sequence: int
-
-    @property
-    def temp_c(self) -> float:
-        return self.raw_temp * TEMP_LSB_C
 
 
 @functools.lru_cache(maxsize=1024)

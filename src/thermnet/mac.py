@@ -77,12 +77,16 @@ def build_schedule(
 
 
 def next_slot_index(schedule: SlotSchedule, node_id: SensorId, now: float) -> int:
-    """Index k of the first frame whose slot for the node starts at or after ``now``."""
-    k = math.ceil((now - schedule.slot_offset_s(node_id)) / schedule.frame_period_s)
-    return max(k, 0)
+    """Least k >= 0 whose slot start ``k * frame_period_s + slot_offset_s``
+    is at or after ``now``.
 
-
-def next_slot_time(schedule: SlotSchedule, node_id: SensorId, now: float) -> float:
-    """Earliest start >= ``now`` of the node's slot."""
-    k = next_slot_index(schedule, node_id, now)
-    return k * schedule.frame_period_s + schedule.slot_offset_s(node_id)
+    The ceiling of the float quotient can be one off, so k is then stepped
+    under that same expression, the one the engine times slots with.
+    """
+    period, offset = schedule.frame_period_s, schedule.slot_offset_s(node_id)
+    k = max(math.ceil((now - offset) / period), 0)
+    while k * period + offset < now:
+        k += 1
+    while k and (k - 1) * period + offset >= now:
+        k -= 1
+    return k

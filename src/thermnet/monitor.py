@@ -1,19 +1,18 @@
 """Receiving-side software: series storage, alerting and accuracy checks.
 
-This replaces the visualization GUI of the physical system with
-CSV-producing equivalents: per-sensor time series keyed by ROM id,
-high-temperature and rapid-rise alerts, and measured-versus-truth
-agreement metrics.
+This stands in for the monitoring software of the physical system:
+per-sensor time series keyed by ROM id, high-temperature and rapid-rise
+alerts, and measured-versus-truth agreement metrics.  ``thermnet
+simulate`` writes them as CSV; its ``readings.csv`` (time, sensor id and
+temperature in long form) is the feed for any charting tool.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Optional
 
-from .csvio import read_rows, write_csv
 from .frames import SensorId, TEMP_LSB_C, validate_sensor_id
 from .traces import TemperatureTrace
 
@@ -111,19 +110,8 @@ class ReadingStore:
         for reading in readings:
             self.ingest(reading)
 
-    def sensor_ids(self) -> list[SensorId]:
-        return list(self._series)
-
     def series(self, sensor_id: SensorId) -> list[Reading]:
         return sorted(self._series.get(sensor_id, {}).values(), key=lambda r: (r.time_s, r.sequence))
-
-    def total_stored(self) -> int:
-        return sum(len(s) for s in self._series.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ReadingStore):
-            return NotImplemented
-        return self._series == other._series
 
 
 def evaluate_alerts(series: list[Reading], rule: AlertRule) -> list[Alert]:
@@ -251,61 +239,3 @@ def agreement(
         max_err_c=max(errors),
         n=len(errors),
     )
-
-
-READING_COLUMNS = ["time_s", "sample_time_s", "raw", "temp_c", "sequence", "total_delay_s"]
-
-
-def export_store(store: ReadingStore, out_dir: str | Path) -> list[Path]:
-    """Write one CSV per sensor plus a wide plot-data file.
-
-    The plot-data file has a time column and one temperature column per
-    sensor, ready for external charting.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    ids = sorted(store.sensor_ids(), key=lambda s: (s.serial, s.family_code))
-    for sid in ids:
-        path = out / f"sensor_{sid.hex()}.csv"
-        rows = [
-            [r.time_s, r.sample_time_s, r.raw, r.temp_c, r.sequence, r.total_delay_s]
-            for r in store.series(sid)
-        ]
-        write_csv(path, f"sensor {sid.hex()}", READING_COLUMNS, rows)
-        written.append(path)
-
-    merged = sorted(
-        ((r, sid) for sid in ids for r in store.series(sid)),
-        key=lambda pair: (pair[0].time_s, pair[1].serial, pair[0].sequence),
-    )
-    header = ["time_s"] + [sid.hex() for sid in ids]
-    column = {sid: 1 + k for k, sid in enumerate(ids)}
-    plot_rows = []
-    for reading, sid in merged:
-        row: list[object] = [reading.time_s] + [""] * len(ids)
-        row[column[sid]] = reading.temp_c
-        plot_rows.append(row)
-    plot_path = out / "plot_data.csv"
-    write_csv(plot_path, "plot data", header, plot_rows)
-    written.append(plot_path)
-    return written
-
-
-def import_store(out_dir: str | Path, roster: Optional[Iterable[SensorId]] = None) -> ReadingStore:
-    """Rebuild a store from the per-sensor CSVs written by export_store."""
-    store = ReadingStore(roster)
-    for path in sorted(Path(out_dir).glob("sensor_*.csv")):
-        sid = SensorId.from_hex(path.stem.removeprefix("sensor_"))
-        for row in read_rows(path):
-            store.ingest(
-                Reading(
-                    sensor_id=sid,
-                    time_s=float(row["time_s"]),
-                    raw=int(row["raw"]),
-                    sequence=int(row["sequence"]),
-                    total_delay_s=float(row["total_delay_s"]),
-                    sample_time_s=float(row["sample_time_s"]),
-                )
-            )
-    return store

@@ -340,7 +340,7 @@ class _Engine:
     # -- queue plumbing ------------------------------------------------
 
     def _push(self, time_s: float, handler: Callable[..., None], *payload) -> None:
-        assert time_s >= self.now - 1e-12, f"{handler.__name__} scheduled in the past"
+        assert time_s >= self.now, f"{handler.__name__} scheduled in the past"
         heapq.heappush(self._heap, (time_s, next(self._heap_seq), handler, payload))
 
     def _log(self, kind: str, subject: str, detail: str = "") -> None:

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import struct
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
 
 from thermnet.config import ScenarioConfig
 from thermnet.delays import mcu_prep_delay
 from thermnet.energy import EnergyLedger
+from thermnet.frames import SensorId
+from thermnet.mac import SlotSchedule
 from thermnet.monitor import HIGH_TEMP, RAPID_RISE, Alert, AlertRule, Reading
 from thermnet.sim import SimResult
 
@@ -34,6 +38,23 @@ def crc8_oracle(data: bytes) -> int:
             else:
                 reg = (reg << 1) & 0xFF
     return reflect8(reg)
+
+
+def read_rows(path: str | Path) -> list[dict[str, str]]:
+    """Read a written CSV back as dicts, skipping '#' comment lines."""
+    with open(path, newline="") as fh:
+        lines = [line for line in fh if not line.startswith("#")]
+    return list(csv.DictReader(lines))
+
+
+def next_slot_time(schedule: SlotSchedule, node_id: SensorId, now: float) -> float:
+    """The node's first slot start at or after ``now``, by scanning k = 0,
+    1, ... under the engine's ``k * frame_period_s + slot_offset_s``."""
+    period, offset = schedule.frame_period_s, schedule.slot_offset_s(node_id)
+    k = 0
+    while k * period + offset < now:
+        k += 1
+    return k * period + offset
 
 
 def ledger_from_events(result: SimResult, config: ScenarioConfig, subject: str) -> EnergyLedger:

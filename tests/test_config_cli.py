@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import thermnet
+from helpers import read_rows
 from thermnet.cli import _write_simulation_outputs, cmd_simulate, main
 from thermnet.config import (
     ConfigError,
@@ -26,7 +27,6 @@ from thermnet.config import (
     load_config,
     parse_config_text,
 )
-from thermnet.csvio import read_rows
 from thermnet.delays import DelayParams, total_delay
 from thermnet.energy import DevicePowerProfile
 from thermnet.sim import run_scenario
@@ -501,6 +501,42 @@ def test_report_schedule(tmp_path):
     assert float(rows[0]["offset_s"]) == 0.002
     assert float(rows[1]["offset_s"]) == 0.002 + 0.019  # beacon + first slot
     assert float(rows[0]["frame_period_s"]) == 0.04
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["energy", "--duration", "-1"],
+        ["energy", "--bits", "-8"],
+        ["energy", "--reps", "-1"],
+        ["delay", "--distance", "-1"],
+        ["delay", "--bits", "-8"],
+    ],
+)
+def test_report_argument_outside_model_exits_1(tmp_path, capsys, args):
+    out = tmp_path / "report.csv"
+    assert main(["report", *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["energy", "--duration", "inf"],
+        ["energy", "--duration", "nan"],
+        ["delay", "--distance", "inf"],
+        ["delay", "--distance", "1,nan"],
+    ],
+)
+def test_report_non_finite_argument_is_a_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "report.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["report", *args, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_unwritable_out_exits_2(tmp_path):

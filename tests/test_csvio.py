@@ -12,7 +12,8 @@ from pathlib import Path
 
 from hypothesis import example, given, strategies as st
 
-from thermnet.csvio import read_rows, write_csv
+from helpers import read_rows
+from thermnet.csvio import write_csv
 from thermnet.sim import EVENT_ROW, SimEvent
 
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from helpers import next_slot_time
 from thermnet.config import InterfererSpec, NodeSpec, ScenarioConfig
 from thermnet.delays import DelayParams, airtime, mcu_prep_delay
 from thermnet.frames import FRAME_BITS, make_sensor_id
-from thermnet.mac import DuplicateNode, build_schedule, next_slot_time
+from thermnet.mac import DuplicateNode, SlotSchedule, build_schedule, next_slot_index
 from thermnet.sim import run_scenario
 from thermnet.traces import ConstantTrace
 
@@ -71,24 +72,51 @@ def test_larger_guard_means_longer_slots():
     assert wide.slot_duration_s > tight.slot_duration_s
 
 
-def _next_slot_by_scan(schedule, node_id, now):
-    offset = schedule.slot_offset_s(node_id)
-    k = 0
-    while True:
-        start = k * schedule.frame_period_s + offset
-        if start >= now - 1e-12:
-            return start
-        k += 1
-
-
 @given(st.floats(min_value=0, max_value=5.0))
 def test_next_slot_time_against_scan(now):
     schedule = build_schedule(ids(2, 6), FRAME_BITS, PARAMS)
+    period = schedule.frame_period_s
     for node_id in schedule.assignments:
-        got = next_slot_time(schedule, node_id, now)
-        assert got >= now - 1e-12
-        assert got == pytest.approx(_next_slot_by_scan(schedule, node_id, now), abs=1e-9)
-        assert got - now < schedule.frame_period_s + 1e-9
+        offset = schedule.slot_offset_s(node_id)
+        k = next_slot_index(schedule, node_id, now)
+        got = k * period + offset
+        assert got == next_slot_time(schedule, node_id, now)
+        assert got >= now
+        assert k == 0 or (k - 1) * period + offset < now
+
+
+@st.composite
+def _schedule_node_now(draw):
+    """A schedule, one of its nodes, and a time that is often within two
+    ulps of one of that node's slot starts."""
+    serials = sorted(draw(st.sets(st.integers(min_value=1, max_value=64), min_size=1, max_size=8)))
+    schedule = SlotSchedule(
+        beacon_slot_s=draw(st.floats(min_value=0.0, max_value=1.0)),
+        slot_duration_s=draw(st.floats(min_value=1e-6, max_value=1.0)),
+        guard_s=0.0,
+        assignments={sid: i for i, sid in enumerate(ids(*serials))},
+    )
+    node_id = make_sensor_id(serial=draw(st.sampled_from(serials)))
+    if draw(st.booleans()):
+        return schedule, node_id, draw(st.floats(min_value=0.0, max_value=1e6))
+    k = draw(st.integers(min_value=0, max_value=10**7))
+    now = k * schedule.frame_period_s + schedule.slot_offset_s(node_id)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        now = math.nextafter(now, draw(st.sampled_from([-math.inf, math.inf])))
+    return schedule, node_id, max(now, 0.0)
+
+
+# Serial 6 of the default eight-node cell: the quotient's ceiling gave the
+# slot at 27672.819, one ulp before now.
+@given(_schedule_node_now())
+@example((build_schedule(ids(*range(1, 9)), FRAME_BITS, PARAMS), make_sensor_id(serial=6), 27672.819000000003))
+def test_next_slot_index_is_least_slot_at_or_after_now(case):
+    schedule, node_id, now = case
+    period, offset = schedule.frame_period_s, schedule.slot_offset_s(node_id)
+    k = next_slot_index(schedule, node_id, now)
+    assert k >= 0
+    assert k * period + offset >= now
+    assert k == 0 or (k - 1) * period + offset < now
 
 
 # -- the slotted access loop, on whole runs -----------------------------
@@ -162,6 +190,27 @@ def test_frame_ready_during_own_transmission_goes_in_next_slot():
     assert starts[1] == next_slot + PARAMS.radio_switch_delay_s
     assert result.stats.transmissions == 4
     assert [r.sequence for r in result.readings] == [0, 1, 2, 3]
+
+
+def test_slot_starts_never_precede_their_frame():
+    # The quotient's ceiling alone puts node 1's 79th slot at
+    # 728.1219999999998, one ulp before its frame is ready at 728.122.
+    config = ScenarioConfig(
+        nodes=(NodeSpec("node1", 1, ConstantTrace(37.0)), NodeSpec("node2", 2, ConstantTrace(37.0))),
+        duration_s=740.0,
+        sample_period_s=9.325281544871794,
+        noise_sigma_c=0.0,
+        beacon_s=0.044,
+    )
+    result = run_scenario(config)
+    prep_s = mcu_prep_delay(PARAMS)
+    for serial in (1, 2):
+        subject = make_sensor_id(serial=serial).hex()
+        events = [e for e in result.events if e.subject == subject]
+        ready = [e.time_s + prep_s for e in events if e.kind == "conversion_done"]
+        slots = [e.time_s for e in events if e.kind == "slot_start"]
+        assert len(slots) == len(ready) == 80
+        assert all(slot >= t for slot, t in zip(slots, ready))
 
 
 @given(st.sets(st.integers(min_value=0, max_value=(1 << 48) - 1), min_size=1, max_size=16))

@@ -1,5 +1,5 @@
-"""Receiving-side tests: storage partition, alert semantics, agreement
-metrics with a Monte-Carlo oracle, and CSV round-tripping.
+"""Receiving-side tests: storage partition, alert semantics, and agreement
+metrics with a Monte-Carlo oracle.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from thermnet.monitor import (
     ReadingStore,
     agreement,
     evaluate_alerts,
-    export_store,
-    import_store,
 )
 from thermnet.rng import gauss
 from thermnet.traces import ConstantTrace
@@ -60,7 +58,7 @@ def test_interleaved_ingest_partitions_by_id():
     assert len(store.series(two)) == 10
     assert all(r.sensor_id == one for r in store.series(one))
     assert all(r.sensor_id == two for r in store.series(two))
-    assert store.total_stored() == 20
+    assert len(store.series(one)) + len(store.series(two)) == 20
 
 
 def test_duplicate_sequence_dropped_with_counter():
@@ -73,25 +71,20 @@ def test_duplicate_sequence_dropped_with_counter():
     assert store.series(make_sensor_id(serial=1)) == [first]
 
 
-def test_sequence_wrap_is_not_a_duplicate(tmp_path):
+def test_sequence_wrap_is_not_a_duplicate():
     # Samples k and k + 65536 share a 16-bit sequence number.
     store = ReadingStore()
     for k in (0, 1, 65536, 65537):
         store.ingest(reading(1, k + 0.777, 36.5, seq=k % (1 << 16)))
-    assert store.total_stored() == 4
+    assert len(store.series(make_sensor_id(serial=1))) == 4
     assert store.duplicate_count == 0
-    export_store(store, tmp_path)
-    again = import_store(tmp_path)
-    assert again == store
-    assert again.total_stored() == 4
-    assert again.duplicate_count == 0
 
 
 def test_unknown_sensor_counted_not_stored():
     store = ReadingStore(roster=[make_sensor_id(serial=1)])
     store.ingest(reading(2, 0, 30.0))
     assert store.unknown_count == 1
-    assert store.total_stored() == 0
+    assert store.series(make_sensor_id(serial=2)) == []
 
 
 def test_invalid_id_counted_as_unknown():
@@ -123,7 +116,8 @@ def test_partition_accounting():
         store.ingest(reading(2, t, 30.0, seq=t))  # all unknown
         total += 2
     assert (store.duplicate_count, store.unknown_count) == (10, 20)
-    assert store.total_stored() == total - store.duplicate_count - store.unknown_count
+    stored = sum(len(store.series(make_sensor_id(serial=serial))) for serial in (1, 2))
+    assert stored == total - store.duplicate_count - store.unknown_count
 
 
 @given(st.permutations(list(range(12))))
@@ -455,35 +449,3 @@ def test_empty_series_raises():
     with pytest.raises(EmptySeries):
         agreement([], ConstantTrace(36.5))
 
-
-# -- export / import ---------------------------------------------------
-
-
-def test_export_import_round_trip(tmp_path):
-    store = ReadingStore()
-    for t in range(60):
-        store.ingest(reading(0x11A3, t + 0.785, 26.0 + (t % 5) * 0.8125, seq=t))
-        store.ingest(reading(0x2B40, t + 0.792, 30.0, seq=t))
-    files = export_store(store, tmp_path)
-    assert (tmp_path / "plot_data.csv").exists()
-    assert len(files) == 3
-    again = import_store(tmp_path)
-    assert again == store
-    assert again.total_stored() == 120
-
-
-def test_export_single_sensor_row_count(tmp_path):
-    store = ReadingStore()
-    for t in range(60):
-        store.ingest(reading(1, t, 36.5, seq=t))
-    export_store(store, tmp_path)
-    lines = (tmp_path / f"sensor_{make_sensor_id(serial=1).hex()}.csv").read_text().splitlines()
-    assert len(lines) == 62  # comment + header + 60 rows
-    assert lines[0].startswith("#")
-
-
-def test_export_empty_store(tmp_path):
-    files = export_store(ReadingStore(), tmp_path)
-    assert len(files) == 1
-    lines = (tmp_path / "plot_data.csv").read_text().splitlines()
-    assert len(lines) == 2
