@@ -240,7 +240,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_report_energy(
                 args.bits, args.reps, DevicePowerProfile(), DelayParams(), args.out, args.duration
             )
-    except ValueError as exc:  # an argument outside the model, such as a negative distance
+    except (ValueError, OverflowError) as exc:  # outside the model: a negative distance, 10**400 bits
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable command")

@@ -137,8 +137,8 @@ class ScenarioConfig:
                 "scenario.sample_period_s must be >= delay.sensor_conversion_s"
             )
         for intf in self.interferers:
-            if intf.period_s <= 0:
-                raise ValidationError(f"{intf.name}.period_s must be positive")
+            if intf.period_s < math.ulp(self.duration_s):  # so t + period_s > t for each t <= duration_s
+                raise ValidationError(f"{intf.name}.period_s must be at least ulp(scenario.duration_s)")
             if intf.start_s < 0:
                 raise ValidationError(f"{intf.name}.start_s must be >= 0")
             if intf.bits <= 0:

@@ -76,17 +76,16 @@ def build_schedule(
     )
 
 
-def next_slot_index(schedule: SlotSchedule, node_id: SensorId, now: float) -> int:
-    """Least k >= 0 whose slot start ``k * frame_period_s + slot_offset_s``
-    is at or after ``now``.
+def next_instant_index(period_s: float, offset_s: float, t: float) -> int:
+    """Least k >= 0 with ``k * period_s + offset_s >= t``, under the
+    float expression the engine times slots and beacons with.
 
-    The ceiling of the float quotient can be one off, so k is then stepped
-    under that same expression, the one the engine times slots with.
+    The ceiling of the float quotient can be one off, so k is then
+    stepped under that expression.
     """
-    period, offset = schedule.frame_period_s, schedule.slot_offset_s(node_id)
-    k = max(math.ceil((now - offset) / period), 0)
-    while k * period + offset < now:
+    k = max(math.ceil((t - offset_s) / period_s), 0)
+    while k * period_s + offset_s < t:
         k += 1
-    while k and (k - 1) * period + offset >= now:
+    while k and (k - 1) * period_s + offset_s >= t:
         k -= 1
     return k

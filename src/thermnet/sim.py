@@ -43,9 +43,10 @@ shows in the event log, not in the budget.  The packet is encoded into
 its 256-bit word only where it is decoded, at the access point, for a
 frame that arrived unoverlapped.
 
-The medium decides collisions in O(1) per transmission on the
-precondition that transmissions start in non-decreasing time, which the
-engine's clock guarantees and ``medium_transmit`` asserts.
+``Medium.finish`` decides a frame's fate (out of range, collided or
+received) once, as its signal ends, in O(1) on the precondition that
+transmissions start in non-decreasing time, which the engine's clock
+guarantees and ``medium_transmit`` asserts.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .config import NodeSpec, ScenarioConfig, TDMA
 from .delays import airtime, mcu_prep_delay, serial_delay, total_delay, usb_delay
 from .energy import EnergyLedger, energy, power
 from .frames import FRAME_BITS, Frame, FrameError, SensorId, TEMP_LSB_C, decode_frame, encode_frame
-from .mac import SlotSchedule, next_slot_index
+from .mac import SlotSchedule, next_instant_index
 from .monitor import Reading
 from .rng import float_key, gauss
 from .traces import TemperatureTrace
@@ -75,6 +76,9 @@ TX_END = "tx_end"
 RX_DELIVER = "rx_deliver"
 RX_COLLISION = "rx_collision"
 SERIAL_OUT = "serial_out"
+
+# A signal's fate at the access point, as ``Medium.finish`` returns it.
+OUT_OF_RANGE, COLLIDED, RECEIVED = "out_of_range", "collided", "received"
 
 LOGGED_KINDS = frozenset(
     {CONVERSION_DONE, SLOT_START, RSSI_SAMPLE, TX_START, TX_END, RX_DELIVER, RX_COLLISION, SERIAL_OUT}
@@ -129,13 +133,15 @@ class Transmission:
 class Medium:
     """Shared radio channel with a binary in-range/out-of-range disk.
 
-    ``active`` holds the signals on the air, keyed by ``id``.  Signals
-    enter in non-decreasing start time, so a new in-range one overlaps
-    an earlier in-range one exactly when ``latest_end_s``, the latest
-    in-range end so far, is after its start.  And of the in-range
-    signals still on the air, all have collided but possibly ``clean``,
-    the last one to enter unoverlapped: every earlier one had ended by
-    the time it started.
+    Signals go on the air through ``medium_transmit``; ``finish`` takes
+    one off and returns its fate at the access point.  ``active`` holds
+    the signals on the air, keyed by ``id``.  Signals enter in
+    non-decreasing start time, so a new in-range one overlaps an earlier
+    in-range one exactly when ``latest_end_s``, the latest in-range end
+    so far, is after its start.  And of the in-range signals still on
+    the air, all have collided but possibly ``clean``, the last one to
+    enter unoverlapped: every earlier one had ended by the time it
+    started.
     """
 
     def __init__(self, range_m: float = 100.0):
@@ -144,9 +150,6 @@ class Medium:
         self.last_start_s = -math.inf
         self.latest_end_s = -math.inf
         self.clean: Optional[Transmission] = None
-
-    def in_ap_range(self, tx: Transmission) -> bool:
-        return tx.distance_m <= self.range_m
 
     def busy_at(self, t: float, listener_distance_m: float) -> bool:
         """RSSI verdict: any audible signal on the air at time t.
@@ -160,8 +163,13 @@ class Medium:
             for tx in self.active.values()
         )
 
-    def finish(self, tx: Transmission) -> None:
+    def finish(self, tx: Transmission) -> str:
+        """Take an ended signal off the air; return its fate at the access
+        point, final since no later start can overlap it."""
         del self.active[id(tx)]
+        if tx.distance_m > self.range_m:
+            return OUT_OF_RANGE
+        return COLLIDED if tx.collided else RECEIVED
 
 
 def medium_transmit(medium: Medium, tx: Transmission) -> Transmission:
@@ -170,8 +178,8 @@ def medium_transmit(medium: Medium, tx: Transmission) -> Transmission:
     Any time overlap between two signals both audible at the access
     point destroys both; there is no capture of the stronger one.  The
     outcome is final once the transmission's end time has passed, since
-    a later sender can still collide with it; callers read ``collided``
-    at end time.  Transmissions must be put on the air in non-decreasing
+    a later sender can still collide with it; ``Medium.finish`` returns
+    it then.  Transmissions must be put on the air in non-decreasing
     start time.
     """
     start, end = tx.start_s, tx.end_s
@@ -179,7 +187,7 @@ def medium_transmit(medium: Medium, tx: Transmission) -> Transmission:
         raise ValueError("transmission must have positive duration")
     assert start >= medium.last_start_s, "transmissions must start in time order"
     medium.last_start_s = start
-    if medium.in_ap_range(tx):
+    if tx.distance_m <= medium.range_m:
         if start < medium.latest_end_s:
             tx.collided = True
             if start < medium.clean.end_s:
@@ -289,8 +297,6 @@ class _Node:
     pending: Optional[_Packet] = None
     slot_k: int = 0
     radio_active_s: float = 0.0
-    sensor_active_s: float = 0.0
-    mcu_active_s: float = 0.0
 
 
 class _Engine:
@@ -309,6 +315,9 @@ class _Engine:
         self._stamp = ""
         self.readings: list[Reading] = []
         self.stats = SimStats()
+        # Every node converts and frames at every instant: one clock each.
+        self._sensor_active_s = 0.0
+        self._mcu_active_s = 0.0
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._heap_seq = itertools.count()
 
@@ -386,20 +395,26 @@ class _Engine:
         end = self.end_time_s
         prof = self.profile
         v = prof.supply_voltage_v
+        sensing_j = energy(power(v, prof.sensor_i_active_a), self._sensor_active_s)
+        mcu_j = energy(power(v, prof.mcu_i_active_a), self._mcu_active_s)
+        sensor_idle_j = energy(power(v, prof.sensor_i_idle_a), end - self._sensor_active_s)
+        mcu_idle_j = energy(power(v, prof.mcu_i_idle_a), end - self._mcu_active_s)
         ledgers: dict[str, EnergyLedger] = {}
         for node in self.nodes:
             ledgers[node.subject] = EnergyLedger(
                 transmit_j=energy(power(v, prof.radio_i_transmit_a), node.radio_active_s),
-                sensing_j=energy(power(v, prof.sensor_i_active_a), node.sensor_active_s),
-                mcu_j=energy(power(v, prof.mcu_i_active_a), node.mcu_active_s),
+                sensing_j=sensing_j,
+                mcu_j=mcu_j,
                 idle_j=energy(power(v, prof.radio_i_idle_a), end - node.radio_active_s)
-                + energy(power(v, prof.sensor_i_idle_a), end - node.sensor_active_s)
-                + energy(power(v, prof.mcu_i_idle_a), end - node.mcu_active_s),
+                + sensor_idle_j
+                + mcu_idle_j,
             )
         # The access point listens for the whole run.
         ledgers[AP] = EnergyLedger(receive_j=energy(power(v, prof.radio_i_receive_a), end))
         if self.schedule is not None and end > 0:
-            self.stats.beacons = _instants_up_to(self.schedule.frame_period_s, end)
+            # Beacons k * frame_period_s <= end are those < the next float.
+            after_end = math.nextafter(end, math.inf)
+            self.stats.beacons = next_instant_index(self.schedule.frame_period_s, 0.0, after_end)
         return SimResult(
             events=[SimEvent.from_row(row) for row in self._rows],
             readings=self.readings,
@@ -414,10 +429,9 @@ class _Engine:
     def _on_conversions_done(self, k: int, started_s: float, raws: list[int]) -> None:
         """Conversion k finishes on every node, in node order; the
         instant's frames then become ready together, as one cohort."""
-        conversion_s = self.params.sensor_conversion_s
         for node, raw in zip(self.nodes, raws):
             self._log(CONVERSION_DONE, node.subject, f"k={k} raw={raw}")
-            node.sensor_active_s += conversion_s
+        self._sensor_active_s += self.params.sensor_conversion_s
         self._push(self.now + self._prep_s, self._on_frames_ready, k % (1 << 16), started_s, raws)
 
     def _on_frames_ready(self, sequence: int, started_s: float, raws: list[int]) -> None:
@@ -425,8 +439,7 @@ class _Engine:
         puts the whole cohort on the air after the radio switch; under
         TDMA each node waits for its own slot."""
         self.stats.frames_queued += len(raws)
-        for node in self.nodes:
-            node.mcu_active_s += self._prep_s
+        self._mcu_active_s += self._prep_s
         if self.schedule is None:
             cohort = [(node, (raw, sequence, started_s)) for node, raw in zip(self.nodes, raws)]
             self._push(self.now + self.params.radio_switch_delay_s, self._on_tx_start, cohort)
@@ -437,7 +450,7 @@ class _Engine:
                 # one and goes out in the slot already queued for it.
                 self.stats.replaced_pending += 1
             else:
-                node.slot_k = next_slot_index(self.schedule, node.sensor_id, self.now)
+                node.slot_k = next_instant_index(self.schedule.frame_period_s, node.slot_offset_s, self.now)
                 self._push_slot(node)
             node.pending = (raw, sequence, started_s)
 
@@ -479,23 +492,23 @@ class _Engine:
         channel."""
         for tx, node, packet in on_air:
             self._log(TX_END, tx.sender, f"collided={tx.collided}")
-            self.medium.finish(tx)
+            fate = self.medium.finish(tx)
             if node is None:
                 continue
             node.radio_active_s += tx.end_s - tx.start_s
-            if not self.medium.in_ap_range(tx):
+            if fate == OUT_OF_RANGE:
                 self.stats.out_of_range += 1
-                continue
-            self._push(self.now + node.propagation_s, self._on_arrival, tx, node, packet)
+            else:
+                self._push(self.now + node.propagation_s, self._on_arrival, fate, node, packet)
 
     # -- access-point handlers -----------------------------------------
 
-    def _on_arrival(self, tx: Transmission, node: _Node, packet: _Packet) -> None:
-        """A node frame reaches the access point; ``tx.collided`` is final
-        because the transmission has ended.  Only a clean frame is
-        encoded, and decoded at once."""
-        if tx.collided:
-            self._log(RX_COLLISION, AP, f"from={tx.sender}")
+    def _on_arrival(self, fate: str, node: _Node, packet: _Packet) -> None:
+        """A node frame in range reaches the access point with the fate
+        the medium gave it.  Only a received frame is encoded, and
+        decoded at once."""
+        if fate == COLLIDED:
+            self._log(RX_COLLISION, AP, f"from={node.subject}")
             self.stats.collisions += 1
             return
         raw, sequence, started_s = packet
@@ -504,9 +517,9 @@ class _Engine:
             frame = decode_frame(word)
         except FrameError as exc:
             self.stats.corrupt += 1
-            self._log(RX_DELIVER, AP, f"from={tx.sender} corrupt={type(exc).__name__}")
+            self._log(RX_DELIVER, AP, f"from={node.subject} corrupt={type(exc).__name__}")
             return
-        self._log(RX_DELIVER, AP, f"from={tx.sender} seq={frame.sequence}")
+        self._log(RX_DELIVER, AP, f"from={node.subject} seq={frame.sequence}")
         # Receiver pipeline: mode switch, serial transfer, USB hop.
         serial_out_s = self.now + self.params.radio_switch_delay_s + self._serial_s + self._usb_s
         self._push(serial_out_s, self._on_serial_out, frame, node, started_s)
@@ -536,20 +549,6 @@ class _Engine:
         self._log(TX_START, intf.name, f"bits={intf.bits}")
         self._push(tx.end_s, self._on_tx_end, [(tx, None, None)])
         self._push(self.now + intf.period_s, self._on_interferer_burst, intf, airtime_s)
-
-
-def _instants_up_to(period_s: float, end_s: float) -> int:
-    """Number of k >= 0 with ``k * period_s <= end_s``, for end_s >= 0.
-
-    The float product is the one slot instants use, so an instant on
-    the end counts exactly when the run loop's ``time <= end`` would.
-    """
-    k = math.floor(end_s / period_s)
-    while (k + 1) * period_s <= end_s:
-        k += 1
-    while k * period_s > end_s:
-        k -= 1
-    return k + 1
 
 
 def run_scenario(

@@ -219,6 +219,28 @@ def test_negative_duration_rejected_zero_allowed():
     assert config.duration_s == 0.0
 
 
+STALLING_INTERFERER = (
+    "node1.serial = 1\nscenario.duration_s = 5.0\ninterferer1.start_s = 1.0\ninterferer1.period_s = {}\n"
+)
+
+
+@pytest.mark.parametrize("period", ["1e-20", repr(math.nextafter(math.ulp(5.0), 0.0)), "0", "-1"])
+def test_interferer_period_that_cannot_advance_the_clock_rejected(period):
+    # 1.0 + 1e-20 == 1.0: such a burst would requeue itself at the same
+    # time forever.  Only the config is checked; nothing is run.
+    with pytest.raises(ValidationError, match="^interferer1.period_s must be at least ulp"):
+        parse_config_text(STALLING_INTERFERER.format(period))
+
+
+def test_interferer_period_of_one_ulp_of_the_run_advances_every_burst():
+    period = math.ulp(5.0)
+    config = parse_config_text(STALLING_INTERFERER.format(repr(period)))
+    assert config.interferers[0].period_s == period
+    # Every time up to the end moves forward, across binade edges too.
+    for t in (0.0, -0.0, 5e-324, 1.0, math.nextafter(4.0, 0.0), 4.0, math.nextafter(5.0, 0.0), 5.0):
+        assert t + period > t
+
+
 NON_FINITE_KEYS = [
     "scenario.duration_s",
     "scenario.sample_period_s",
@@ -511,6 +533,10 @@ def test_report_schedule(tmp_path):
         ["energy", "--reps", "-1"],
         ["delay", "--distance", "-1"],
         ["delay", "--bits", "-8"],
+        # Integers too large for a float.
+        ["energy", "--reps", "1" + "0" * 400],
+        ["energy", "--bits", "1" + "0" * 400],
+        ["delay", "--bits", "1" + "0" * 400],
     ],
 )
 def test_report_argument_outside_model_exits_1(tmp_path, capsys, args):

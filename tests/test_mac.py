@@ -17,7 +17,7 @@ from helpers import next_slot_time
 from thermnet.config import InterfererSpec, NodeSpec, ScenarioConfig
 from thermnet.delays import DelayParams, airtime, mcu_prep_delay
 from thermnet.frames import FRAME_BITS, make_sensor_id
-from thermnet.mac import DuplicateNode, SlotSchedule, build_schedule, next_slot_index
+from thermnet.mac import DuplicateNode, SlotSchedule, build_schedule, next_instant_index
 from thermnet.sim import run_scenario
 from thermnet.traces import ConstantTrace
 
@@ -78,7 +78,7 @@ def test_next_slot_time_against_scan(now):
     period = schedule.frame_period_s
     for node_id in schedule.assignments:
         offset = schedule.slot_offset_s(node_id)
-        k = next_slot_index(schedule, node_id, now)
+        k = next_instant_index(period, offset, now)
         got = k * period + offset
         assert got == next_slot_time(schedule, node_id, now)
         assert got >= now
@@ -113,7 +113,7 @@ def _schedule_node_now(draw):
 def test_next_slot_index_is_least_slot_at_or_after_now(case):
     schedule, node_id, now = case
     period, offset = schedule.frame_period_s, schedule.slot_offset_s(node_id)
-    k = next_slot_index(schedule, node_id, now)
+    k = next_instant_index(period, offset, now)
     assert k >= 0
     assert k * period + offset >= now
     assert k == 0 or (k - 1) * period + offset < now

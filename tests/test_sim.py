@@ -148,16 +148,25 @@ _signals = st.lists(
 def test_medium_matches_pairwise_scan(signals, finish_ended):
     # The medium keeps only the latest in-range end and one clean signal;
     # the oracle compares every pair.  Signals that have ended are
-    # finished before the next start, as the engine does, or never.
+    # finished before the next start, as the engine does, or only once
+    # every signal is on the air.
     transmissions = sorted(((float(start), float(start + length), d) for start, length, d in signals), key=lambda tx: tx[0])
     medium = Medium(range_m=100.0)
     sent = []
+    fate_of = {}
     for start, end, distance in transmissions:
         if finish_ended:
             for tx in [tx for tx in medium.active.values() if tx.end_s <= start]:
-                medium.finish(tx)
+                fate_of[id(tx)] = medium.finish(tx)
         sent.append(medium_transmit(medium, Transmission("n", start, end, distance)))
-    assert [tx.collided for tx in sent] == collided_by_pairwise_scan(transmissions, 100.0)
+    collided = collided_by_pairwise_scan(transmissions, 100.0)
+    assert [tx.collided for tx in sent] == collided
+    for tx in list(medium.active.values()):
+        fate_of[id(tx)] = medium.finish(tx)
+    assert [fate_of[id(tx)] for tx in sent] == [
+        sim.OUT_OF_RANGE if distance > 100.0 else sim.COLLIDED if hit else sim.RECEIVED
+        for (_, _, distance), hit in zip(transmissions, collided)
+    ]
 
 
 # -- sensor physics ----------------------------------------------------
@@ -689,6 +698,11 @@ _interferer = st.builds(
     sample_period_s=st.floats(min_value=0.75, max_value=3.0),
     duration_s=st.floats(min_value=0.0, max_value=40.0),
 )
+# Runs that end with frames in the radio switch, at the receiver, and
+# waiting for a slot while others are on the air or in the serial chain.
+@example([10.0, 10.0, 150.0], ALOHA, [], 1.0, 0.7501045)
+@example([10.0, 150.0], ALOHA, [], 1.0, 0.76350285)
+@example([10.0, 10.0, 150.0], TDMA, [], 1.0, 0.79)
 def test_every_frame_ends_in_one_counted_fate(distances, mac_mode, interferers, sample_period_s, duration_s):
     cfg = ScenarioConfig(
         nodes=tuple(NodeSpec(f"node{i}", i + 1, distance_m=d) for i, d in enumerate(distances)),
@@ -697,9 +711,19 @@ def test_every_frame_ends_in_one_counted_fate(distances, mac_mode, interferers, 
         sample_period_s=sample_period_s,
         interferers=tuple(replace(intf, name=f"interferer{j}") for j, intf in enumerate(interferers, 1)),
     )
-    s = run_scenario(cfg).stats
-    n = len(distances)
-    # Each node may still hold one frame for its slot when the run ends ...
-    assert 0 <= s.frames_queued - s.transmissions - s.replaced_pending <= n
-    # ... and have one frame on the air or in the receiver's pipeline.
-    assert 0 <= s.transmissions - (s.delivered + s.collisions + s.corrupt + s.out_of_range) <= n
+    engine = _Engine(cfg)
+    s = engine.run().stats
+    # What the run left unfinished, read from the engine's own state.
+    pending = sum(node.pending is not None for node in engine.nodes)
+    switching = on_air = in_receiver = 0
+    for _, _, handler, payload in engine._heap:
+        if handler == engine._on_tx_start:
+            switching += len(payload[0])
+        elif handler == engine._on_tx_end:
+            on_air += sum(node is not None for _, node, _ in payload[0])  # a burst carries no node
+        elif handler in (engine._on_arrival, engine._on_serial_out):
+            in_receiver += 1
+    # A frame is waiting for its slot or for the radio switch ...
+    assert s.frames_queued - s.transmissions - s.replaced_pending == pending + switching
+    # ... or is on the air or in the receiver's pipeline.
+    assert s.transmissions - (s.delivered + s.collisions + s.corrupt + s.out_of_range) == on_air + in_receiver
