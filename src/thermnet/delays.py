@@ -35,21 +35,6 @@ class DelayParams:
     sensor_conversion_s: float = 0.750
     propagation_speed_mps: float = 2.998e8
 
-    def validate(self) -> None:
-        for name in (
-            "mcu_clock_hz",
-            "radio_switch_delay_s",
-            "air_data_rate_bps",
-            "serial_rate_bps",
-            "usb_rate_bps",
-            "sensor_conversion_s",
-            "propagation_speed_mps",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.mac_instruction_clocks < 0:
-            raise ValueError("mac_instruction_clocks must be >= 0")
-
 
 @dataclass(frozen=True)
 class DelayBudget:

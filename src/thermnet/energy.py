@@ -29,19 +29,6 @@ class DevicePowerProfile:
     mcu_i_idle_a: float = 0.001
 
     def validate(self) -> None:
-        if self.supply_voltage_v <= 0:
-            raise ValueError("supply_voltage_v must be positive")
-        for name in (
-            "radio_i_transmit_a",
-            "radio_i_receive_a",
-            "radio_i_idle_a",
-            "sensor_i_active_a",
-            "sensor_i_idle_a",
-            "mcu_i_active_a",
-            "mcu_i_idle_a",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
         if min(self.radio_i_transmit_a, self.radio_i_receive_a) < self.radio_i_idle_a:
             raise ValueError("radio active currents must be >= idle current")
         if self.sensor_i_active_a < self.sensor_i_idle_a:

@@ -31,7 +31,6 @@ class SlotSchedule:
 
     beacon_slot_s: float
     slot_duration_s: float
-    guard_s: float
     assignments: dict[SensorId, int]
 
     @property
@@ -71,7 +70,6 @@ def build_schedule(
     return SlotSchedule(
         beacon_slot_s=beacon_s,
         slot_duration_s=slot_duration,
-        guard_s=guard_s,
         assignments={nid: i for i, nid in enumerate(ordered)},
     )
 

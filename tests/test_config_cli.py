@@ -5,10 +5,11 @@ from __future__ import annotations
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ import thermnet
 from helpers import read_rows
 from thermnet.cli import _write_simulation_outputs, cmd_simulate, main
 from thermnet.config import (
+    KEYS,
     ConfigError,
     InterfererSpec,
     ParseError,
@@ -29,6 +31,7 @@ from thermnet.config import (
 )
 from thermnet.delays import DelayParams, total_delay
 from thermnet.energy import DevicePowerProfile
+from thermnet.monitor import AlertRule
 from thermnet.sim import run_scenario
 from thermnet.traces import BandNoiseTrace, ConstantTrace, CsvTrace, RampTrace, SinusoidTrace
 
@@ -311,6 +314,101 @@ def test_config_help_documents_keys():
     for fragment in ("scenario.duration_s", "node<k>.serial", "interferer<k>.period_s",
                      "delay.", "power.", "alert.", "mac.family_code"):
         assert fragment in text
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("delay.air_data_rate_bps = 0", "delay.air_data_rate_bps must be positive"),
+        ("delay.mac_instruction_clocks = -1", "delay.mac_instruction_clocks must be >= 0"),
+        ("power.supply_voltage_v = 0", "power.supply_voltage_v must be positive"),
+        ("power.radio_i_idle_a = -1e-6", "power.radio_i_idle_a must be >= 0"),
+        ("power.radio_i_idle_a = 0.05", "radio active currents must be >= idle current"),
+        ("power.mcu_i_active_a = 1e-5", "mcu active current must be >= idle current"),
+    ],
+)
+def test_record_value_out_of_bounds_names_its_key(line, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        parse_config_text(f"node1.serial = 1\n{line}\n")
+
+
+BOUNDED_KEYS = [
+    (f"{section}1" if section in ("node", "interferer") else section, key, bound)
+    for section, keys in KEYS.items()
+    for key, (_, bound, _) in keys.items()
+    if bound in (">= 0", "positive")
+]
+
+
+@pytest.mark.parametrize("section, key, bound", BOUNDED_KEYS, ids=[f"{s}.{k}" for s, k, _ in BOUNDED_KEYS])
+def test_every_bounded_key_rejects_a_value_just_outside(section, key, bound):
+    value = "0" if bound == "positive" else "-1"
+    with pytest.raises(ValidationError, match=f"^{section}.{key} must be {bound}$"):
+        parse_config_text(f"node1.serial = 1\n{section}.{key} = {value}\n")
+
+
+def _printed_defaults() -> dict[str, str | None]:
+    """Each key config_help() lists, with the default it prints, if any."""
+    printed = {}
+    for entry in re.split(r"\n  (?=\S)", config_help())[1:]:
+        key, text = entry.split(None, 1)
+        default = re.search(r"\(default (.*)\)$", text)
+        printed[key] = default and default.group(1)
+    return printed
+
+
+def test_setting_every_key_to_its_printed_default_changes_nothing():
+    printed = _printed_defaults()
+    assert [key for key, default in printed.items() if default is None] == ["node<k>.serial"]
+    text = "node1.serial = 1\n" + "".join(
+        f"{key.replace('<k>', '1')} = {default}\n" for key, default in printed.items() if default is not None
+    )
+    bare = parse_config_text("node1.serial = 1\n")
+    assert parse_config_text(text) == replace(bare, interferers=(InterfererSpec("interferer1"),))
+
+
+def test_every_field_has_exactly_one_key():
+    # A field without a key could not be set from a scenario file, nor
+    # would --help list it.
+    config = ScenarioConfig(nodes=(NodeSpec("node1", 1),), interferers=(InterfererSpec("interferer1"),))
+    keys: dict[type, list[str]] = {}
+    for section, _, record in config.sections():
+        keys.setdefault(type(record), []).extend(KEYS[section])
+    assert {section for section, _, _ in config.sections()} == set(KEYS)
+    unkeyed = {"name", "nodes", "interferers", "delay_params", "power_profile", "alert_rule"}
+    for record_type, record_keys in keys.items():
+        assert sorted(record_keys) == sorted(f.name for f in fields(record_type) if f.name not in unkeyed)
+    assert set(keys) == {ScenarioConfig, NodeSpec, InterfererSpec, DelayParams, DevicePowerProfile, AlertRule}
+
+
+# A rate can be positive and finite and still make a derived time overflow.
+OVERFLOWING = [
+    ("delay.air_data_rate_bps = 5e-324", "t4 = frame bits / delay.air_data_rate_bps overflows"),
+    # The airtime is finite, but the TDMA slot length in ms is not.
+    ("delay.air_data_rate_bps = 1e-305", "the TDMA frame period from delay.air_data_rate_bps"),
+    ("interferer1.bits = 1" + "0" * 320, "interferer1.bits / delay.air_data_rate_bps overflows"),
+    ("delay.mcu_clock_hz = 5e-324", "t1 = delay.mac_instruction_clocks / delay.mcu_clock_hz overflows"),
+    ("delay.mac_instruction_clocks = 1" + "0" * 400, "t1 = delay.mac_instruction_clocks"),
+    ("mac.guard_s = 1e306", "the TDMA frame period from delay.air_data_rate_bps, delay.radio_switch_delay_s, "
+                            "mac.guard_s and mac.beacon_s overflows"),
+    # t3 and the total are checked at the farthest node.
+    ("node2.serial = 2\nnode2.distance_m = 1e300\ndelay.propagation_speed_mps = 1e-10",
+     "t3 = node2.distance_m / delay.propagation_speed_mps overflows"),
+    ("delay.air_data_rate_bps = 2e-306\ndelay.serial_rate_bps = 2e-306",
+     "node1's total delay overflows"),
+]
+
+
+@pytest.mark.parametrize("lines, message", OVERFLOWING, ids=[lines[:36] for lines, _ in OVERFLOWING])
+@pytest.mark.parametrize("command", ["simulate", "schedule"])
+def test_config_whose_delay_terms_overflow_exits_1(tmp_path, capsys, command, lines, message):
+    path = write_config(tmp_path, f"node1.serial = 1\nscenario.duration_s = 3\n{lines}\n")
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(path), "--out", str(out)]
+    assert main(argv if command == "simulate" else ["report", "schedule", *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # -- command line ------------------------------------------------------

