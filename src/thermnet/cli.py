@@ -18,33 +18,27 @@ from dataclasses import astuple, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .config import ConfigError, ScenarioConfig, config_help, load_config
+from .config import TDMA, ConfigError, RunPlan, ScenarioConfig, config_help, load_config
 from .csvio import open_csv, write_csv
 from .delays import DelayParams, total_delay
 from .energy import DevicePowerProfile, EnergyLedger, energy_sweep
 from .monitor import EmptySeries, ReadingStore, agreement, evaluate_alerts
 from .sim import SimEvent, SimResult, run_scenario
-from .traces import TemperatureTrace, finite_float
+from .traces import finite_float
 
 _VERSION_TAG = "format v1"
 # v2: beacon rows dropped; beacon instants are k * frame_period_s.
 _EVENTS_TAG = "format v2"
 
 
-def _write_simulation_outputs(config: ScenarioConfig, result: SimResult, out_dir: Path) -> None:
+def _write_simulation_outputs(plan: RunPlan, result: SimResult, out_dir: Path) -> None:
     """Write every simulate CSV but ``events.csv``, which the run streams."""
-    hex_of = {sid: sid.hex() for sid in config.sensor_ids()}
+    hex_of = {node.sensor_id: node.subject for node in plan.nodes}
     write_csv(
         out_dir / "readings.csv",
         f"delivered readings, {_VERSION_TAG}",
         ["serial_out_time_s", "sensor_id_hex", "raw", "temp_c", "sequence", "total_delay_s"],
-        [
-            [
-                r.time_s, hex_of.get(r.sensor_id) or r.sensor_id.hex(),
-                r.raw, r.temp_c, r.sequence, r.total_delay_s,
-            ]
-            for r in result.readings
-        ],
+        [[r.time_s, hex_of[r.sensor_id], r.raw, r.temp_c, r.sequence, r.total_delay_s] for r in result.readings],
     )
     write_csv(
         out_dir / "ledgers.csv",
@@ -57,18 +51,17 @@ def _write_simulation_outputs(config: ScenarioConfig, result: SimResult, out_dir
     store.ingest_all(result.readings)
     alert_rows = []
     agreement_rows = []
-    # Equal traces read the same truth, so each instant of it is evaluated once.
-    truth_at: dict[TemperatureTrace, dict[float, float]] = {}
-    for node in config.nodes:
-        sid = node.sensor_id(config.family_code)
-        series = store.series(sid)
-        for alert in evaluate_alerts(series, config.alert_rule):
-            alert_rows.append([alert.kind, hex_of[sid], alert.trigger_time_s, alert.value])
+    # Each instant of a truth is evaluated once, however many nodes read it.
+    truth_at: list[dict[float, float]] = [{} for _ in plan.truths]
+    for node, j in zip(plan.nodes, plan.node_truth):
+        series = store.series(node.sensor_id)
+        for alert in evaluate_alerts(series, plan.config.alert_rule):
+            alert_rows.append([alert.kind, node.subject, alert.trigger_time_s, alert.value])
         try:
-            report = agreement(series, node.trace, config.seed, truth_at.setdefault(node.trace, {}))
+            report = agreement(series, plan.truths[j], plan.config.seed, truth_at[j])
         except EmptySeries:
             continue
-        agreement_rows.append([hex_of[sid], report.mae_c, report.max_err_c, report.n])
+        agreement_rows.append([node.subject, report.mae_c, report.max_err_c, report.n])
     write_csv(
         out_dir / "alerts.csv",
         f"alerts, {_VERSION_TAG}",
@@ -93,29 +86,28 @@ def _write_simulation_outputs(config: ScenarioConfig, result: SimResult, out_dir
 def cmd_simulate(config: ScenarioConfig, out_dir: str | Path) -> int:
     """Run one scenario and write its CSV outputs under out_dir.
 
-    The config is validated before anything is written, so a bad one
-    leaves no output behind; the event log is written to ``events.csv``
-    row by row while the run goes on.
+    The config is planned, and so validated, once, before anything is
+    written, so a bad one leaves no output behind; the event log is
+    written to ``events.csv`` row by row while the run goes on.
     """
     try:
-        config.validate()
+        plan = config.plan()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = Path(out_dir)
     try:
         with open_csv(out / "events.csv", f"event log, {_EVENTS_TAG}", SimEvent._fields) as events:
-            result = run_scenario(config, on_event=events.write)
-        _write_simulation_outputs(config, result, out)
+            result = run_scenario(plan, on_event=events.write)
+        _write_simulation_outputs(plan, result, out)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
-    schedule = result.schedule
-    if schedule is not None and schedule.frame_period_s > config.sample_period_s:
-        print(f"warning: TDMA frame period {schedule.frame_period_s} s exceeds the sample period "
+    if plan.schedule is not None and plan.schedule.frame_period_s > config.sample_period_s:
+        print(f"warning: TDMA frame period {plan.schedule.frame_period_s} s exceeds the sample period "
               f"{config.sample_period_s} s; {result.stats.replaced_pending} frames were replaced "
               f"before their slot", file=sys.stderr)
-    print(f"simulated {result.end_time_s} s: {len(result.readings)} readings, "
+    print(f"simulated {config.duration_s} s: {len(result.readings)} readings, "
           f"{result.stats.collisions} collisions -> {out}")
     return 0
 
@@ -162,7 +154,7 @@ def cmd_report_energy(
 
 
 def cmd_report_schedule(config: ScenarioConfig, out: str | Path) -> int:
-    schedule = config.schedule()
+    schedule = replace(config, mac_mode=TDMA).plan().schedule
     by_slot = sorted(schedule.assignments.items(), key=lambda kv: kv[1])
     rows = [
         [slot, sid.hex(), schedule.slot_offset_s(sid), schedule.slot_duration_s, schedule.frame_period_s]

@@ -1,4 +1,4 @@
-"""Scenario configuration: a flat key-value file format plus validation.
+"""Scenario configuration: a flat key-value file format, validated into a run plan.
 
 The format is deliberately plain so a scenario can be written by hand
 and diffed: one ``section.key = value`` per line, ``#`` comments, no
@@ -7,8 +7,8 @@ different ``<k>`` tokens to declare several entities.
 
 Each key is declared once, in ``KEYS``, which parsing, validation and
 ``--help`` all walk; it sets the field of its name on its section's
-record.  ``validate`` keeps as code the rules that tie fields together,
-among them the rejection of a config whose delay terms overflow a float.
+record.  ``ScenarioConfig.plan`` keeps as code the rules that tie fields
+together, and returns the ``RunPlan`` whose terms the engine runs on.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Optional
 
 from .delays import DelayParams, airtime, mcu_prep_delay, propagation_delay, serial_delay, total_delay, usb_delay
 from .energy import DevicePowerProfile
@@ -53,9 +53,6 @@ class NodeSpec:
     trace: TemperatureTrace = field(default_factory=lambda: ConstantTrace(37.0))
     distance_m: float = 10.0
 
-    def sensor_id(self, family_code: int = DEFAULT_FAMILY) -> SensorId:
-        return make_sensor_id(family_code, self.serial)
-
 
 @dataclass(frozen=True)
 class InterfererSpec:
@@ -71,7 +68,7 @@ class InterfererSpec:
 _int0 = partial(int, base=0)  # decimal, or 0x hex
 
 # section -> key -> (parser, bound, help text formatted with the default).
-# validate checks a float with a bound is finite, then the bound; None
+# plan checks a float with a bound is finite, then the bound; None
 # checks nothing.  A trace spec also gets the config file's directory.
 KEYS: dict[str, dict[str, tuple[Callable[[str], object], str | None, str]]] = {
     "scenario": {
@@ -146,15 +143,6 @@ class ScenarioConfig:
     power_profile: DevicePowerProfile = field(default_factory=DevicePowerProfile)
     alert_rule: AlertRule = field(default_factory=AlertRule)
 
-    def sensor_ids(self) -> list[SensorId]:
-        return [n.sensor_id(self.family_code) for n in self.nodes]
-
-    def schedule(self) -> SlotSchedule:
-        """The TDMA slot layout of this cell's nodes, for its frame size."""
-        return build_schedule(
-            self.sensor_ids(), FRAME_BITS, self.delay_params, guard_s=self.guard_s, beacon_s=self.beacon_s
-        )
-
     def sections(self) -> list[tuple[str, str, object]]:
         """(KEYS section, section name, record its keys set) for every section."""
         return [
@@ -166,13 +154,12 @@ class ScenarioConfig:
             ("alert", "alert", self.alert_rule),
         ]
 
-    def validate(self) -> None:
-        for spec in (*self.nodes, *self.interferers):
-            if not _SECTION_NAME.fullmatch(spec.name):
-                raise ValidationError(
-                    f"section name {spec.name!r} must be letters, digits and underscores"
-                )
+    def plan(self) -> RunPlan:
+        """Validate the scenario and compute, once, every term its run holds
+        fixed; a ValidationError names the first key or span it cannot honour."""
         for section, name, record in self.sections():
+            if not _SECTION_NAME.fullmatch(name):
+                raise ValidationError(f"section name {name!r} must be letters, digits and underscores")
             for key, (_, bound, _) in KEYS[section].items():
                 if bound is None:
                     continue
@@ -193,53 +180,118 @@ class ScenarioConfig:
                 raise ValidationError(f"{node.name}.serial must fit in 48 bits")
         if not 0 <= self.family_code <= 0xFF:
             raise ValidationError("mac.family_code must fit in 8 bits")
-        # One conversion must finish before the next sample fires.
-        if self.sample_period_s < self.delay_params.sensor_conversion_s:
-            raise ValidationError(
-                "scenario.sample_period_s must be >= delay.sensor_conversion_s"
-            )
-        for intf in self.interferers:
-            if intf.period_s < math.ulp(self.duration_s):  # so t + period_s > t for each t <= duration_s
-                raise ValidationError(f"{intf.name}.period_s must be at least ulp(scenario.duration_s)")
         try:
             self.power_profile.validate()
             self.alert_rule.validate()
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-        # A positive, finite rate can still make a derived time overflow.
+
         p = self.delay_params
-        derived = {
-            "t1 = delay.mac_instruction_clocks / delay.mcu_clock_hz": partial(mcu_prep_delay, p),
-            "t4 = frame bits / delay.air_data_rate_bps": partial(airtime, FRAME_BITS, p),
-            "t6 = frame bits / delay.serial_rate_bps": partial(serial_delay, FRAME_BITS, p),
-            "t8 = frame bits / delay.usb_rate_bps": partial(usb_delay, FRAME_BITS, p),
-        }
-        # t3 and the total grow with the distance, so the farthest node has the largest.
-        far = max(self.nodes, key=lambda n: n.distance_m)
-        derived[f"t3 = {far.name}.distance_m / delay.propagation_speed_mps"] = partial(
-            propagation_delay, far.distance_m, p)
-        derived[f"{far.name}'s total delay"] = lambda: total_delay(FRAME_BITS, far.distance_m, p).total
-        for intf in self.interferers:
-            derived[f"{intf.name}.bits / delay.air_data_rate_bps"] = partial(airtime, intf.bits, p)
-        if self.mac_mode == TDMA:
-            derived["the TDMA frame period from delay.air_data_rate_bps, delay.radio_switch_delay_s, mac.guard_s "
-                    "and mac.beacon_s"] = lambda: self.schedule().frame_period_s
-        for what, compute in derived.items():
-            try:
-                value = compute()
-            except OverflowError:  # an int too large for a float
-                value = math.inf
-            if not math.isfinite(value):
-                raise ValidationError(f"{what} overflows")
+        ids = [make_sensor_id(self.family_code, node.serial) for node in self.nodes]
+        schedule = (build_schedule(ids, FRAME_BITS, p, guard_s=self.guard_s, beacon_s=self.beacon_s)
+                    if self.mac_mode == TDMA else None)
+        # Equal traces (dataclass equality) read the same truth, so each
+        # distinct one is evaluated once per instant.  Floats that compare
+        # equal differ at most in the sign of a zero, which rounding to
+        # counts erases.
+        truth_of: dict[TemperatureTrace, int] = {}
+        node_truth = tuple(truth_of.setdefault(node.trace, len(truth_of)) for node in self.nodes)
+        plan = RunPlan(
+            self, _or_inf(mcu_prep_delay, p), p.radio_switch_delay_s, airtime(FRAME_BITS, p),
+            serial_delay(FRAME_BITS, p), usb_delay(FRAME_BITS, p), p.sensor_conversion_s,
+            tuple(_or_inf(airtime, intf.bits, p) for intf in self.interferers),
+            tuple(
+                NodePlan(node, sid, sid.hex(), propagation_delay(node.distance_m, p),
+                         _or_inf(lambda: total_delay(FRAME_BITS, node.distance_m, p).total),
+                         0.0 if schedule is None else schedule.slot_offset_s(sid))
+                for node, sid in zip(self.nodes, ids)
+            ),
+            schedule,
+            tuple(truth_of),
+            node_truth,
+        )
+        # A span the engine adds to its clock must make t + span > t for every
+        # t <= duration_s, or be a t1 of 0; t3 and a node's total need only be finite.
+        tick = math.ulp(self.duration_s)
+        t1, t4 = "t1 = delay.mac_instruction_clocks / delay.mcu_clock_hz", "t4 = frame bits / delay.air_data_rate_bps"
+        rows = [
+            (t1, plan.prep_s, tick if plan.prep_s else 0.0),
+            ("t2 = delay.radio_switch_delay_s", plan.switch_s, tick),
+            (t4, plan.airtime_s, tick),
+            ("t6 + t8 = frame bits / delay.serial_rate_bps + frame bits / delay.usb_rate_bps",
+             plan.serial_s + plan.usb_s, tick),
+            ("t7 = delay.sensor_conversion_s", plan.conversion_s, tick),
+        ]
+        for node in plan.nodes:
+            rows.append((f"t3 = {node.spec.name}.distance_m / delay.propagation_speed_mps", node.propagation_s, 0.0))
+            rows.append((f"{node.spec.name}'s total delay", node.budget_s, 0.0))
+        for intf, burst_s in zip(self.interferers, plan.burst_airtime_s):
+            rows.append((f"{intf.name}.bits / delay.air_data_rate_bps", burst_s, tick))
+            rows.append((f"{intf.name}.period_s", intf.period_s, tick))
+        if schedule is not None:
+            rows.append(("the TDMA frame period from delay.air_data_rate_bps, delay.radio_switch_delay_s, "
+                         "mac.guard_s and mac.beacon_s", schedule.frame_period_s, tick))
+        for label, span, least in rows:
+            if not math.isfinite(span):
+                raise ValidationError(f"{label} overflows")
+            if span < least:
+                raise ValidationError(f"{label} must be at least ulp(scenario.duration_s)")
+        # A node's sensor, its MCU and, under ALOHA, its radio each end
+        # one sample's work before the next sample's begins.
+        busy = [("delay.sensor_conversion_s", plan.conversion_s), (t1, plan.prep_s)]
+        if schedule is None:
+            busy.append((f"{t4} under {ALOHA}", plan.airtime_s))
+        for label, span in busy:
+            if self.sample_period_s < span:
+                raise ValidationError(f"scenario.sample_period_s must be >= {label}")
+        return plan
+
+
+def _or_inf(compute: Callable[..., float], *args) -> float:
+    try:
+        return compute(*args)
+    except OverflowError:  # an int operand too large for a float
+        return math.inf
+
+
+@dataclass(frozen=True)
+class NodePlan:
+    """A node's fixed terms, and the name ``events.csv`` gives it."""
+
+    spec: NodeSpec
+    sensor_id: SensorId
+    subject: str  # sensor_id.hex()
+    propagation_s: float  # t3
+    budget_s: float  # the eight-term total, each reading's total_delay_s
+    slot_offset_s: float  # in the TDMA frame; 0 under ALOHA
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """A validated scenario and every term its run holds fixed, each
+    computed once, by ``ScenarioConfig.plan``."""
+
+    config: ScenarioConfig
+    prep_s: float  # t1
+    switch_s: float  # the radio switch, t2 and t5
+    airtime_s: float  # a frame's, t4
+    serial_s: float  # t6
+    usb_s: float  # t8
+    conversion_s: float  # t7
+    burst_airtime_s: tuple[float, ...]  # each interferer's
+    nodes: tuple[NodePlan, ...]
+    schedule: Optional[SlotSchedule]  # None under ALOHA
+    truths: tuple[TemperatureTrace, ...]
+    node_truth: tuple[int, ...]  # node i reads truths[node_truth[i]]
 
 
 def parse_config_text(
     text: str, source: str = "<string>", base_dir: str | Path | None = None
 ) -> ScenarioConfig:
-    """Parse config text into a validated ScenarioConfig.
+    """Parse config text into a ScenarioConfig; ``plan`` validates it.
 
     Raises ParseError (with line numbers) for malformed or unknown keys
-    and ValidationError for consistent-but-wrong values.
+    and ValidationError for a node section without a serial.
     """
     # Values by (KEYS section, section name), in order of first appearance.
     values: dict[tuple[str, str], dict[str, object]] = {}
@@ -282,7 +334,7 @@ def parse_config_text(
     def record(section: str) -> dict[str, object]:
         return values.get((section, section), {})
 
-    config = ScenarioConfig(
+    return ScenarioConfig(
         nodes=tuple(NodeSpec(name=s, **v) for (kind, s), v in values.items() if kind == "node"),
         interferers=tuple(InterfererSpec(name=s, **v) for (kind, s), v in values.items() if kind == "interferer"),
         delay_params=DelayParams(**record("delay")),
@@ -290,12 +342,10 @@ def parse_config_text(
         alert_rule=AlertRule(**record("alert")),
         **record("scenario"), **record("sensor"), **record("medium"), **record("mac"),
     )
-    config.validate()
-    return config
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Parse and validate a scenario file."""
+    """Parse a scenario file."""
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"config file not found: {path}")
@@ -311,4 +361,6 @@ def config_help() -> str:
         for key, (_, _, text) in KEYS[section].items():
             text = text.format(getattr(record, key)).replace("\n", "\n" + " " * 33)
             lines.append(f"  {f'{label}.{key}':<30} {text}")
+    lines.append("\nEvery span the run adds to its clock (t1 unless 0, t2, t4, t6 + t8, t7, each burst's airtime\n"
+                 "and period, the TDMA frame period) must be finite and >= ulp(scenario.duration_s).")
     return "\n".join(lines)

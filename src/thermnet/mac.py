@@ -57,15 +57,16 @@ def build_schedule(
 
     The slot length covers the frame airtime plus both radio mode
     switches plus the guard margin, rounded up to 1 ms granularity, so
-    correctly synchronized transmissions can never overlap.
+    correctly synchronized transmissions can never overlap.  A slot too
+    long to count in milliseconds is infinite, for the caller to reject.
     """
     if not node_ids:
         raise ValueError("node_ids must be non-empty")
     if len(set(node_ids)) != len(node_ids):
         raise DuplicateNode("duplicate sensor id in schedule request")
     raw = airtime(frame_bits, delay_params) + 2 * delay_params.radio_switch_delay_s + guard_s
-    slot_ms = math.ceil(raw / SLOT_GRANULARITY_S - 1e-9)
-    slot_duration = slot_ms * SLOT_GRANULARITY_S
+    slot_ms = raw / SLOT_GRANULARITY_S - 1e-9
+    slot_duration = math.ceil(slot_ms) * SLOT_GRANULARITY_S if slot_ms < math.inf else math.inf
     ordered = sorted(node_ids, key=lambda nid: (nid.serial, nid.family_code))
     return SlotSchedule(
         beacon_slot_s=beacon_s,

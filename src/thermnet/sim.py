@@ -34,19 +34,12 @@ go to a sink as they are written, or are parsed back into
 the file's ``write``, so the log does not stay in memory for the run.
 Delivered readings do.
 
-Every stage of a packet's path takes a fixed model delay, so each
-node's eight-term latency budget (``delays.total_delay`` at its
-distance) is computed once per run and is the ``total_delay_s`` of every
-reading it delivers.  A packet in flight carries only its raw count,
-sequence number and conversion-start time; the queue wait before a slot
-shows in the event log, not in the budget.  The packet is encoded into
-its 256-bit word only where it is decoded, at the access point, for a
-frame that arrived unoverlapped.
-
-``Medium.finish`` decides a frame's fate (out of range, collided or
-received) once, as its signal ends, in O(1) on the precondition that
-transmissions start in non-decreasing time, which the engine's clock
-guarantees and ``medium_transmit`` asserts.
+Every delay term is read from the ``RunPlan``.  A packet in flight
+carries only its raw count, sequence number and conversion-start time;
+its reading's ``total_delay_s`` is its node's planned budget, and the
+queue wait before a slot shows in the event log, not in the budget.
+The packet is encoded into its 256-bit word only where it is decoded,
+at the access point, for a frame that arrived unoverlapped.
 """
 
 from __future__ import annotations
@@ -57,11 +50,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .config import NodeSpec, ScenarioConfig, TDMA
-from .delays import airtime, mcu_prep_delay, serial_delay, total_delay, usb_delay
+from .config import NodePlan, RunPlan
 from .energy import EnergyLedger, energy, power
-from .frames import FRAME_BITS, Frame, FrameError, SensorId, TEMP_LSB_C, decode_frame, encode_frame
-from .mac import SlotSchedule, next_instant_index
+from .frames import Frame, FrameError, TEMP_LSB_C, decode_frame, encode_frame
+from .mac import next_instant_index
 from .monitor import Reading
 from .rng import float_key, gauss
 from .traces import TemperatureTrace
@@ -112,7 +104,7 @@ class SimEvent(NamedTuple):
 
 
 # One events.csv line.  Each SimEvent cell is a float, an int or a word
-# of letters, digits and "_=.- " (validate() checks the config names the
+# of letters, digits and "_=.- " (plan() checks the config names the
 # engine puts in words), so this is the line csv.writer would write, and
 # splitting it at its first four commas gives the cells back.  The time
 # cell is a stamp already formatted with ``repr``, which round-trips.
@@ -134,14 +126,14 @@ class Medium:
     """Shared radio channel with a binary in-range/out-of-range disk.
 
     Signals go on the air through ``medium_transmit``; ``finish`` takes
-    one off and returns its fate at the access point.  ``active`` holds
-    the signals on the air, keyed by ``id``.  Signals enter in
-    non-decreasing start time, so a new in-range one overlaps an earlier
-    in-range one exactly when ``latest_end_s``, the latest in-range end
-    so far, is after its start.  And of the in-range signals still on
-    the air, all have collided but possibly ``clean``, the last one to
-    enter unoverlapped: every earlier one had ended by the time it
-    started.
+    one off and returns its fate at the access point, once and in O(1).
+    ``active`` holds the signals on the air, keyed by ``id``.  Signals
+    enter in non-decreasing start time, as the engine's clock
+    guarantees, so a new in-range one overlaps an earlier in-range one
+    exactly when ``latest_end_s``, the latest in-range end so far, is
+    after its start.  And of the in-range signals still on the air, all
+    have collided but possibly ``clean``, the last one to enter
+    unoverlapped: every earlier one had ended by the time it started.
     """
 
     def __init__(self, range_m: float = 100.0):
@@ -269,8 +261,6 @@ class SimResult:
     readings: list[Reading]
     ledgers: dict[str, EnergyLedger]
     stats: SimStats
-    schedule: Optional[SlotSchedule]
-    end_time_s: float
 
 
 # A packet in flight: raw count, sequence number, conversion start.
@@ -279,34 +269,23 @@ _Packet = tuple[int, int, float]
 
 @dataclass
 class _Node:
-    """One sensor node.
+    """One sensor node's run state; ``plan`` holds its fixed terms.
 
-    ``budget_s`` is the closed-form total delay at the node's distance,
-    the ``total_delay_s`` of each reading it delivers.  ``pending`` holds
-    the packet (raw, sequence, conversion start) waiting for the node's
-    slot; exactly while it is set, one SLOT_START is queued for slot
-    ``slot_k``, at ``slot_k * frame_period_s + slot_offset_s``.
+    ``pending`` holds the packet waiting for the node's slot; exactly
+    while it is set, one SLOT_START is queued for slot ``slot_k``.
     """
 
-    spec: NodeSpec
-    sensor_id: SensorId
-    subject: str
-    propagation_s: float
-    budget_s: float
-    slot_offset_s: float = 0.0
+    plan: NodePlan
     pending: Optional[_Packet] = None
     slot_k: int = 0
     radio_active_s: float = 0.0
 
 
 class _Engine:
-    def __init__(self, config: ScenarioConfig, on_event: Optional[Callable[[str], object]] = None):
-        config.validate()
-        self.config = config
-        self.params = config.delay_params
-        self.profile = config.power_profile
-        self.medium = Medium(config.range_m)
-        self.end_time_s = float(config.duration_s)
+    def __init__(self, plan: RunPlan, on_event: Optional[Callable[[str], object]] = None):
+        self.plan = plan
+        self.medium = Medium(plan.config.range_m)
+        self.end_time_s = float(plan.config.duration_s)
         self.now = 0.0
         self._rows: list[str] = []
         self._emit = self._rows.append if on_event is None else on_event
@@ -320,31 +299,7 @@ class _Engine:
         self._mcu_active_s = 0.0
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._heap_seq = itertools.count()
-
-        # Per-run delay terms, computed once.
-        self._frame_airtime_s = airtime(FRAME_BITS, self.params)
-        self._prep_s = mcu_prep_delay(self.params)
-        self._serial_s = serial_delay(FRAME_BITS, self.params)
-        self._usb_s = usb_delay(FRAME_BITS, self.params)
-        self.nodes: list[_Node] = []
-        for spec in config.nodes:
-            sid = spec.sensor_id(config.family_code)
-            budget = total_delay(FRAME_BITS, spec.distance_m, self.params)
-            self.nodes.append(_Node(spec, sid, sid.hex(), budget.t3, budget.total))
-        self._subject_of = {node.sensor_id: node.subject for node in self.nodes}
-        # Equal traces (dataclass equality) read the same truth, so each
-        # distinct one is evaluated once per instant.  Floats that compare
-        # equal differ at most in the sign of a zero, which rounding to
-        # counts erases.
-        truth_of: dict[TemperatureTrace, int] = {}
-        self._node_truth = [truth_of.setdefault(spec.trace, len(truth_of)) for spec in config.nodes]
-        self._truths = list(truth_of)
-
-        self.schedule: Optional[SlotSchedule] = None
-        if config.mac_mode == TDMA:
-            self.schedule = config.schedule()
-            for node in self.nodes:
-                node.slot_offset_s = self.schedule.slot_offset_s(node.sensor_id)
+        self.nodes = [_Node(node) for node in plan.nodes]
 
     # -- queue plumbing ------------------------------------------------
 
@@ -364,12 +319,13 @@ class _Engine:
     # -- run -----------------------------------------------------------
 
     def run(self) -> SimResult:
+        plan = self.plan
+        cfg = plan.config
         if self.end_time_s > 0:
-            for intf in self.config.interferers:
-                self._push(intf.start_s, self._on_interferer_burst, intf, airtime(intf.bits, self.params))
-        cfg = self.config
+            for intf, burst_s in zip(cfg.interferers, plan.burst_airtime_s):
+                self._push(intf.start_s, self._on_interferer_burst, intf, burst_s)
         period = cfg.sample_period_s
-        conversion_s = self.params.sensor_conversion_s
+        conversion_s = plan.conversion_s
         n_nodes = len(self.nodes)
         for k in range(math.ceil(self.end_time_s / period)):
             t = k * period
@@ -378,7 +334,7 @@ class _Engine:
             self._dispatch_before(t)
             self.now = t
             self.stats.conversions += n_nodes
-            raws = sense_and_quantize(self._truths, self._node_truth, t, cfg.seed, cfg.noise_sigma_c)
+            raws = sense_and_quantize(plan.truths, plan.node_truth, t, cfg.seed, cfg.noise_sigma_c)
             self._push(t + conversion_s, self._on_conversions_done, k, t, raws)
         # Events due exactly at the end still run.
         self._dispatch_before(math.nextafter(self.end_time_s, math.inf))
@@ -393,35 +349,34 @@ class _Engine:
 
     def _finish(self) -> SimResult:
         end = self.end_time_s
-        prof = self.profile
+        prof = self.plan.config.power_profile
         v = prof.supply_voltage_v
         sensing_j = energy(power(v, prof.sensor_i_active_a), self._sensor_active_s)
         mcu_j = energy(power(v, prof.mcu_i_active_a), self._mcu_active_s)
-        sensor_idle_j = energy(power(v, prof.sensor_i_idle_a), end - self._sensor_active_s)
-        mcu_idle_j = energy(power(v, prof.mcu_i_idle_a), end - self._mcu_active_s)
+        # A float sum of busy spans that fill the run can pass its end by rounding.
+        sensor_idle_j = energy(power(v, prof.sensor_i_idle_a), max(end - self._sensor_active_s, 0.0))
+        mcu_idle_j = energy(power(v, prof.mcu_i_idle_a), max(end - self._mcu_active_s, 0.0))
         ledgers: dict[str, EnergyLedger] = {}
         for node in self.nodes:
-            ledgers[node.subject] = EnergyLedger(
+            ledgers[node.plan.subject] = EnergyLedger(
                 transmit_j=energy(power(v, prof.radio_i_transmit_a), node.radio_active_s),
                 sensing_j=sensing_j,
                 mcu_j=mcu_j,
-                idle_j=energy(power(v, prof.radio_i_idle_a), end - node.radio_active_s)
+                idle_j=energy(power(v, prof.radio_i_idle_a), max(end - node.radio_active_s, 0.0))
                 + sensor_idle_j
                 + mcu_idle_j,
             )
         # The access point listens for the whole run.
         ledgers[AP] = EnergyLedger(receive_j=energy(power(v, prof.radio_i_receive_a), end))
-        if self.schedule is not None and end > 0:
+        if self.plan.schedule is not None and end > 0:
             # Beacons k * frame_period_s <= end are those < the next float.
             after_end = math.nextafter(end, math.inf)
-            self.stats.beacons = next_instant_index(self.schedule.frame_period_s, 0.0, after_end)
+            self.stats.beacons = next_instant_index(self.plan.schedule.frame_period_s, 0.0, after_end)
         return SimResult(
             events=[SimEvent.from_row(row) for row in self._rows],
             readings=self.readings,
             ledgers=ledgers,
             stats=self.stats,
-            schedule=self.schedule,
-            end_time_s=end,
         )
 
     # -- node-side handlers --------------------------------------------
@@ -430,19 +385,19 @@ class _Engine:
         """Conversion k finishes on every node, in node order; the
         instant's frames then become ready together, as one cohort."""
         for node, raw in zip(self.nodes, raws):
-            self._log(CONVERSION_DONE, node.subject, f"k={k} raw={raw}")
-        self._sensor_active_s += self.params.sensor_conversion_s
-        self._push(self.now + self._prep_s, self._on_frames_ready, k % (1 << 16), started_s, raws)
+            self._log(CONVERSION_DONE, node.plan.subject, f"k={k} raw={raw}")
+        self._sensor_active_s += self.plan.conversion_s
+        self._push(self.now + self.plan.prep_s, self._on_frames_ready, k % (1 << 16), started_s, raws)
 
     def _on_frames_ready(self, sequence: int, started_s: float, raws: list[int]) -> None:
         """Every node frames its reading, in node order.  Send-on-ready
         puts the whole cohort on the air after the radio switch; under
         TDMA each node waits for its own slot."""
         self.stats.frames_queued += len(raws)
-        self._mcu_active_s += self._prep_s
-        if self.schedule is None:
+        self._mcu_active_s += self.plan.prep_s
+        if self.plan.schedule is None:
             cohort = [(node, (raw, sequence, started_s)) for node, raw in zip(self.nodes, raws)]
-            self._push(self.now + self.params.radio_switch_delay_s, self._on_tx_start, cohort)
+            self._push(self.now + self.plan.switch_s, self._on_tx_start, cohort)
             return
         for node, raw in zip(self.nodes, raws):
             if node.pending is not None:
@@ -450,38 +405,38 @@ class _Engine:
                 # one and goes out in the slot already queued for it.
                 self.stats.replaced_pending += 1
             else:
-                node.slot_k = next_instant_index(self.schedule.frame_period_s, node.slot_offset_s, self.now)
+                node.slot_k = next_instant_index(self.plan.schedule.frame_period_s, node.plan.slot_offset_s, self.now)
                 self._push_slot(node)
             node.pending = (raw, sequence, started_s)
 
     def _push_slot(self, node: _Node) -> None:
-        self._push(node.slot_k * self.schedule.frame_period_s + node.slot_offset_s, self._on_slot_start, node)
+        self._push(node.slot_k * self.plan.schedule.frame_period_s + node.plan.slot_offset_s, self._on_slot_start, node)
 
     def _on_slot_start(self, node: _Node) -> None:
         """Listen before send: a free channel transmits the pending frame,
         a busy one defers it to the node's slot in the next frame, with
         no retry bound."""
-        self._log(SLOT_START, node.subject)
-        busy = self.medium.busy_at(self.now, node.spec.distance_m)
-        self._log(RSSI_SAMPLE, node.subject, "busy" if busy else "free")
+        self._log(SLOT_START, node.plan.subject)
+        busy = self.medium.busy_at(self.now, node.plan.spec.distance_m)
+        self._log(RSSI_SAMPLE, node.plan.subject, "busy" if busy else "free")
         if busy:
             self.stats.deferrals += 1
             node.slot_k += 1
             self._push_slot(node)
             return
         packet, node.pending = node.pending, None
-        self._push(self.now + self.params.radio_switch_delay_s, self._on_tx_start, [(node, packet)])
+        self._push(self.now + self.plan.switch_s, self._on_tx_start, [(node, packet)])
 
     def _on_tx_start(self, cohort: list[tuple[_Node, _Packet]]) -> None:
         """Each node of the cohort puts its frame on the air, in node
         order; all of them end at one time."""
         start_s = self.now
-        end_s = start_s + self._frame_airtime_s
+        end_s = start_s + self.plan.airtime_s
         on_air = []
         for node, packet in cohort:
-            tx = Transmission(node.subject, start_s, end_s, node.spec.distance_m)
+            tx = Transmission(node.plan.subject, start_s, end_s, node.plan.spec.distance_m)
             medium_transmit(self.medium, tx)
-            self._log(TX_START, node.subject, f"seq={packet[1]}")
+            self._log(TX_START, node.plan.subject, f"seq={packet[1]}")
             on_air.append((tx, node, packet))
         self.stats.transmissions += len(cohort)
         self._push(end_s, self._on_tx_end, on_air)
@@ -499,11 +454,11 @@ class _Engine:
             if fate == OUT_OF_RANGE:
                 self.stats.out_of_range += 1
             else:
-                self._push(self.now + node.propagation_s, self._on_arrival, fate, node, packet)
+                self._push(self.now + node.plan.propagation_s, self._on_arrival, fate, node.plan, packet)
 
     # -- access-point handlers -----------------------------------------
 
-    def _on_arrival(self, fate: str, node: _Node, packet: _Packet) -> None:
+    def _on_arrival(self, fate: str, node: NodePlan, packet: _Packet) -> None:
         """A node frame in range reaches the access point with the fate
         the medium gave it.  Only a received frame is encoded, and
         decoded at once."""
@@ -521,12 +476,13 @@ class _Engine:
             return
         self._log(RX_DELIVER, AP, f"from={node.subject} seq={frame.sequence}")
         # Receiver pipeline: mode switch, serial transfer, USB hop.
-        serial_out_s = self.now + self.params.radio_switch_delay_s + self._serial_s + self._usb_s
+        plan = self.plan
+        serial_out_s = self.now + plan.switch_s + plan.serial_s + plan.usb_s
         self._push(serial_out_s, self._on_serial_out, frame, node, started_s)
 
-    def _on_serial_out(self, frame: Frame, node: _Node, started_s: float) -> None:
-        sid = frame.sensor_id
-        self._log(SERIAL_OUT, AP, f"id={self._subject_of.get(sid) or sid.hex()} seq={frame.sequence}")
+    def _on_serial_out(self, frame: Frame, node: NodePlan, started_s: float) -> None:
+        # The frame was encoded from the node's own id.
+        self._log(SERIAL_OUT, AP, f"id={node.subject} seq={frame.sequence}")
         self.stats.delivered += 1
         self.readings.append(
             Reading(
@@ -551,10 +507,8 @@ class _Engine:
         self._push(self.now + intf.period_s, self._on_interferer_burst, intf, airtime_s)
 
 
-def run_scenario(
-    config: ScenarioConfig, on_event: Optional[Callable[[str], object]] = None
-) -> SimResult:
-    """Simulate one scenario; raises ConfigError on invalid configs.
+def run_scenario(plan: RunPlan, on_event: Optional[Callable[[str], object]] = None) -> SimResult:
+    """Simulate the scenario of a ``ScenarioConfig.plan()``.
 
     Each logged event goes to ``on_event`` as it happens, in log order,
     as its finished ``events.csv`` line (``EVENT_ROW``, newline
@@ -563,4 +517,4 @@ def run_scenario(
     seed) pairs produce identical results, event for event and byte for
     byte once serialized.
     """
-    return _Engine(config, on_event).run()
+    return _Engine(plan, on_event).run()

@@ -70,7 +70,7 @@ def ledger_from_events(result: SimResult, config: ScenarioConfig, subject: str) 
     v = prof.supply_voltage_v
     t7 = params.sensor_conversion_s
     t1 = mcu_prep_delay(params)
-    end = result.end_time_s
+    end = config.duration_s
 
     tx_time = 0.0
     open_tx = None
@@ -122,7 +122,7 @@ def access_point_ledger(result: SimResult, config: ScenarioConfig) -> EnergyLedg
     """The receiver listens for the whole run."""
     prof = config.power_profile
     return EnergyLedger(
-        receive_j=prof.supply_voltage_v * prof.radio_i_receive_a * result.end_time_s
+        receive_j=prof.supply_voltage_v * prof.radio_i_receive_a * config.duration_s
     )
 
 

@@ -121,7 +121,7 @@ def test_criterion_05_energy_model(capsys):
 def test_criterion_06_single_node_band_run(capsys):
     config = _nodes(1, trace=BandNoiseTrace(26.0, 30.0), duration_s=60.0, seed=7)
     start = time.perf_counter()
-    result = run_scenario(config)
+    result = run_scenario(config.plan())
     elapsed = time.perf_counter() - start
     count_ok = len(result.readings) == 60
     step = 0.0625
@@ -143,10 +143,10 @@ def test_criterion_07_two_node_partition(capsys):
         seed=11,
         noise_sigma_c=0.0,
     )
-    result = run_scenario(config)
-    store = ReadingStore(roster=config.sensor_ids())
+    result = run_scenario(config.plan())
+    first, second = make_sensor_id(serial=1), make_sensor_id(serial=2)
+    store = ReadingStore(roster=[first, second])
     store.ingest_all(result.readings)
-    first, second = config.sensor_ids()
     temps1 = {r.temp_c for r in store.series(first)}
     temps2 = {r.temp_c for r in store.series(second)}
     partition = temps1 == {36.5} and temps2 == {30.0}
@@ -162,10 +162,10 @@ def test_criterion_07_two_node_partition(capsys):
 def test_criterion_08_slotted_access_prevents_collisions(capsys):
     collisions = {}
     for count in (1, 2, 4, 8, 16):
-        result = run_scenario(_nodes(count, duration_s=300.0, seed=3))
+        result = run_scenario(_nodes(count, duration_s=300.0, seed=3).plan())
         collisions[count] = result.stats.collisions
     tdma_clean = all(v == 0 for v in collisions.values())
-    contended = run_scenario(_nodes(2, duration_s=10.0, seed=3, mac_mode=ALOHA))
+    contended = run_scenario(_nodes(2, duration_s=10.0, seed=3, mac_mode=ALOHA).plan())
     aloha_collides = contended.stats.collisions >= 1
     ok = tdma_clean and aloha_collides
     _verdict(capsys, 8, ok,
@@ -183,9 +183,9 @@ def test_criterion_09_ledger_matches_event_log(capsys):
         seed=123,
         noise_sigma_c=0.1,
     )
-    result = run_scenario(config)
+    result = run_scenario(config.plan())
     worst = 0.0
-    for sid in config.sensor_ids():
+    for sid in (make_sensor_id(serial=1), make_sensor_id(serial=2)):
         oracle = ledger_from_events(result, config, sid.hex())
         ledger = result.ledgers[sid.hex()]
         for name in LEDGER_FIELDS:
@@ -222,7 +222,7 @@ def test_criterion_11_accuracy_bounds(capsys):
         nodes=(NodeSpec("node1", 1, trace=ConstantTrace(36.53)),),
         duration_s=60.0, seed=2, noise_sigma_c=0.0,
     )
-    result = run_scenario(quiet)
+    result = run_scenario(quiet.plan())
     report0 = agreement(result.readings, quiet.nodes[0].trace, quiet.seed)
     quiet_ok = report0.mae_c <= 0.03125
 
@@ -231,7 +231,7 @@ def test_criterion_11_accuracy_bounds(capsys):
         nodes=(NodeSpec("node1", 1, trace=ConstantTrace(37.0)),),
         duration_s=1100.0, seed=29, noise_sigma_c=sigma,
     )
-    series = run_scenario(noisy).readings
+    series = run_scenario(noisy.plan()).readings
     report1 = agreement(series, noisy.nodes[0].trace, noisy.seed)
     errors = [abs(r.temp_c - 37.0) for r in series]
     stderr = statistics.pstdev(errors) / math.sqrt(len(errors))

@@ -8,17 +8,23 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import thermnet
 from helpers import read_rows
 from thermnet.cli import _write_simulation_outputs, cmd_simulate, main
 from thermnet.config import (
+    ALOHA,
     KEYS,
+    TDMA,
     ConfigError,
     InterfererSpec,
     ParseError,
@@ -192,7 +198,7 @@ def test_parse_error_carries_filename(tmp_path):
 
 def test_duplicate_serial_rejected():
     with pytest.raises(ValidationError, match="unique"):
-        parse_config_text("node1.serial = 5\nnode2.serial = 5\n")
+        parse_config_text("node1.serial = 5\nnode2.serial = 5\n").plan()
 
 
 def test_node_without_serial_rejected():
@@ -202,23 +208,23 @@ def test_node_without_serial_rejected():
 
 def test_no_nodes_rejected():
     with pytest.raises(ValidationError, match="node"):
-        parse_config_text("scenario.duration_s = 5\n")
+        parse_config_text("scenario.duration_s = 5\n").plan()
 
 
 def test_bad_mac_mode_rejected():
     with pytest.raises(ValidationError, match="mac_mode"):
-        parse_config_text("node1.serial = 1\nscenario.mac_mode = csma\n")
+        parse_config_text("node1.serial = 1\nscenario.mac_mode = csma\n").plan()
 
 
 def test_sample_period_must_cover_conversion():
     with pytest.raises(ValidationError, match="sample_period_s"):
-        parse_config_text("node1.serial = 1\nscenario.sample_period_s = 0.5\n")
+        parse_config_text("node1.serial = 1\nscenario.sample_period_s = 0.5\n").plan()
 
 
 def test_negative_duration_rejected_zero_allowed():
     with pytest.raises(ValidationError, match="duration_s"):
-        parse_config_text("node1.serial = 1\nscenario.duration_s = -1\n")
-    config = parse_config_text("node1.serial = 1\nscenario.duration_s = 0\n")
+        parse_config_text("node1.serial = 1\nscenario.duration_s = -1\n").plan()
+    config = parse_config_text("node1.serial = 1\nscenario.duration_s = 0\n").plan().config
     assert config.duration_s == 0.0
 
 
@@ -232,12 +238,12 @@ def test_interferer_period_that_cannot_advance_the_clock_rejected(period):
     # 1.0 + 1e-20 == 1.0: such a burst would requeue itself at the same
     # time forever.  Only the config is checked; nothing is run.
     with pytest.raises(ValidationError, match="^interferer1.period_s must be at least ulp"):
-        parse_config_text(STALLING_INTERFERER.format(period))
+        parse_config_text(STALLING_INTERFERER.format(period)).plan()
 
 
 def test_interferer_period_of_one_ulp_of_the_run_advances_every_burst():
     period = math.ulp(5.0)
-    config = parse_config_text(STALLING_INTERFERER.format(repr(period)))
+    config = parse_config_text(STALLING_INTERFERER.format(repr(period))).plan().config
     assert config.interferers[0].period_s == period
     # Every time up to the end moves forward, across binade edges too.
     for t in (0.0, -0.0, 5e-324, 1.0, math.nextafter(4.0, 0.0), 4.0, math.nextafter(5.0, 0.0), 5.0):
@@ -282,7 +288,7 @@ def test_bad_trace_spec_exits_1_naming_key_and_line(tmp_path, capsys, spec):
 def test_validate_rejects_non_finite_timing(field, value):
     config = replace(ScenarioConfig(nodes=(NodeSpec("node1", 1),)), **{field: value})
     with pytest.raises(ValidationError, match=f"scenario.{field} must be finite"):
-        config.validate()
+        config.plan()
 
 
 NON_FINITE_FIELDS = [
@@ -301,12 +307,12 @@ NON_FINITE_FIELDS = [
 def test_validate_rejects_non_finite_field(key, build, value):
     config = build(ScenarioConfig(nodes=(NodeSpec("node1", 1),), duration_s=5.0), value)
     with pytest.raises(ValidationError, match=f"^{key} must be finite$"):
-        config.validate()
+        config.plan()
 
 
 def test_oversized_serial_rejected():
     with pytest.raises(ValidationError, match="48 bits"):
-        ScenarioConfig(nodes=(NodeSpec("node1", 1 << 48),)).validate()
+        ScenarioConfig(nodes=(NodeSpec("node1", 1 << 48),)).plan()
 
 
 def test_config_help_documents_keys():
@@ -329,7 +335,7 @@ def test_config_help_documents_keys():
 )
 def test_record_value_out_of_bounds_names_its_key(line, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        parse_config_text(f"node1.serial = 1\n{line}\n")
+        parse_config_text(f"node1.serial = 1\n{line}\n").plan()
 
 
 BOUNDED_KEYS = [
@@ -344,13 +350,14 @@ BOUNDED_KEYS = [
 def test_every_bounded_key_rejects_a_value_just_outside(section, key, bound):
     value = "0" if bound == "positive" else "-1"
     with pytest.raises(ValidationError, match=f"^{section}.{key} must be {bound}$"):
-        parse_config_text(f"node1.serial = 1\n{section}.{key} = {value}\n")
+        parse_config_text(f"node1.serial = 1\n{section}.{key} = {value}\n").plan()
 
 
 def _printed_defaults() -> dict[str, str | None]:
-    """Each key config_help() lists, with the default it prints, if any."""
+    """Each key config_help() lists, with the default it prints, if any.
+    The key list ends at the blank line before the span rule."""
     printed = {}
-    for entry in re.split(r"\n  (?=\S)", config_help())[1:]:
+    for entry in re.split(r"\n  (?=\S)", config_help().split("\n\n")[0])[1:]:
         key, text = entry.split(None, 1)
         default = re.search(r"\(default (.*)\)$", text)
         printed[key] = default and default.group(1)
@@ -411,6 +418,146 @@ def test_config_whose_delay_terms_overflow_exits_1(tmp_path, capsys, command, li
     assert not out.exists()
 
 
+# Configs a run cannot honour, though every key is in its bounds.  The
+# first three each ended in a traceback and a partial events.csv.
+_HUGE_CLOCK = "scenario.duration_s = 1e308\nscenario.sample_period_s = 3e307\n"
+# ulp(1e12) is 1.22e-4 s; with t1 at 0, every default span is above it.
+_LARGE_CLOCK = "scenario.duration_s = 1e12\nscenario.sample_period_s = 3e11\ndelay.mac_instruction_clocks = 0\n"
+_BELOW_ULP = "must be at least ulp(scenario.duration_s)"
+UNHONOURED = [
+    # t1, 40 us, is below ulp(1e308); so, under TDMA, is the frame period.
+    (_HUGE_CLOCK, f"t1 = delay.mac_instruction_clocks / delay.mcu_clock_hz {_BELOW_ULP}"),
+    (_HUGE_CLOCK + "scenario.mac_mode = aloha", f"t1 = delay.mac_instruction_clocks / delay.mcu_clock_hz {_BELOW_ULP}"),
+    # A 1-bit burst lasts 5.2e-5 s.
+    (_LARGE_CLOCK + "scenario.mac_mode = aloha\ninterferer1.bits = 1\ninterferer1.period_s = 1e11",
+     f"interferer1.bits / delay.air_data_rate_bps {_BELOW_ULP}"),
+    # These runs went on without the span the clock dropped.
+    (_LARGE_CLOCK + "delay.radio_switch_delay_s = 1e-4", f"t2 = delay.radio_switch_delay_s {_BELOW_ULP}"),
+    (_LARGE_CLOCK + "delay.serial_rate_bps = 1e7\ndelay.usb_rate_bps = 1e7",
+     f"t6 + t8 = frame bits / delay.serial_rate_bps + frame bits / delay.usb_rate_bps {_BELOW_ULP}"),
+    (_LARGE_CLOCK + "delay.sensor_conversion_s = 1e-4", f"t7 = delay.sensor_conversion_s {_BELOW_ULP}"),
+    # A node's MCU, or its radio under ALOHA, would work on two samples at
+    # once and be busy for longer than the run.
+    ("scenario.duration_s = 10\ndelay.mac_instruction_clocks = 40000000",
+     "scenario.sample_period_s must be >= t1 = delay.mac_instruction_clocks / delay.mcu_clock_hz"),
+    ("scenario.duration_s = 1\nscenario.sample_period_s = 0.05\nscenario.mac_mode = aloha\n"
+     "delay.sensor_conversion_s = 0.01\ndelay.air_data_rate_bps = 284",
+     "scenario.sample_period_s must be >= t4 = frame bits / delay.air_data_rate_bps under aloha"),
+]
+
+
+@pytest.mark.parametrize(
+    "lines, message", UNHONOURED, ids=["tdma", "aloha", "burst", "switch", "serial_usb", "conversion", "mcu", "radio"]
+)
+def test_config_the_run_cannot_honour_exits_1(tmp_path, capsys, lines, message):
+    path = write_config(tmp_path, f"node1.serial = 1\n{lines}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_busy_time_that_fills_the_run_is_not_longer_than_it(tmp_path):
+    # The conversion takes the whole sample period, and the float sum of
+    # the 29 conversions that end in the run is above the run's end.
+    path = write_config(tmp_path, "node1.serial = 1\nscenario.duration_s = 51129.64858079871\n"
+                        "scenario.sample_period_s = 1704.3216193599571\ndelay.sensor_conversion_s = 1704.3216193599571\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    ledger = read_rows(tmp_path / "out" / "ledgers.csv")[0]
+    assert float(ledger["idle_j"]) >= 0
+
+
+def test_report_schedule_rejects_an_aloha_frame_period_that_overflows(tmp_path, capsys):
+    # The slot layout is reported for TDMA whatever the mode, so it is
+    # planned as TDMA and its frame period checked.
+    path = write_config(tmp_path, "node1.serial = 1\nscenario.mac_mode = aloha\n"
+                        "mac.beacon_s = 1.797e308\nmac.guard_s = 1e305\n")
+    out = tmp_path / "schedule.csv"
+    assert main(["report", "schedule", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: the TDMA frame period")
+    assert not out.exists()
+
+
+def test_simulate_plans_once_and_builds_the_schedule_once(tmp_path, monkeypatch):
+    calls = []
+    plan, build_schedule = ScenarioConfig.plan, thermnet.config.build_schedule
+
+    def counted_plan(self):
+        calls.append("plan")
+        return plan(self)
+
+    def counted_build_schedule(*args, **kwargs):
+        calls.append("build_schedule")
+        return build_schedule(*args, **kwargs)
+
+    monkeypatch.setattr(ScenarioConfig, "plan", counted_plan)
+    monkeypatch.setattr(thermnet.config, "build_schedule", counted_build_schedule)
+    config = ROOT / "configs" / "scenario1.conf"
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert calls == ["plan", "build_schedule"]
+
+
+# Any positive magnitude a key accepts, or the key's default.
+_WIDE = st.floats(min_value=5e-324, max_value=1e308)
+_DRAWN_KEYS = {
+    "mac.guard_s": st.floats(min_value=0.0, max_value=1e308),
+    "mac.beacon_s": st.floats(min_value=0.0, max_value=1e308),
+    **{f"delay.{key}": _WIDE for key in ("mcu_clock_hz", "radio_switch_delay_s", "air_data_rate_bps",
+                                         "serial_rate_bps", "usb_rate_bps", "sensor_conversion_s",
+                                         "propagation_speed_mps")},
+    "delay.mac_instruction_clocks": st.integers(min_value=0, max_value=10**6),
+    "medium.range_m": _WIDE,
+}
+
+
+@st.composite
+def _scenario_texts(draw) -> str:
+    duration_s = draw(st.floats(min_value=0.0, max_value=1e308) | st.floats(min_value=0.0, max_value=100.0))
+    # Samples and bursts at least duration_s / 64 apart bound a run's work.
+    spaced = st.floats(min_value=max(duration_s / 64, 5e-324), max_value=1e308)
+    keys = {
+        "scenario.duration_s": duration_s,
+        "scenario.sample_period_s": draw(spaced),
+        "scenario.mac_mode": draw(st.sampled_from([TDMA, ALOHA])),
+    }
+    for key, values in _DRAWN_KEYS.items():
+        value = draw(st.none() | values)  # None leaves the key at its default
+        if value is not None:
+            keys[key] = value
+    for i in range(1, draw(st.integers(min_value=1, max_value=8)) + 1):
+        keys[f"node{i}.serial"] = i
+        keys[f"node{i}.distance_m"] = draw(st.floats(min_value=0.0, max_value=1e308))
+    for j in range(1, draw(st.integers(min_value=0, max_value=2)) + 1):
+        keys[f"interferer{j}.period_s"] = draw(spaced)
+        keys[f"interferer{j}.start_s"] = draw(st.floats(min_value=0.0, max_value=1e308))
+        keys[f"interferer{j}.distance_m"] = draw(st.floats(min_value=0.0, max_value=1e308))
+        keys[f"interferer{j}.bits"] = draw(st.integers(min_value=1, max_value=8192))
+    return "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
+@settings(max_examples=600, deadline=None)
+@given(_scenario_texts())
+@example("node1.serial = 1\n" + UNHONOURED[0][0] + "\n")
+@example("node1.serial = 1\n" + UNHONOURED[1][0] + "\n")
+@example("node1.serial = 1\n" + UNHONOURED[2][0] + "\n")
+def test_simulate_exits_0_or_1_on_any_config_in_bounds(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "scenario.conf", Path(tmp) / "out"
+        path.write_text(text)
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            code = main(["simulate", "--config", str(path), "--out", str(out)])
+        if code == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert not out.exists()
+            return
+        assert code == 0
+        stats = {row["counter"]: int(row["value"]) for row in read_rows(out / "stats.csv")}
+    ended = stats["delivered"] + stats["collisions"] + stats["corrupt"] + stats["out_of_range"]
+    assert ended <= stats["transmissions"] <= stats["frames_queued"] - stats["replaced_pending"]
+    assert stats["frames_queued"] - stats["replaced_pending"] <= stats["conversions"]
+
+
 # -- command line ------------------------------------------------------
 
 
@@ -425,7 +572,7 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     readings = read_rows(out / "readings.csv")
     assert len(readings) == 40  # 2 nodes x 20 s at 1 Hz
     assert {row["sensor_id_hex"] for row in readings} == {
-        sid.hex() for sid in load_config(config).sensor_ids()
+        node.subject for node in load_config(config).plan().nodes
     }
 
 
@@ -453,11 +600,11 @@ def test_simulate_keeps_readings_after_sequence_wrap(tmp_path):
     config = ScenarioConfig(
         nodes=(NodeSpec("node1", 1, ConstantTrace(37.0)),), duration_s=3.0, noise_sigma_c=0.0
     )
-    result = run_scenario(config)
+    result = run_scenario(config.plan())
     first = result.readings[0]
     wrapped = replace(first, time_s=first.time_s + 65536.0, sample_time_s=first.sample_time_s + 65536.0)
     result = replace(result, readings=[*result.readings, wrapped])
-    _write_simulation_outputs(config, result, tmp_path)
+    _write_simulation_outputs(config.plan(), result, tmp_path)
     rows = read_rows(tmp_path / "agreement.csv")
     assert [row["n"] for row in rows] == ["4"]
 
@@ -515,9 +662,9 @@ def test_simulate_rejects_section_name_csv_would_quote(tmp_path, capsys, line):
 @pytest.mark.parametrize("name", ["", "node-1", "n\u00e9", "i\n1"])
 def test_validate_rejects_section_name(name):
     with pytest.raises(ValidationError, match="letters, digits and underscores"):
-        ScenarioConfig(nodes=(NodeSpec("node1", 1),), interferers=(InterfererSpec(name),)).validate()
+        ScenarioConfig(nodes=(NodeSpec("node1", 1),), interferers=(InterfererSpec(name),)).plan()
     with pytest.raises(ValidationError, match="letters, digits and underscores"):
-        ScenarioConfig(nodes=(NodeSpec(name, 1),)).validate()
+        ScenarioConfig(nodes=(NodeSpec(name, 1),)).plan()
 
 
 def _one_node_cell(duration_s: float) -> ScenarioConfig:

@@ -141,8 +141,9 @@ def _node_events(result, kind):
 
 
 def test_full_slot_cycle_free_channel():
-    result = run_scenario(_one_node(duration_s=3.0))
-    schedule, sid = result.schedule, make_sensor_id(serial=1)
+    plan = _one_node(duration_s=3.0).plan()
+    result = run_scenario(plan)
+    schedule, sid = plan.schedule, make_sensor_id(serial=1)
     ready = [e.time_s + mcu_prep_delay(PARAMS) for e in _node_events(result, "conversion_done")]
     slots = [e.time_s for e in _node_events(result, "slot_start")]
     # Each frame waits for the node's next slot, finds the channel free
@@ -155,8 +156,9 @@ def test_full_slot_cycle_free_channel():
 
 
 def test_busy_channel_defers_to_next_frame():
-    result = run_scenario(_one_node(HELD_BY_BURSTS))
-    schedule, sid = result.schedule, make_sensor_id(serial=1)
+    plan = _one_node(HELD_BY_BURSTS).plan()
+    result = run_scenario(plan)
+    schedule, sid = plan.schedule, make_sensor_id(serial=1)
     period, offset = schedule.frame_period_s, schedule.slot_offset_s(sid)
     slots = [e.time_s for e in _node_events(result, "slot_start")]
     busy = {e.time_s for e in _node_events(result, "rssi_sample") if e.detail == "busy"}
@@ -172,7 +174,7 @@ def test_busy_channel_defers_to_next_frame():
 
 def test_no_pending_frame_terminates():
     for config in (_one_node(duration_s=3.0), _one_node(HELD_BY_BURSTS)):
-        result = run_scenario(config)
+        result = run_scenario(config.plan())
         # A slot is used only for a pending frame: it either defers it or
         # sends it, and after the last frame the node stays quiet.
         assert len(_node_events(result, "slot_start")) == result.stats.deferrals + result.stats.transmissions
@@ -180,12 +182,13 @@ def test_no_pending_frame_terminates():
 
 
 def test_frame_ready_during_own_transmission_goes_in_next_slot():
-    result = run_scenario(_one_node(HELD_BY_BURSTS))
+    plan = _one_node(HELD_BY_BURSTS).plan()
+    result = run_scenario(plan)
     starts = [e.time_s for e in _node_events(result, "tx_start")]
     ends = [e.time_s for e in _node_events(result, "tx_end")]
     ready = [e.time_s + mcu_prep_delay(PARAMS) for e in _node_events(result, "conversion_done")]
     assert starts[0] < ready[1] < ends[0]
-    next_slot = next_slot_time(result.schedule, make_sensor_id(serial=1), ready[1])
+    next_slot = next_slot_time(plan.schedule, make_sensor_id(serial=1), ready[1])
     assert starts[1] == next_slot + PARAMS.radio_switch_delay_s
     assert result.stats.transmissions == 4
     assert [r.sequence for r in result.readings] == [0, 1, 2, 3]
@@ -201,7 +204,7 @@ def test_slot_starts_never_precede_their_frame():
         noise_sigma_c=0.0,
         beacon_s=0.044,
     )
-    result = run_scenario(config)
+    result = run_scenario(config.plan())
     prep_s = mcu_prep_delay(PARAMS)
     for serial in (1, 2):
         subject = make_sensor_id(serial=serial).hex()

@@ -273,20 +273,20 @@ def test_sixty_readings_in_sixty_seconds():
         seed=7,
         noise_sigma_c=0.0,
     )
-    result = run_scenario(cfg)
+    result = run_scenario(cfg.plan())
     assert len(result.readings) == 60
     assert [r.sequence for r in result.readings] == list(range(60))
 
 
 def test_zero_duration_run_is_empty():
-    result = run_scenario(two_nodes(duration_s=0.0))
+    result = run_scenario(two_nodes(duration_s=0.0).plan())
     assert result.events == []
     assert result.readings == []
     assert all(led.total_j == 0.0 for led in result.ledgers.values())
 
 
 def test_readings_partition_by_sensor():
-    result = run_scenario(two_nodes(duration_s=60.0))
+    result = run_scenario(two_nodes(duration_s=60.0).plan())
     by_id = {}
     for reading in result.readings:
         by_id.setdefault(reading.sensor_id.hex(), []).append(reading)
@@ -296,8 +296,8 @@ def test_readings_partition_by_sensor():
 
 
 def test_identical_runs_are_identical():
-    a = run_scenario(two_nodes())
-    b = run_scenario(two_nodes())
+    a = run_scenario(two_nodes().plan())
+    b = run_scenario(two_nodes().plan())
     assert a.events == b.events
     assert a.readings == b.readings
     assert a.ledgers == b.ledgers
@@ -305,8 +305,8 @@ def test_identical_runs_are_identical():
 
 def test_different_seed_changes_noisy_run():
     noisy = two_nodes(noise_sigma_c=0.1)
-    a = run_scenario(noisy)
-    b = run_scenario(replace(noisy, seed=999))
+    a = run_scenario(noisy.plan())
+    b = run_scenario(replace(noisy, seed=999).plan())
     assert [r.raw for r in a.readings] != [r.raw for r in b.readings]
 
 
@@ -323,8 +323,8 @@ def _delivered(cfg):
     node has one frame on the air at a time, so its next tx_end ends it,
     and under TDMA the slot that sends it is the node's last slot_start.
     """
-    result = run_scenario(cfg)
-    distance_m = {node.sensor_id(cfg.family_code).hex(): node.distance_m for node in cfg.nodes}
+    result = run_scenario(cfg.plan())
+    distance_m = {make_sensor_id(cfg.family_code, node.serial).hex(): node.distance_m for node in cfg.nodes}
     packets, last_slot, on_air, delivered = {}, {}, {}, []
     for event in result.events:
         word = dict(w.split("=") for w in event.detail.split() if "=" in w)
@@ -393,8 +393,8 @@ def test_reading_total_delay_matches_closed_form():
         one_node(TDMA, sample_period_s=20000.0, duration_s=100000.0),
         one_node(ALOHA, sample_period_s=20000.0, duration_s=100000.0),
     ):
-        distance_m = {node.sensor_id(cfg.family_code): node.distance_m for node in cfg.nodes}
-        result = run_scenario(cfg)
+        distance_m = {make_sensor_id(cfg.family_code, node.serial): node.distance_m for node in cfg.nodes}
+        result = run_scenario(cfg.plan())
         assert len(result.readings) == len(cfg.nodes) * cfg.duration_s / cfg.sample_period_s
         for reading in result.readings:
             assert reading.total_delay_s == total_delay(FRAME_BITS, distance_m[reading.sensor_id], PARAMS).total
@@ -407,20 +407,20 @@ def test_collision_free_under_slotting():
             duration_s=30.0,
             noise_sigma_c=0.0,
         )
-        result = run_scenario(cfg)
+        result = run_scenario(cfg.plan())
         assert result.stats.collisions == 0
         assert not any(e.kind == "rx_collision" for e in result.events)
 
 
 def test_unslotted_phase_aligned_nodes_collide():
-    result = run_scenario(two_nodes(mac_mode="aloha", duration_s=10.0))
+    result = run_scenario(two_nodes(mac_mode="aloha", duration_s=10.0).plan())
     assert result.stats.collisions >= 1
     assert any(e.kind == "rx_collision" for e in result.events)
     assert result.stats.delivered == 0
 
 
 def test_event_log_is_ordered_and_causal():
-    result = run_scenario(two_nodes(duration_s=15.0))
+    result = run_scenario(two_nodes(duration_s=15.0).plan())
     times = [e.time_s for e in result.events]
     assert times == sorted(times)
     assert [e.seq for e in result.events] == list(range(len(result.events)))
@@ -437,8 +437,9 @@ def test_transmissions_only_inside_own_slots():
     # The bursts make both nodes defer dozens of slots in a row.
     bursts = InterfererSpec("interferer1", distance_m=5.0, period_s=2.0, start_s=0.75, bits=18900)
     for cfg in (two_nodes(duration_s=25.0), two_nodes(duration_s=25.0, interferers=(bursts,))):
-        result = run_scenario(cfg)
-        schedule = result.schedule
+        plan = cfg.plan()
+        result = run_scenario(plan)
+        schedule = plan.schedule
         slots = {nid.hex(): schedule.slot_offset_s(nid) for nid in schedule.assignments}
         period = schedule.frame_period_s
         for event in result.events:
@@ -452,9 +453,9 @@ def test_transmissions_only_inside_own_slots():
 
 def test_energy_ledger_matches_event_log_recompute():
     cfg = two_nodes(duration_s=45.0, noise_sigma_c=0.1)
-    result = run_scenario(cfg)
+    result = run_scenario(cfg.plan())
     for node in cfg.nodes:
-        subject = node.sensor_id(cfg.family_code).hex()
+        subject = make_sensor_id(cfg.family_code, node.serial).hex()
         want = ledger_from_events(result, cfg, subject)
         got = result.ledgers[subject]
         assert abs(got.total_j - want.total_j) < 1e-9
@@ -470,7 +471,7 @@ def test_energy_ledger_matches_event_log_recompute():
 def test_out_of_range_node_is_never_delivered():
     cfg = two_nodes()
     cfg = replace(cfg, nodes=(replace(cfg.nodes[0], distance_m=250.0), cfg.nodes[1]))
-    result = run_scenario(cfg)
+    result = run_scenario(cfg.plan())
     assert result.stats.out_of_range > 0
     delivered_ids = {r.sensor_id.serial for r in result.readings}
     assert delivered_ids == {2}
@@ -483,7 +484,7 @@ def test_interferer_forces_deferrals():
         noise_sigma_c=0.0,
         interferers=(InterfererSpec("interferer1", distance_m=5.0, period_s=0.021, bits=2048),),
     )
-    result = run_scenario(cfg)
+    result = run_scenario(cfg.plan())
     assert result.stats.deferrals > 0
     assert any(e.kind == "rssi_sample" and e.detail == "busy" for e in result.events)
     assert all(r.sensor_id.serial == 1 for r in result.readings)
@@ -499,7 +500,7 @@ def test_lone_interferer_burst_never_reaches_access_point():
         noise_sigma_c=0.0,
         interferers=(InterfererSpec("interferer1", distance_m=5.0, period_s=2.0, start_s=0.1),),
     )
-    result = run_scenario(cfg)
+    result = run_scenario(cfg.plan())
     assert result.stats.corrupt == 0
     assert result.stats.collisions == 0
     assert len(result.readings) == 10
@@ -516,7 +517,7 @@ def test_superseded_reading_is_replaced():
         noise_sigma_c=0.0,
         interferers=(InterfererSpec("interferer1", distance_m=5.0, period_s=0.05, bits=4096),),
     )
-    result = run_scenario(cfg)
+    result = run_scenario(cfg.plan())
     assert result.stats.replaced_pending > 0
 
 
@@ -529,7 +530,7 @@ def _cell(n: int, mac_mode: str, duration_s: float) -> ScenarioConfig:
     )
 
 
-ONE_NODE_PERIOD_S = build_schedule(_cell(1, TDMA, 0.0).sensor_ids(), FRAME_BITS, PARAMS).frame_period_s
+ONE_NODE_PERIOD_S = build_schedule([make_sensor_id(serial=1)], FRAME_BITS, PARAMS).frame_period_s
 
 
 @settings(max_examples=25, deadline=None)
@@ -541,10 +542,10 @@ ONE_NODE_PERIOD_S = build_schedule(_cell(1, TDMA, 0.0).sensor_ids(), FRAME_BITS,
 @example(n=1, mac_mode=TDMA, duration_s=700 * ONE_NODE_PERIOD_S)  # a beacon falls exactly on the end
 def test_beacon_count_is_schedule_arithmetic(n, mac_mode, duration_s):
     cfg = _cell(n, mac_mode, duration_s)
-    result = run_scenario(cfg)
+    result = run_scenario(cfg.plan())
     expected = 0
     if mac_mode == TDMA and duration_s > 0:
-        period = build_schedule(cfg.sensor_ids(), FRAME_BITS, PARAMS).frame_period_s
+        period = build_schedule([make_sensor_id(serial=n.serial) for n in cfg.nodes], FRAME_BITS, PARAMS).frame_period_s
         expected = sum(1 for k in range(int(duration_s / period) + 2) if k * period <= duration_s)
     assert result.stats.beacons == expected
     assert not any(e.kind == "beacon" for e in result.events)
@@ -571,7 +572,7 @@ def test_queue_holds_only_what_is_in_flight(duration_s):
             InterfererSpec("interferer2", distance_m=60.0, period_s=0.7, start_s=0.2, bits=256),
         ),
     )
-    engine = _QueueWatch(cfg)
+    engine = _QueueWatch(cfg.plan())
     result = engine.run()
     assert result.stats.conversions == 5 * duration_s
     assert 0 < engine.max_queue <= 8 * 5 + 2 * 2
@@ -582,7 +583,7 @@ def test_conversion_count_stops_at_ceil_bound():
     # 290, so the ceil bound, not the ``t < end`` test, ends sampling.
     cfg = replace(_cell(1, TDMA, 232.00000000000003), sample_period_s=0.8)
     assert 290 * 0.8 < cfg.duration_s
-    assert run_scenario(cfg).stats.conversions == 290
+    assert run_scenario(cfg.plan()).stats.conversions == 290
 
 
 @pytest.mark.parametrize(
@@ -598,7 +599,7 @@ def test_conversion_count_stops_at_ceil_bound():
 )
 def test_sink_receives_the_event_log(tmp_path, cfg):
     lines = []
-    streamed = run_scenario(cfg, on_event=lines.append)
+    streamed = run_scenario(cfg.plan(), on_event=lines.append)
     assert streamed.events == []
     assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
     # The sink gets the body of the events.csv that simulate writes ...
@@ -607,7 +608,7 @@ def test_sink_receives_the_event_log(tmp_path, cfg):
     assert header == ",".join(SimEvent._fields) + "\n"
     assert "".join(lines) == "".join(body)
     # ... and without a sink the same lines are parsed into the result.
-    collected = run_scenario(cfg)
+    collected = run_scenario(cfg.plan())
     assert [SimEvent.from_row(line) for line in lines] == collected.events
     assert [e.seq for e in collected.events] == list(range(len(lines)))
     assert replace(streamed, events=collected.events) == collected
@@ -627,7 +628,7 @@ def test_each_distinct_trace_is_evaluated_once_per_instant(monkeypatch):
         duration_s=150.0,
         noise_sigma_c=0.1,
     )
-    result = run_scenario(cfg)
+    result = run_scenario(cfg.plan())
     assert result.stats.conversions == 50 * 150
     assert calls == [float(k) for k in range(150)]
 
@@ -642,9 +643,8 @@ def test_signed_zero_times_keep_their_own_stamps():
             InterfererSpec("interferer2", distance_m=8.0, period_s=0.7, start_s=-0.0),
         ),
     )
-    cfg.validate()
     lines = []
-    run_scenario(cfg, on_event=lines.append)
+    run_scenario(cfg.plan(), on_event=lines.append)
     assert lines[:2] == ["0.0,0,tx_start,interferer1,bits=256\n", "-0.0,1,tx_start,interferer2,bits=256\n"]
 
 
@@ -666,7 +666,7 @@ def test_frames_are_encoded_only_where_decoded(monkeypatch, cfg):
         return encode(*args)
 
     monkeypatch.setattr(sim, "encode_frame", counted)
-    result = run_scenario(cfg)
+    result = run_scenario(cfg.plan())
     assert result.stats.collisions > 0 and result.stats.delivered > 0
     assert len(encodes) == result.stats.delivered + result.stats.corrupt
     assert len(encodes) == sum(e.kind == "rx_deliver" for e in result.events)
@@ -677,7 +677,7 @@ def test_invalid_config_raises_config_error():
 
     bad = two_nodes(mac_mode="csma")
     with pytest.raises(ConfigError):
-        run_scenario(bad)
+        run_scenario(bad.plan())
 
 
 _interferer = st.builds(
@@ -711,7 +711,7 @@ def test_every_frame_ends_in_one_counted_fate(distances, mac_mode, interferers, 
         sample_period_s=sample_period_s,
         interferers=tuple(replace(intf, name=f"interferer{j}") for j, intf in enumerate(interferers, 1)),
     )
-    engine = _Engine(cfg)
+    engine = _Engine(cfg.plan())
     s = engine.run().stats
     # What the run left unfinished, read from the engine's own state.
     pending = sum(node.pending is not None for node in engine.nodes)
