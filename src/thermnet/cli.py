@@ -23,7 +23,7 @@ from .csvio import open_csv, write_csv
 from .delays import DelayParams, total_delay
 from .energy import DevicePowerProfile, EnergyLedger, energy_sweep
 from .monitor import EmptySeries, ReadingStore, agreement, evaluate_alerts
-from .sim import SimEvent, SimResult, run_scenario
+from .sim import EVENT_COLUMNS, SimResult, run_scenario
 from .traces import finite_float
 
 _VERSION_TAG = "format v1"
@@ -51,14 +51,12 @@ def _write_simulation_outputs(plan: RunPlan, result: SimResult, out_dir: Path) -
     store.ingest_all(result.readings)
     alert_rows = []
     agreement_rows = []
-    # Each instant of a truth is evaluated once, however many nodes read it.
-    truth_at: list[dict[float, float]] = [{} for _ in plan.truths]
-    for node, j in zip(plan.nodes, plan.node_truth):
+    for node in plan.nodes:
         series = store.series(node.sensor_id)
         for alert in evaluate_alerts(series, plan.config.alert_rule):
             alert_rows.append([alert.kind, node.subject, alert.trigger_time_s, alert.value])
         try:
-            report = agreement(series, plan.truths[j], plan.config.seed, truth_at[j])
+            report = agreement(series)
         except EmptySeries:
             continue
         agreement_rows.append([node.subject, report.mae_c, report.max_err_c, report.n])
@@ -97,8 +95,8 @@ def cmd_simulate(config: ScenarioConfig, out_dir: str | Path) -> int:
         return 1
     out = Path(out_dir)
     try:
-        with open_csv(out / "events.csv", f"event log, {_EVENTS_TAG}", SimEvent._fields) as events:
-            result = run_scenario(plan, on_event=events.write)
+        with open_csv(out / "events.csv", f"event log, {_EVENTS_TAG}", EVENT_COLUMNS) as events:
+            result = run_scenario(plan, events.write)
         _write_simulation_outputs(plan, result, out)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)

@@ -32,14 +32,7 @@ class SlotSchedule:
     beacon_slot_s: float
     slot_duration_s: float
     assignments: dict[SensorId, int]
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.assignments)
-
-    @property
-    def frame_period_s(self) -> float:
-        return self.beacon_slot_s + self.n_slots * self.slot_duration_s
+    frame_period_s: float  # beacon_slot_s + len(assignments) * slot_duration_s
 
     def slot_offset_s(self, node_id: SensorId) -> float:
         """Offset of a node's slot start from the frame start."""
@@ -72,6 +65,7 @@ def build_schedule(
         beacon_slot_s=beacon_s,
         slot_duration_s=slot_duration,
         assignments={nid: i for i, nid in enumerate(ordered)},
+        frame_period_s=beacon_s + len(ordered) * slot_duration,
     )
 
 

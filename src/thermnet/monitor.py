@@ -2,9 +2,10 @@
 
 This stands in for the monitoring software of the physical system:
 per-sensor time series keyed by ROM id, high-temperature and rapid-rise
-alerts, and measured-versus-truth agreement metrics.  ``thermnet
-simulate`` writes them as CSV; its ``readings.csv`` (time, sensor id and
-temperature in long form) is the feed for any charting tool.
+alerts, and agreement metrics of each reading against the true
+temperature it carries.  ``thermnet simulate`` writes them as CSV; its
+``readings.csv`` (time, sensor id and temperature in long form) is the
+feed for any charting tool.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .frames import SensorId, TEMP_LSB_C, validate_sensor_id
-from .traces import TemperatureTrace
 
 HIGH_TEMP = "high_temp"
 RAPID_RISE = "rapid_rise"
@@ -30,9 +30,10 @@ class Reading:
 
     ``time_s`` is the delivery (serial output) timestamp and
     ``sample_time_s`` the conversion-start instant the value physically
-    refers to; accuracy metrics use the latter so transport delay does
-    not bias them.  ``temp_c`` is always raw counts times the sensor
-    resolution.
+    refers to.  ``true_c`` is the true temperature at that instant, the
+    one the sensor read before noise and quantization, so accuracy
+    metrics compare against it and transport delay does not bias them.
+    ``temp_c`` is always raw counts times the sensor resolution.
     """
 
     sensor_id: SensorId
@@ -41,6 +42,7 @@ class Reading:
     sequence: int
     total_delay_s: float
     sample_time_s: float
+    true_c: float
 
     @property
     def temp_c(self) -> float:
@@ -208,32 +210,12 @@ def evaluate_alerts(series: list[Reading], rule: AlertRule) -> list[Alert]:
     return alerts
 
 
-def agreement(
-    series: list[Reading],
-    truth: TemperatureTrace,
-    seed: int = 0,
-    truth_at: Optional[dict[float, float]] = None,
-) -> AgreementReport:
-    """Mean absolute and max error against the ground-truth trace.
-
-    Truth is evaluated at each reading's conversion-start time, once per
-    distinct time in ``truth_at``, which maps those times to the truth's
-    values and is filled as it goes.  Passing one dict for every series
-    read against equal traces evaluates each of their instants once.
-    Times that compare equal share an entry, so the series must not
-    hold both 0.0 and -0.0 (the engine's are ``k * sample_period_s``).
-    """
+def agreement(series: list[Reading]) -> AgreementReport:
+    """Mean absolute and max error of each reading against its ``true_c``,
+    the truth at its conversion-start time."""
     if not series:
         raise EmptySeries("no readings to compare")
-    if truth_at is None:
-        truth_at = {}
-    errors = []
-    for r in series:
-        t = r.sample_time_s
-        true_c = truth_at.get(t)
-        if true_c is None:
-            true_c = truth_at[t] = truth.value(t, seed)
-        errors.append(abs(r.temp_c - true_c))
+    errors = [abs(r.temp_c - r.true_c) for r in series]
     return AgreementReport(
         mae_c=math.fsum(errors) / len(errors),
         max_err_c=max(errors),

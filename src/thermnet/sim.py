@@ -29,15 +29,16 @@ Each logged event is formatted once, as its finished ``events.csv``
 line (``EVENT_ROW``), and its time is formatted once per distinct time:
 a stamp is reused while the time compares equal to the last logged one
 and is not zero (``0.0 == -0.0`` but they print differently).  The lines
-go to a sink as they are written, or are parsed back into
-``SimResult.events`` when no sink is given; ``thermnet simulate`` passes
+go to the caller's sink as they are written; ``thermnet simulate`` passes
 the file's ``write``, so the log does not stay in memory for the run.
 Delivered readings do.
 
 Every delay term is read from the ``RunPlan``.  A packet in flight
-carries only its raw count, sequence number and conversion-start time;
-its reading's ``total_delay_s`` is its node's planned budget, and the
-queue wait before a slot shows in the event log, not in the budget.
+carries only its raw count, the true temperature it was sensed from,
+its sequence number and its conversion-start time; its reading's
+``true_c`` is that temperature, so nothing evaluates a truth again
+after sensing.  Its ``total_delay_s`` is its node's planned budget, and
+the queue wait before a slot shows in the event log, not in the budget.
 The packet is encoded into its 256-bit word only where it is decoded,
 at the access point, for a frame that arrived unoverlapped.
 """
@@ -48,7 +49,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .config import NodePlan, RunPlan
 from .energy import EnergyLedger, energy, power
@@ -83,29 +84,13 @@ MIN_COUNTS = round(-55.0 / TEMP_LSB_C)
 MAX_COUNTS = round(125.0 / TEMP_LSB_C)
 
 
-class SimEvent(NamedTuple):
-    """One logged occurrence, and one ``events.csv`` row in column order.
+# The events.csv columns.  ``seq`` is a row's position in the log, which
+# is ordered by (time_s, seq).
+EVENT_COLUMNS = ("time_s", "seq", "kind", "subject", "detail")
 
-    ``seq`` is the position in the log, which is ordered by (time_s, seq).
-    """
-
-    time_s: float
-    seq: int
-    kind: str
-    subject: str
-    detail: str = ""
-
-    @classmethod
-    def from_row(cls, row: str) -> "SimEvent":
-        """The event an ``EVENT_ROW`` line was formatted from; ``repr``
-        round-trips a float exactly."""
-        time_s, seq, kind, subject, detail = row.split(",", 4)
-        return cls(float(time_s), int(seq), kind, subject, detail[:-1])
-
-
-# One events.csv line.  Each SimEvent cell is a float, an int or a word
-# of letters, digits and "_=.- " (plan() checks the config names the
-# engine puts in words), so this is the line csv.writer would write, and
+# One events.csv line.  Each cell is a float, an int or a word of
+# letters, digits and "_=.- " (plan() checks the config names the engine
+# puts in words), so this is the line csv.writer would write, and
 # splitting it at its first four commas gives the cells back.  The time
 # cell is a stamp already formatted with ``repr``, which round-trips.
 EVENT_ROW = "%s,%d,%s,%s,%s\n"
@@ -197,8 +182,9 @@ def sense_and_quantize(
     t_s: float,
     seed: int,
     noise_sigma_c: float = 0.0,
-) -> list[int]:
-    """Raw counts of every node's conversion at t_s, in node order.
+) -> list[tuple[int, float]]:
+    """Every node's conversion at t_s, in node order: its raw count and
+    the true temperature it was sensed from.
 
     Node i reads the temperature of ``truths[node_truth[i]]`` at t_s,
     plus seeded Gaussian noise keyed by i, clamped to the device's
@@ -211,17 +197,16 @@ def sense_and_quantize(
     """
     if t_s < 0:
         raise ValueError("t_s must be >= 0")
-    true_c = [trace.value(t_s, seed) for trace in truths]
+    group_c = [trace.value(t_s, seed) for trace in truths]
+    true_c = [group_c[j] for j in node_truth]
     if noise_sigma_c > 0:
         key = float_key(t_s)
-        temps = [
-            true_c[j] + noise_sigma_c * gauss(seed, _NOISE_STREAM, i, key) for i, j in enumerate(node_truth)
-        ]
+        temps = [c + noise_sigma_c * gauss(seed, _NOISE_STREAM, i, key) for i, c in enumerate(true_c)]
     else:
-        temps = [true_c[j] for j in node_truth]
+        temps = true_c
     # Clamped before rounding, so a finite reading too large for a float
     # count (1e308 degC) still saturates; the bounds are whole counts.
-    return [round(min(max(c / TEMP_LSB_C, MIN_COUNTS), MAX_COUNTS)) for c in temps]
+    return [(round(min(max(c / TEMP_LSB_C, MIN_COUNTS), MAX_COUNTS)), t) for c, t in zip(temps, true_c)]
 
 
 @dataclass
@@ -257,14 +242,14 @@ class SimStats:
 
 @dataclass(frozen=True)
 class SimResult:
-    events: list[SimEvent]
     readings: list[Reading]
     ledgers: dict[str, EnergyLedger]
     stats: SimStats
 
 
-# A packet in flight: raw count, sequence number, conversion start.
-_Packet = tuple[int, int, float]
+# A packet in flight: raw count, true temperature, sequence number,
+# conversion start.
+_Packet = tuple[int, float, int, float]
 
 
 @dataclass
@@ -282,13 +267,12 @@ class _Node:
 
 
 class _Engine:
-    def __init__(self, plan: RunPlan, on_event: Optional[Callable[[str], object]] = None):
+    def __init__(self, plan: RunPlan, on_event: Callable[[str], object]):
         self.plan = plan
         self.medium = Medium(plan.config.range_m)
         self.end_time_s = float(plan.config.duration_s)
         self.now = 0.0
-        self._rows: list[str] = []
-        self._emit = self._rows.append if on_event is None else on_event
+        self._emit = on_event
         self._n_events = 0
         self._stamp_s: Optional[float] = None
         self._stamp = ""
@@ -334,8 +318,8 @@ class _Engine:
             self._dispatch_before(t)
             self.now = t
             self.stats.conversions += n_nodes
-            raws = sense_and_quantize(plan.truths, plan.node_truth, t, cfg.seed, cfg.noise_sigma_c)
-            self._push(t + conversion_s, self._on_conversions_done, k, t, raws)
+            sensed = sense_and_quantize(plan.truths, plan.node_truth, t, cfg.seed, cfg.noise_sigma_c)
+            self._push(t + conversion_s, self._on_conversions_done, k, t, sensed)
         # Events due exactly at the end still run.
         self._dispatch_before(math.nextafter(self.end_time_s, math.inf))
         return self._finish()
@@ -372,34 +356,29 @@ class _Engine:
             # Beacons k * frame_period_s <= end are those < the next float.
             after_end = math.nextafter(end, math.inf)
             self.stats.beacons = next_instant_index(self.plan.schedule.frame_period_s, 0.0, after_end)
-        return SimResult(
-            events=[SimEvent.from_row(row) for row in self._rows],
-            readings=self.readings,
-            ledgers=ledgers,
-            stats=self.stats,
-        )
+        return SimResult(readings=self.readings, ledgers=ledgers, stats=self.stats)
 
     # -- node-side handlers --------------------------------------------
 
-    def _on_conversions_done(self, k: int, started_s: float, raws: list[int]) -> None:
+    def _on_conversions_done(self, k: int, started_s: float, sensed: list[tuple[int, float]]) -> None:
         """Conversion k finishes on every node, in node order; the
         instant's frames then become ready together, as one cohort."""
-        for node, raw in zip(self.nodes, raws):
+        for node, (raw, _) in zip(self.nodes, sensed):
             self._log(CONVERSION_DONE, node.plan.subject, f"k={k} raw={raw}")
         self._sensor_active_s += self.plan.conversion_s
-        self._push(self.now + self.plan.prep_s, self._on_frames_ready, k % (1 << 16), started_s, raws)
+        self._push(self.now + self.plan.prep_s, self._on_frames_ready, k % (1 << 16), started_s, sensed)
 
-    def _on_frames_ready(self, sequence: int, started_s: float, raws: list[int]) -> None:
+    def _on_frames_ready(self, sequence: int, started_s: float, sensed: list[tuple[int, float]]) -> None:
         """Every node frames its reading, in node order.  Send-on-ready
         puts the whole cohort on the air after the radio switch; under
         TDMA each node waits for its own slot."""
-        self.stats.frames_queued += len(raws)
+        self.stats.frames_queued += len(sensed)
         self._mcu_active_s += self.plan.prep_s
         if self.plan.schedule is None:
-            cohort = [(node, (raw, sequence, started_s)) for node, raw in zip(self.nodes, raws)]
+            cohort = [(node, (raw, true_c, sequence, started_s)) for node, (raw, true_c) in zip(self.nodes, sensed)]
             self._push(self.now + self.plan.switch_s, self._on_tx_start, cohort)
             return
-        for node, raw in zip(self.nodes, raws):
+        for node, (raw, true_c) in zip(self.nodes, sensed):
             if node.pending is not None:
                 # A still-undelivered older reading is superseded by this
                 # one and goes out in the slot already queued for it.
@@ -407,7 +386,7 @@ class _Engine:
             else:
                 node.slot_k = next_instant_index(self.plan.schedule.frame_period_s, node.plan.slot_offset_s, self.now)
                 self._push_slot(node)
-            node.pending = (raw, sequence, started_s)
+            node.pending = (raw, true_c, sequence, started_s)
 
     def _push_slot(self, node: _Node) -> None:
         self._push(node.slot_k * self.plan.schedule.frame_period_s + node.plan.slot_offset_s, self._on_slot_start, node)
@@ -436,7 +415,7 @@ class _Engine:
         for node, packet in cohort:
             tx = Transmission(node.plan.subject, start_s, end_s, node.plan.spec.distance_m)
             medium_transmit(self.medium, tx)
-            self._log(TX_START, node.plan.subject, f"seq={packet[1]}")
+            self._log(TX_START, node.plan.subject, f"seq={packet[2]}")
             on_air.append((tx, node, packet))
         self.stats.transmissions += len(cohort)
         self._push(end_s, self._on_tx_end, on_air)
@@ -466,7 +445,7 @@ class _Engine:
             self._log(RX_COLLISION, AP, f"from={node.subject}")
             self.stats.collisions += 1
             return
-        raw, sequence, started_s = packet
+        raw, true_c, sequence, started_s = packet
         word = encode_frame(node.sensor_id, raw, sequence)
         try:
             frame = decode_frame(word)
@@ -478,9 +457,9 @@ class _Engine:
         # Receiver pipeline: mode switch, serial transfer, USB hop.
         plan = self.plan
         serial_out_s = self.now + plan.switch_s + plan.serial_s + plan.usb_s
-        self._push(serial_out_s, self._on_serial_out, frame, node, started_s)
+        self._push(serial_out_s, self._on_serial_out, frame, node, started_s, true_c)
 
-    def _on_serial_out(self, frame: Frame, node: NodePlan, started_s: float) -> None:
+    def _on_serial_out(self, frame: Frame, node: NodePlan, started_s: float, true_c: float) -> None:
         # The frame was encoded from the node's own id.
         self._log(SERIAL_OUT, AP, f"id={node.subject} seq={frame.sequence}")
         self.stats.delivered += 1
@@ -492,6 +471,7 @@ class _Engine:
                 sequence=frame.sequence,
                 total_delay_s=node.budget_s,
                 sample_time_s=started_s,
+                true_c=true_c,
             )
         )
 
@@ -507,13 +487,12 @@ class _Engine:
         self._push(self.now + intf.period_s, self._on_interferer_burst, intf, airtime_s)
 
 
-def run_scenario(plan: RunPlan, on_event: Optional[Callable[[str], object]] = None) -> SimResult:
+def run_scenario(plan: RunPlan, on_event: Callable[[str], object]) -> SimResult:
     """Simulate the scenario of a ``ScenarioConfig.plan()``.
 
     Each logged event goes to ``on_event`` as it happens, in log order,
     as its finished ``events.csv`` line (``EVENT_ROW``, newline
-    included), and ``SimResult.events`` is then empty; without a sink
-    the log is collected in ``SimResult.events``.  Identical (config,
+    included), in the columns ``EVENT_COLUMNS``.  Identical (config,
     seed) pairs produce identical results, event for event and byte for
     byte once serialized.
     """

@@ -7,15 +7,15 @@ import math
 import struct
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from thermnet.config import ScenarioConfig
+from thermnet.config import RunPlan, ScenarioConfig
 from thermnet.delays import mcu_prep_delay
 from thermnet.energy import EnergyLedger
 from thermnet.frames import SensorId
 from thermnet.mac import SlotSchedule
 from thermnet.monitor import HIGH_TEMP, RAPID_RISE, Alert, AlertRule, Reading
-from thermnet.sim import SimResult
+from thermnet.sim import SimResult, run_scenario
 
 
 def reflect8(value: int) -> int:
@@ -47,6 +47,33 @@ def read_rows(path: str | Path) -> list[dict[str, str]]:
     return list(csv.DictReader(lines))
 
 
+class SimEvent(NamedTuple):
+    """One ``events.csv`` row, in column order (``sim.EVENT_COLUMNS``).
+
+    ``seq`` is the position in the log, which is ordered by (time_s, seq).
+    """
+
+    time_s: float
+    seq: int
+    kind: str
+    subject: str
+    detail: str = ""
+
+    @classmethod
+    def from_row(cls, row: str) -> "SimEvent":
+        """The event an ``EVENT_ROW`` line was formatted from; ``repr``
+        round-trips a float exactly."""
+        time_s, seq, kind, subject, detail = row.split(",", 4)
+        return cls(float(time_s), int(seq), kind, subject, detail[:-1])
+
+
+def run_logged(plan: RunPlan) -> tuple[SimResult, list[SimEvent]]:
+    """Run a plan, collecting its event log and parsing it back."""
+    lines: list[str] = []
+    result = run_scenario(plan, lines.append)
+    return result, [SimEvent.from_row(line) for line in lines]
+
+
 def next_slot_time(schedule: SlotSchedule, node_id: SensorId, now: float) -> float:
     """The node's first slot start at or after ``now``, by scanning k = 0,
     1, ... under the engine's ``k * frame_period_s + slot_offset_s``."""
@@ -57,7 +84,7 @@ def next_slot_time(schedule: SlotSchedule, node_id: SensorId, now: float) -> flo
     return k * period + offset
 
 
-def ledger_from_events(result: SimResult, config: ScenarioConfig, subject: str) -> EnergyLedger:
+def ledger_from_events(events: list[SimEvent], config: ScenarioConfig, subject: str) -> EnergyLedger:
     """Recompute one node's energy ledger from the event log alone.
 
     Walks tx_start/tx_end pairs and conversion_done events, charges
@@ -76,7 +103,7 @@ def ledger_from_events(result: SimResult, config: ScenarioConfig, subject: str) 
     open_tx = None
     n_conversions = 0
     n_preps = 0
-    for event in result.events:
+    for event in events:
         if event.subject != subject:
             continue
         if event.kind == "tx_start":

@@ -18,11 +18,11 @@ from thermnet.delays import DelayParams, airtime, mcu_prep_delay, total_delay
 from thermnet.energy import DevicePowerProfile, energy_sweep, power
 from thermnet.frames import FrameError, crc8, decode_frame, encode_frame, make_sensor_id
 from thermnet.monitor import ReadingStore, agreement
-from thermnet.sim import AP, run_scenario
+from thermnet.sim import AP
 from thermnet.traces import BandNoiseTrace, ConstantTrace, RampTrace
 from thermnet.cli import cmd_simulate
 
-from helpers import access_point_ledger, crc8_oracle, ledger_from_events
+from helpers import access_point_ledger, crc8_oracle, ledger_from_events, run_logged
 
 PARAMS = DelayParams()
 PROFILE = DevicePowerProfile()
@@ -121,7 +121,7 @@ def test_criterion_05_energy_model(capsys):
 def test_criterion_06_single_node_band_run(capsys):
     config = _nodes(1, trace=BandNoiseTrace(26.0, 30.0), duration_s=60.0, seed=7)
     start = time.perf_counter()
-    result = run_scenario(config.plan())
+    result, _ = run_logged(config.plan())
     elapsed = time.perf_counter() - start
     count_ok = len(result.readings) == 60
     step = 0.0625
@@ -143,7 +143,7 @@ def test_criterion_07_two_node_partition(capsys):
         seed=11,
         noise_sigma_c=0.0,
     )
-    result = run_scenario(config.plan())
+    result, _ = run_logged(config.plan())
     first, second = make_sensor_id(serial=1), make_sensor_id(serial=2)
     store = ReadingStore(roster=[first, second])
     store.ingest_all(result.readings)
@@ -162,10 +162,10 @@ def test_criterion_07_two_node_partition(capsys):
 def test_criterion_08_slotted_access_prevents_collisions(capsys):
     collisions = {}
     for count in (1, 2, 4, 8, 16):
-        result = run_scenario(_nodes(count, duration_s=300.0, seed=3).plan())
+        result, _ = run_logged(_nodes(count, duration_s=300.0, seed=3).plan())
         collisions[count] = result.stats.collisions
     tdma_clean = all(v == 0 for v in collisions.values())
-    contended = run_scenario(_nodes(2, duration_s=10.0, seed=3, mac_mode=ALOHA).plan())
+    contended, _ = run_logged(_nodes(2, duration_s=10.0, seed=3, mac_mode=ALOHA).plan())
     aloha_collides = contended.stats.collisions >= 1
     ok = tdma_clean and aloha_collides
     _verdict(capsys, 8, ok,
@@ -183,10 +183,10 @@ def test_criterion_09_ledger_matches_event_log(capsys):
         seed=123,
         noise_sigma_c=0.1,
     )
-    result = run_scenario(config.plan())
+    result, events = run_logged(config.plan())
     worst = 0.0
     for sid in (make_sensor_id(serial=1), make_sensor_id(serial=2)):
-        oracle = ledger_from_events(result, config, sid.hex())
+        oracle = ledger_from_events(events, config, sid.hex())
         ledger = result.ledgers[sid.hex()]
         for name in LEDGER_FIELDS:
             worst = max(worst, abs(getattr(oracle, name) - getattr(ledger, name)))
@@ -222,8 +222,8 @@ def test_criterion_11_accuracy_bounds(capsys):
         nodes=(NodeSpec("node1", 1, trace=ConstantTrace(36.53)),),
         duration_s=60.0, seed=2, noise_sigma_c=0.0,
     )
-    result = run_scenario(quiet.plan())
-    report0 = agreement(result.readings, quiet.nodes[0].trace, quiet.seed)
+    result, _ = run_logged(quiet.plan())
+    report0 = agreement(result.readings)
     quiet_ok = report0.mae_c <= 0.03125
 
     sigma = 0.1
@@ -231,8 +231,8 @@ def test_criterion_11_accuracy_bounds(capsys):
         nodes=(NodeSpec("node1", 1, trace=ConstantTrace(37.0)),),
         duration_s=1100.0, seed=29, noise_sigma_c=sigma,
     )
-    series = run_scenario(noisy.plan()).readings
-    report1 = agreement(series, noisy.nodes[0].trace, noisy.seed)
+    series = run_logged(noisy.plan())[0].readings
+    report1 = agreement(series)
     errors = [abs(r.temp_c - 37.0) for r in series]
     stderr = statistics.pstdev(errors) / math.sqrt(len(errors))
     bound = sigma * math.sqrt(2.0 / math.pi) + 0.03125

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import thermnet
-from helpers import read_rows
+from helpers import read_rows, run_logged
 from thermnet.cli import _write_simulation_outputs, cmd_simulate, main
 from thermnet.config import (
     ALOHA,
@@ -38,7 +38,6 @@ from thermnet.config import (
 from thermnet.delays import DelayParams, total_delay
 from thermnet.energy import DevicePowerProfile
 from thermnet.monitor import AlertRule
-from thermnet.sim import run_scenario
 from thermnet.traces import BandNoiseTrace, ConstantTrace, CsvTrace, RampTrace, SinusoidTrace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -600,7 +599,7 @@ def test_simulate_keeps_readings_after_sequence_wrap(tmp_path):
     config = ScenarioConfig(
         nodes=(NodeSpec("node1", 1, ConstantTrace(37.0)),), duration_s=3.0, noise_sigma_c=0.0
     )
-    result = run_scenario(config.plan())
+    result, _ = run_logged(config.plan())
     first = result.readings[0]
     wrapped = replace(first, time_s=first.time_s + 65536.0, sample_time_s=first.sample_time_s + 65536.0)
     result = replace(result, readings=[*result.readings, wrapped])
@@ -611,8 +610,8 @@ def test_simulate_keeps_readings_after_sequence_wrap(tmp_path):
 
 def test_simulate_evaluates_each_truth_once_per_instant(tmp_path, monkeypatch):
     # The benchmark's cell_tdma cell at seed 1: 50 nodes share one band
-    # trace, sampled at 150 instants, and each instant is evaluated once
-    # for sensing and once for agreement.
+    # trace, sampled at 150 instants, and each instant is evaluated once,
+    # for sensing; agreement reads the truth each reading carries.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     config = parse_config_text(workloads.scenario_text(workloads.WORKLOADS["cell_tdma"], 1))
@@ -625,7 +624,7 @@ def test_simulate_evaluates_each_truth_once_per_instant(tmp_path, monkeypatch):
 
     monkeypatch.setattr(BandNoiseTrace, "value", counted)
     assert cmd_simulate(config, tmp_path) == 0
-    assert len(calls) == 300
+    assert len(calls) == 150
 
 
 def test_simulate_bad_config_exits_1(tmp_path, capsys):

@@ -12,9 +12,9 @@ from pathlib import Path
 
 from hypothesis import example, given, strategies as st
 
-from helpers import read_rows
+from helpers import SimEvent, read_rows
 from thermnet.csvio import write_csv
-from thermnet.sim import EVENT_ROW, SimEvent
+from thermnet.sim import EVENT_COLUMNS, EVENT_ROW
 
 
 @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=20))
@@ -46,6 +46,7 @@ _WORDS = st.text(alphabet=string.ascii_letters + string.digits + "_=.- ", max_si
 @example(7, 5, "", " ", " a ")
 def test_event_row_is_csv_writer_line(time_s, seq, kind, subject, detail):
     event = SimEvent(time_s, seq, kind, subject, detail)
+    assert SimEvent._fields == EVENT_COLUMNS
     fh = io.StringIO()
     csv.writer(fh, lineterminator="\n").writerow(event)
     assert EVENT_ROW % event == fh.getvalue()

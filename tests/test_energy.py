@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import run_logged
 from thermnet.config import NodeSpec, ScenarioConfig
 from thermnet.delays import DelayParams
 from thermnet.energy import (
@@ -16,7 +17,6 @@ from thermnet.energy import (
     power,
 )
 from thermnet.frames import make_sensor_id
-from thermnet.sim import run_scenario
 from thermnet.traces import ConstantTrace
 
 PROFILE = DevicePowerProfile()
@@ -49,7 +49,7 @@ def test_one_frame_transmit_energy():
 def test_all_idle_states_share_one_bucket():
     # The first conversion ends at 0.75 s, so a 0.5 s run is idle throughout.
     config = ScenarioConfig(nodes=(NodeSpec("node1", 1, ConstantTrace(37.0)),), duration_s=0.5)
-    ledger = run_scenario(config.plan()).ledgers[make_sensor_id(serial=1).hex()]
+    ledger = run_logged(config.plan())[0].ledgers[make_sensor_id(serial=1).hex()]
     expected = 9.0 * (1e-6 + 8e-9 + 0.001) * 0.5
     assert ledger.idle_j == pytest.approx(expected, abs=1e-12)
     assert ledger.transmit_j == ledger.receive_j == ledger.sensing_j == ledger.mcu_j == 0.0

@@ -13,12 +13,11 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import next_slot_time
+from helpers import next_slot_time, run_logged
 from thermnet.config import InterfererSpec, NodeSpec, ScenarioConfig
 from thermnet.delays import DelayParams, airtime, mcu_prep_delay
 from thermnet.frames import FRAME_BITS, make_sensor_id
 from thermnet.mac import DuplicateNode, SlotSchedule, build_schedule, next_instant_index
-from thermnet.sim import run_scenario
 from thermnet.traces import ConstantTrace
 
 PARAMS = DelayParams()
@@ -40,7 +39,7 @@ def test_slot_duration_rounds_up_to_whole_millisecond():
 def test_single_node_frame_period():
     schedule = build_schedule(ids(1), FRAME_BITS, PARAMS)
     assert schedule.frame_period_s == pytest.approx(0.021, abs=1e-15)
-    assert schedule.n_slots == 1
+    assert len(schedule.assignments) == 1
 
 
 def test_two_node_frame_period_and_offsets():
@@ -90,10 +89,13 @@ def _schedule_node_now(draw):
     """A schedule, one of its nodes, and a time that is often within two
     ulps of one of that node's slot starts."""
     serials = sorted(draw(st.sets(st.integers(min_value=1, max_value=64), min_size=1, max_size=8)))
+    beacon_s = draw(st.floats(min_value=0.0, max_value=1.0))
+    slot_s = draw(st.floats(min_value=1e-6, max_value=1.0))
     schedule = SlotSchedule(
-        beacon_slot_s=draw(st.floats(min_value=0.0, max_value=1.0)),
-        slot_duration_s=draw(st.floats(min_value=1e-6, max_value=1.0)),
+        beacon_slot_s=beacon_s,
+        slot_duration_s=slot_s,
         assignments={sid: i for i, sid in enumerate(ids(*serials))},
+        frame_period_s=beacon_s + len(serials) * slot_s,
     )
     node_id = make_sensor_id(serial=draw(st.sampled_from(serials)))
     if draw(st.booleans()):
@@ -135,33 +137,33 @@ def _one_node(*interferers, duration_s=4.0):
 HELD_BY_BURSTS = InterfererSpec("interferer1", distance_m=5.0, period_s=2.0, start_s=0.75, bits=18900)
 
 
-def _node_events(result, kind):
+def _node_events(events, kind):
     subject = make_sensor_id(serial=1).hex()
-    return [e for e in result.events if e.kind == kind and e.subject == subject]
+    return [e for e in events if e.kind == kind and e.subject == subject]
 
 
 def test_full_slot_cycle_free_channel():
     plan = _one_node(duration_s=3.0).plan()
-    result = run_scenario(plan)
+    _, events = run_logged(plan)
     schedule, sid = plan.schedule, make_sensor_id(serial=1)
-    ready = [e.time_s + mcu_prep_delay(PARAMS) for e in _node_events(result, "conversion_done")]
-    slots = [e.time_s for e in _node_events(result, "slot_start")]
+    ready = [e.time_s + mcu_prep_delay(PARAMS) for e in _node_events(events, "conversion_done")]
+    slots = [e.time_s for e in _node_events(events, "slot_start")]
     # Each frame waits for the node's next slot, finds the channel free
     # and goes out one radio switch later.
     assert slots == [next_slot_time(schedule, sid, t) for t in ready]
-    assert [e.time_s for e in _node_events(result, "rssi_sample")] == slots
-    assert [e.detail for e in _node_events(result, "rssi_sample")] == ["free"] * len(ready)
-    starts = [e.time_s for e in _node_events(result, "tx_start")]
+    assert [e.time_s for e in _node_events(events, "rssi_sample")] == slots
+    assert [e.detail for e in _node_events(events, "rssi_sample")] == ["free"] * len(ready)
+    starts = [e.time_s for e in _node_events(events, "tx_start")]
     assert starts == [t + PARAMS.radio_switch_delay_s for t in slots]
 
 
 def test_busy_channel_defers_to_next_frame():
     plan = _one_node(HELD_BY_BURSTS).plan()
-    result = run_scenario(plan)
+    result, events = run_logged(plan)
     schedule, sid = plan.schedule, make_sensor_id(serial=1)
     period, offset = schedule.frame_period_s, schedule.slot_offset_s(sid)
-    slots = [e.time_s for e in _node_events(result, "slot_start")]
-    busy = {e.time_s for e in _node_events(result, "rssi_sample") if e.detail == "busy"}
+    slots = [e.time_s for e in _node_events(events, "slot_start")]
+    busy = {e.time_s for e in _node_events(events, "rssi_sample") if e.detail == "busy"}
     # Every slot instant is k * period + offset exactly, and a busy slot
     # k is followed by slot k + 1, however many times in a row.
     frame_of = {t: round((t - offset) / period) for t in slots}
@@ -174,19 +176,19 @@ def test_busy_channel_defers_to_next_frame():
 
 def test_no_pending_frame_terminates():
     for config in (_one_node(duration_s=3.0), _one_node(HELD_BY_BURSTS)):
-        result = run_scenario(config.plan())
+        result, events = run_logged(config.plan())
         # A slot is used only for a pending frame: it either defers it or
         # sends it, and after the last frame the node stays quiet.
-        assert len(_node_events(result, "slot_start")) == result.stats.deferrals + result.stats.transmissions
+        assert len(_node_events(events, "slot_start")) == result.stats.deferrals + result.stats.transmissions
         assert result.stats.transmissions == result.stats.frames_queued
 
 
 def test_frame_ready_during_own_transmission_goes_in_next_slot():
     plan = _one_node(HELD_BY_BURSTS).plan()
-    result = run_scenario(plan)
-    starts = [e.time_s for e in _node_events(result, "tx_start")]
-    ends = [e.time_s for e in _node_events(result, "tx_end")]
-    ready = [e.time_s + mcu_prep_delay(PARAMS) for e in _node_events(result, "conversion_done")]
+    result, events = run_logged(plan)
+    starts = [e.time_s for e in _node_events(events, "tx_start")]
+    ends = [e.time_s for e in _node_events(events, "tx_end")]
+    ready = [e.time_s + mcu_prep_delay(PARAMS) for e in _node_events(events, "conversion_done")]
     assert starts[0] < ready[1] < ends[0]
     next_slot = next_slot_time(plan.schedule, make_sensor_id(serial=1), ready[1])
     assert starts[1] == next_slot + PARAMS.radio_switch_delay_s
@@ -204,13 +206,13 @@ def test_slot_starts_never_precede_their_frame():
         noise_sigma_c=0.0,
         beacon_s=0.044,
     )
-    result = run_scenario(config.plan())
+    _, events = run_logged(config.plan())
     prep_s = mcu_prep_delay(PARAMS)
     for serial in (1, 2):
         subject = make_sensor_id(serial=serial).hex()
-        events = [e for e in result.events if e.subject == subject]
-        ready = [e.time_s + prep_s for e in events if e.kind == "conversion_done"]
-        slots = [e.time_s for e in events if e.kind == "slot_start"]
+        own = [e for e in events if e.subject == subject]
+        ready = [e.time_s + prep_s for e in own if e.kind == "conversion_done"]
+        slots = [e.time_s for e in own if e.kind == "slot_start"]
         assert len(slots) == len(ready) == 80
         assert all(slot >= t for slot, t in zip(slots, ready))
 

@@ -12,7 +12,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import _slope_c_per_min_oracle, evaluate_alerts_oracle, rounded
+from helpers import _slope_c_per_min_oracle, evaluate_alerts_oracle, rounded, run_logged
+from thermnet.config import NodeSpec, ScenarioConfig
 from thermnet.frames import TEMP_LSB_C, SensorId, make_sensor_id
 from thermnet.monitor import (
     Alert,
@@ -24,12 +25,12 @@ from thermnet.monitor import (
     evaluate_alerts,
 )
 from thermnet.rng import gauss
-from thermnet.traces import ConstantTrace
+from thermnet.traces import RampTrace
 
 RULE = AlertRule()
 
 
-def reading(serial, t, temp_c, seq=None):
+def reading(serial, t, temp_c, seq=None, true_c=36.5):
     raw = round(temp_c / 0.0625)
     return Reading(
         sensor_id=make_sensor_id(serial=serial),
@@ -38,11 +39,12 @@ def reading(serial, t, temp_c, seq=None):
         sequence=seq if seq is not None else int(t),
         total_delay_s=0.777,
         sample_time_s=float(t) - 0.777,
+        true_c=true_c,
     )
 
 
-def series_from(temps, serial=1):
-    return [reading(serial, t, c, seq=t) for t, c in enumerate(temps)]
+def series_from(temps, serial=1, true_c=36.5):
+    return [reading(serial, t, c, seq=t, true_c=true_c) for t, c in enumerate(temps)]
 
 
 # -- store -------------------------------------------------------------
@@ -90,7 +92,7 @@ def test_unknown_sensor_counted_not_stored():
 def test_invalid_id_counted_as_unknown():
     store = ReadingStore()
     sid = make_sensor_id(serial=3)
-    forged = Reading(SensorId(sid.family_code, sid.serial, sid.crc ^ 1), 0.0, 100, 0, 0.0, 0.0)
+    forged = Reading(SensorId(sid.family_code, sid.serial, sid.crc ^ 1), 0.0, 100, 0, 0.0, 0.0, 0.0)
     store.ingest(forged)
     assert store.unknown_count == 1
 
@@ -128,8 +130,8 @@ def test_agreement_is_arrival_order_invariant(order):
     for index in order:
         store.ingest(reading(1, index, temps[index], seq=index))
     series = store.series(make_sensor_id(serial=1))
-    report = agreement(series, ConstantTrace(36.5))
-    baseline = agreement(series_from(temps), ConstantTrace(36.5))
+    report = agreement(series)
+    baseline = agreement(series_from(temps))
     assert report.mae_c == baseline.mae_c
     assert report.max_err_c == baseline.max_err_c
 
@@ -228,7 +230,7 @@ def test_alert_rule_rejects_non_finite(field, value):
 @pytest.mark.parametrize("bad_time", [9.5, math.nan, math.inf, -1.0])
 def test_alerts_reject_unordered_series(bad_time):
     # A negative time goes first, where only its sign is wrong; the rest last.
-    bad = Reading(make_sensor_id(serial=1), bad_time, 592, 99, 0.0, 0.0)
+    bad = Reading(make_sensor_id(serial=1), bad_time, 592, 99, 0.0, 0.0, 0.0)
     series = series_from([37.0] * 12)
     series = [bad] + series if bad_time < 0 else series + [bad]
     with pytest.raises(ValueError, match="time-ordered"):
@@ -241,12 +243,12 @@ def ramp_series(start, rate, moves):
     ``steps`` counts, then offsets that one reading by ``bump`` counts."""
     sid = make_sensor_id(serial=1)
     period = TEMP_LSB_C * 60.0 / rate
-    series = [Reading(sid, start, 584, 0, 0.0, start)]
+    series = [Reading(sid, start, 584, 0, 0.0, start, 0.0)]
     done = 0
     for k, (steps, bump) in enumerate(moves, 1):
         done += steps
         t = start + done * period
-        series.append(Reading(sid, t, 584 + done + bump, k, 0.0, t))
+        series.append(Reading(sid, t, 584 + done + bump, k, 0.0, t, 0.0))
     return series
 
 
@@ -291,11 +293,11 @@ def alert_cases(draw):
     )
     sid = make_sensor_id(serial=1)
     t, raw = start, 584
-    series = [Reading(sid, t, raw, 0, 0.0, t)]
+    series = [Reading(sid, t, raw, 0, 0.0, t, 0.0)]
     moves = draw(st.lists(st.tuples(step, st.integers(-6, 6)), max_size=80))
     for k, (dt, d_raw) in enumerate(moves, 1):
         t, raw = t + dt, raw + d_raw
-        series.append(Reading(sid, t, raw, k, 0.0, t))
+        series.append(Reading(sid, t, raw, k, 0.0, t, 0.0))
     return rate_on_a_slope(draw, series, rule)
 
 
@@ -328,7 +330,7 @@ def tied_series():
     t = 0.11599750802544773
     sid = make_sensor_id(serial=1)
     raws = [584] * 8 + [608]
-    return [Reading(sid, t, raw, k, 0.0, t) for k, raw in enumerate(raws)], RULE
+    return [Reading(sid, t, raw, k, 0.0, t, 0.0) for k, raw in enumerate(raws)], RULE
 
 
 def extreme_series():
@@ -336,7 +338,7 @@ def extreme_series():
     # to inf, then to 1e300 s: exact units need no range limit.
     sid = make_sensor_id(serial=1)
     times_raws = [(0.0, -880), (5e-324, 2000), (1e300, 2000), (1e300, -880), (1.5e300, 1 << 40)]
-    series = [Reading(sid, t, raw, k, 0.0, t) for k, (t, raw) in enumerate(times_raws)]
+    series = [Reading(sid, t, raw, k, 0.0, t, 0.0) for k, (t, raw) in enumerate(times_raws)]
     return series, replace(RULE, rise_window_s=1e301)
 
 
@@ -375,16 +377,16 @@ def test_alerts_equal_quadratic_oracle(case):
 
 
 def test_exact_series_has_zero_error():
-    series = series_from([36.5] * 10)
-    report = agreement(series, ConstantTrace(36.5))
+    series = series_from([36.5] * 10, true_c=36.5)
+    report = agreement(series)
     assert report.mae_c == 0.0
     assert report.max_err_c == 0.0
     assert report.n == 10
 
 
 def test_quantization_bound_zero_noise():
-    series = series_from([36.53] * 50)  # quantizes to 36.5
-    report = agreement(series, ConstantTrace(36.53))
+    series = series_from([36.53] * 50, true_c=36.53)  # quantizes to 36.5
+    report = agreement(series)
     assert report.mae_c <= 0.03125
     assert report.max_err_c <= 0.03125
 
@@ -394,8 +396,8 @@ def test_noise_mae_matches_folded_normal_oracle():
     series = []
     for k in range(n):
         noisy = truth + sigma * gauss(77, k)
-        series.append(reading(1, k, round(noisy / 0.0625) * 0.0625, seq=k))
-    report = agreement(series, ConstantTrace(truth))
+        series.append(reading(1, k, round(noisy / 0.0625) * 0.0625, seq=k, true_c=truth))
+    report = agreement(series)
     errors = [abs(r.temp_c - truth) for r in series]
     stderr = statistics.pstdev(errors) / math.sqrt(n)
     bound = sigma * math.sqrt(2 / math.pi) + 0.03125
@@ -406,46 +408,19 @@ def test_noise_mae_matches_folded_normal_oracle():
 
 
 def test_agreement_uses_sample_time_not_delivery_time():
-    # Truth changes between sampling and delivery; errors must be zero
-    # because temp matches the trace at the conversion instant.
-    sid = make_sensor_id(serial=1)
-    series = [
-        Reading(sid, time_s=t + 0.777, raw=round((36.0 + t) / 0.0625), sequence=t,
-                total_delay_s=0.777, sample_time_s=float(t))
-        for t in range(5)
-    ]
-
-    class StepTrace:
-        def value(self, t, seed=0):
-            return 36.0 + math.floor(t)
-
-    report = agreement(series, StepTrace())
-    assert report.max_err_c == 0.0
-
-
-def test_shared_truth_is_evaluated_once_per_instant():
-    calls = []
-
-    class CountedTrace:
-        def value(self, t, seed=0):
-            calls.append(t)
-            return 36.0 + t / 8
-
-    sid = make_sensor_id(serial=1)
-    series = [
-        Reading(sid, time_s=t + 0.5, raw=576 + t, sequence=t, total_delay_s=0.5, sample_time_s=float(t // 2))
-        for t in range(8)
-    ]
-    truth = CountedTrace()
-    truth_at = {}
-    first = agreement(series, truth, truth_at=truth_at)
-    second = agreement(series[::-1], truth, truth_at=truth_at)
-    assert calls == [0.0, 1.0, 2.0, 3.0]
-    assert first == second == agreement(series, truth)
-    assert truth_at == {t: truth.value(t) for t in (0.0, 1.0, 2.0, 3.0)}
+    # The truth rises between sampling and delivery.  Each reading
+    # carries the truth at its conversion start, so a noiseless ramp
+    # that sits on whole counts at every sample agrees exactly.
+    trace = RampTrace(36.0, 3.75)  # one count (0.0625 degC) per second
+    config = ScenarioConfig(nodes=(NodeSpec("node1", 1, trace),), duration_s=10.0, noise_sigma_c=0.0)
+    series = run_logged(config.plan())[0].readings
+    assert len(series) == 10
+    assert [r.true_c for r in series] == [trace.value(r.sample_time_s) for r in series]
+    assert all(r.true_c < trace.value(r.time_s) for r in series)
+    assert agreement(series).max_err_c == 0.0
 
 
 def test_empty_series_raises():
     with pytest.raises(EmptySeries):
-        agreement([], ConstantTrace(36.5))
+        agreement([])
 

@@ -20,6 +20,7 @@ from helpers import (
     gauss_oracle,
     ledger_from_events,
     mix64_oracle,
+    run_logged,
     sense_band_oracle,
 )
 from thermnet.cli import cmd_simulate
@@ -30,15 +31,15 @@ from thermnet.frames import FRAME_BITS, make_sensor_id
 from thermnet.mac import build_schedule
 from thermnet.rng import float_key, gauss, mix64
 from thermnet.sim import (
+    EVENT_COLUMNS,
     Medium,
-    SimEvent,
     Transmission,
     _Engine,
     medium_transmit,
     run_scenario,
     sense_and_quantize,
 )
-from thermnet.traces import BandNoiseTrace, ConstantTrace, RampTrace
+from thermnet.traces import BandNoiseTrace, ConstantTrace, RampTrace, SinusoidTrace
 
 PARAMS = DelayParams()
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -174,7 +175,8 @@ def test_medium_matches_pairwise_scan(signals, finish_ended):
 
 def sense_one(trace, t_s, seed, noise_sigma_c=0.0):
     """The raw count of a one-node cell reading ``trace`` at t_s."""
-    (raw,) = sense_and_quantize([trace], [0], t_s, seed, noise_sigma_c)
+    ((raw, true_c),) = sense_and_quantize([trace], [0], t_s, seed, noise_sigma_c)
+    assert true_c == trace.value(t_s, seed)
     return raw
 
 
@@ -234,13 +236,17 @@ _INSTANTS = st.one_of(
 def test_sensing_equals_step_by_step_rng(seed, node_truth, instants, low_c, width_c, sigma_c):
     # The prefix cache must be keyed by seed, stream and node: several
     # nodes share each seed and each truth here, and the seeds vary
-    # across examples.  Node i's noise is keyed by i.
+    # across examples.  Node i's noise is keyed by i, and its true
+    # temperature is its own truth's.
     truths = [BandNoiseTrace(low_c + d, low_c + d + width_c) for d in (0.0, 0.5, 3.0)]
     for t in instants:
         for trace in truths:
             assert trace.value(t, seed) == band_value_oracle(trace.low_c, trace.high_c, t, seed)
         expected = [
-            sense_band_oracle(truths[j].low_c, truths[j].high_c, t, seed, sigma_c, i)
+            (
+                sense_band_oracle(truths[j].low_c, truths[j].high_c, t, seed, sigma_c, i),
+                band_value_oracle(truths[j].low_c, truths[j].high_c, t, seed),
+            )
             for i, j in enumerate(node_truth)
         ]
         assert sense_and_quantize(truths, node_truth, t, seed, sigma_c) == expected
@@ -273,20 +279,20 @@ def test_sixty_readings_in_sixty_seconds():
         seed=7,
         noise_sigma_c=0.0,
     )
-    result = run_scenario(cfg.plan())
+    result, _ = run_logged(cfg.plan())
     assert len(result.readings) == 60
     assert [r.sequence for r in result.readings] == list(range(60))
 
 
 def test_zero_duration_run_is_empty():
-    result = run_scenario(two_nodes(duration_s=0.0).plan())
-    assert result.events == []
+    result, events = run_logged(two_nodes(duration_s=0.0).plan())
+    assert events == []
     assert result.readings == []
     assert all(led.total_j == 0.0 for led in result.ledgers.values())
 
 
 def test_readings_partition_by_sensor():
-    result = run_scenario(two_nodes(duration_s=60.0).plan())
+    result, _ = run_logged(two_nodes(duration_s=60.0).plan())
     by_id = {}
     for reading in result.readings:
         by_id.setdefault(reading.sensor_id.hex(), []).append(reading)
@@ -296,17 +302,17 @@ def test_readings_partition_by_sensor():
 
 
 def test_identical_runs_are_identical():
-    a = run_scenario(two_nodes().plan())
-    b = run_scenario(two_nodes().plan())
-    assert a.events == b.events
+    a, a_events = run_logged(two_nodes().plan())
+    b, b_events = run_logged(two_nodes().plan())
+    assert a_events == b_events
     assert a.readings == b.readings
     assert a.ledgers == b.ledgers
 
 
 def test_different_seed_changes_noisy_run():
     noisy = two_nodes(noise_sigma_c=0.1)
-    a = run_scenario(noisy.plan())
-    b = run_scenario(replace(noisy, seed=999).plan())
+    a, _ = run_logged(noisy.plan())
+    b, _ = run_logged(replace(noisy, seed=999).plan())
     assert [r.raw for r in a.readings] != [r.raw for r in b.readings]
 
 
@@ -323,10 +329,10 @@ def _delivered(cfg):
     node has one frame on the air at a time, so its next tx_end ends it,
     and under TDMA the slot that sends it is the node's last slot_start.
     """
-    result = run_scenario(cfg.plan())
+    result, events = run_logged(cfg.plan())
     distance_m = {make_sensor_id(cfg.family_code, node.serial).hex(): node.distance_m for node in cfg.nodes}
     packets, last_slot, on_air, delivered = {}, {}, {}, []
-    for event in result.events:
+    for event in events:
         word = dict(w.split("=") for w in event.detail.split() if "=" in w)
         if event.kind == "conversion_done":
             k = int(word["k"])
@@ -394,7 +400,7 @@ def test_reading_total_delay_matches_closed_form():
         one_node(ALOHA, sample_period_s=20000.0, duration_s=100000.0),
     ):
         distance_m = {make_sensor_id(cfg.family_code, node.serial): node.distance_m for node in cfg.nodes}
-        result = run_scenario(cfg.plan())
+        result, _ = run_logged(cfg.plan())
         assert len(result.readings) == len(cfg.nodes) * cfg.duration_s / cfg.sample_period_s
         for reading in result.readings:
             assert reading.total_delay_s == total_delay(FRAME_BITS, distance_m[reading.sensor_id], PARAMS).total
@@ -407,27 +413,27 @@ def test_collision_free_under_slotting():
             duration_s=30.0,
             noise_sigma_c=0.0,
         )
-        result = run_scenario(cfg.plan())
+        result, events = run_logged(cfg.plan())
         assert result.stats.collisions == 0
-        assert not any(e.kind == "rx_collision" for e in result.events)
+        assert not any(e.kind == "rx_collision" for e in events)
 
 
 def test_unslotted_phase_aligned_nodes_collide():
-    result = run_scenario(two_nodes(mac_mode="aloha", duration_s=10.0).plan())
+    result, events = run_logged(two_nodes(mac_mode="aloha", duration_s=10.0).plan())
     assert result.stats.collisions >= 1
-    assert any(e.kind == "rx_collision" for e in result.events)
+    assert any(e.kind == "rx_collision" for e in events)
     assert result.stats.delivered == 0
 
 
 def test_event_log_is_ordered_and_causal():
-    result = run_scenario(two_nodes(duration_s=15.0).plan())
-    times = [e.time_s for e in result.events]
+    _, events = run_logged(two_nodes(duration_s=15.0).plan())
+    times = [e.time_s for e in events]
     assert times == sorted(times)
-    assert [e.seq for e in result.events] == list(range(len(result.events)))
+    assert [e.seq for e in events] == list(range(len(events)))
     # Every transmission runs start -> end -> delivery, strictly forward.
     for subject in (make_sensor_id(serial=1).hex(), make_sensor_id(serial=2).hex()):
-        starts = [e.time_s for e in result.events if e.kind == "tx_start" and e.subject == subject]
-        ends = [e.time_s for e in result.events if e.kind == "tx_end" and e.subject == subject]
+        starts = [e.time_s for e in events if e.kind == "tx_start" and e.subject == subject]
+        ends = [e.time_s for e in events if e.kind == "tx_end" and e.subject == subject]
         assert len(starts) == len(ends)
         for s, e in zip(starts, ends):
             assert e - s == pytest.approx(airtime(FRAME_BITS, PARAMS), abs=1e-12)
@@ -438,11 +444,11 @@ def test_transmissions_only_inside_own_slots():
     bursts = InterfererSpec("interferer1", distance_m=5.0, period_s=2.0, start_s=0.75, bits=18900)
     for cfg in (two_nodes(duration_s=25.0), two_nodes(duration_s=25.0, interferers=(bursts,))):
         plan = cfg.plan()
-        result = run_scenario(plan)
+        _, events = run_logged(plan)
         schedule = plan.schedule
         slots = {nid.hex(): schedule.slot_offset_s(nid) for nid in schedule.assignments}
         period = schedule.frame_period_s
-        for event in result.events:
+        for event in events:
             if event.kind != "tx_start" or event.subject == "interferer1":
                 continue
             offset = slots[event.subject]
@@ -453,10 +459,10 @@ def test_transmissions_only_inside_own_slots():
 
 def test_energy_ledger_matches_event_log_recompute():
     cfg = two_nodes(duration_s=45.0, noise_sigma_c=0.1)
-    result = run_scenario(cfg.plan())
+    result, events = run_logged(cfg.plan())
     for node in cfg.nodes:
         subject = make_sensor_id(cfg.family_code, node.serial).hex()
-        want = ledger_from_events(result, cfg, subject)
+        want = ledger_from_events(events, cfg, subject)
         got = result.ledgers[subject]
         assert abs(got.total_j - want.total_j) < 1e-9
         assert abs(got.transmit_j - want.transmit_j) < 1e-9
@@ -471,7 +477,7 @@ def test_energy_ledger_matches_event_log_recompute():
 def test_out_of_range_node_is_never_delivered():
     cfg = two_nodes()
     cfg = replace(cfg, nodes=(replace(cfg.nodes[0], distance_m=250.0), cfg.nodes[1]))
-    result = run_scenario(cfg.plan())
+    result, _ = run_logged(cfg.plan())
     assert result.stats.out_of_range > 0
     delivered_ids = {r.sensor_id.serial for r in result.readings}
     assert delivered_ids == {2}
@@ -484,9 +490,9 @@ def test_interferer_forces_deferrals():
         noise_sigma_c=0.0,
         interferers=(InterfererSpec("interferer1", distance_m=5.0, period_s=0.021, bits=2048),),
     )
-    result = run_scenario(cfg.plan())
+    result, events = run_logged(cfg.plan())
     assert result.stats.deferrals > 0
-    assert any(e.kind == "rssi_sample" and e.detail == "busy" for e in result.events)
+    assert any(e.kind == "rssi_sample" and e.detail == "busy" for e in events)
     assert all(r.sensor_id.serial == 1 for r in result.readings)
 
 
@@ -500,12 +506,12 @@ def test_lone_interferer_burst_never_reaches_access_point():
         noise_sigma_c=0.0,
         interferers=(InterfererSpec("interferer1", distance_m=5.0, period_s=2.0, start_s=0.1),),
     )
-    result = run_scenario(cfg.plan())
+    result, events = run_logged(cfg.plan())
     assert result.stats.corrupt == 0
     assert result.stats.collisions == 0
     assert len(result.readings) == 10
-    assert sum(e.kind == "tx_end" and e.subject == "interferer1" for e in result.events) == 5
-    assert not any(e.subject == "ap" and "from=interferer1" in e.detail for e in result.events)
+    assert sum(e.kind == "tx_end" and e.subject == "interferer1" for e in events) == 5
+    assert not any(e.subject == "ap" and "from=interferer1" in e.detail for e in events)
 
 
 def test_superseded_reading_is_replaced():
@@ -517,7 +523,7 @@ def test_superseded_reading_is_replaced():
         noise_sigma_c=0.0,
         interferers=(InterfererSpec("interferer1", distance_m=5.0, period_s=0.05, bits=4096),),
     )
-    result = run_scenario(cfg.plan())
+    result, _ = run_logged(cfg.plan())
     assert result.stats.replaced_pending > 0
 
 
@@ -542,13 +548,13 @@ ONE_NODE_PERIOD_S = build_schedule([make_sensor_id(serial=1)], FRAME_BITS, PARAM
 @example(n=1, mac_mode=TDMA, duration_s=700 * ONE_NODE_PERIOD_S)  # a beacon falls exactly on the end
 def test_beacon_count_is_schedule_arithmetic(n, mac_mode, duration_s):
     cfg = _cell(n, mac_mode, duration_s)
-    result = run_scenario(cfg.plan())
+    result, events = run_logged(cfg.plan())
     expected = 0
     if mac_mode == TDMA and duration_s > 0:
         period = build_schedule([make_sensor_id(serial=n.serial) for n in cfg.nodes], FRAME_BITS, PARAMS).frame_period_s
         expected = sum(1 for k in range(int(duration_s / period) + 2) if k * period <= duration_s)
     assert result.stats.beacons == expected
-    assert not any(e.kind == "beacon" for e in result.events)
+    assert not any(e.kind == "beacon" for e in events)
 
 
 class _QueueWatch(_Engine):
@@ -572,7 +578,7 @@ def test_queue_holds_only_what_is_in_flight(duration_s):
             InterfererSpec("interferer2", distance_m=60.0, period_s=0.7, start_s=0.2, bits=256),
         ),
     )
-    engine = _QueueWatch(cfg.plan())
+    engine = _QueueWatch(cfg.plan(), [].append)
     result = engine.run()
     assert result.stats.conversions == 5 * duration_s
     assert 0 < engine.max_queue <= 8 * 5 + 2 * 2
@@ -583,7 +589,7 @@ def test_conversion_count_stops_at_ceil_bound():
     # 290, so the ceil bound, not the ``t < end`` test, ends sampling.
     cfg = replace(_cell(1, TDMA, 232.00000000000003), sample_period_s=0.8)
     assert 290 * 0.8 < cfg.duration_s
-    assert run_scenario(cfg.plan()).stats.conversions == 290
+    assert run_logged(cfg.plan())[0].stats.conversions == 290
 
 
 @pytest.mark.parametrize(
@@ -599,19 +605,52 @@ def test_conversion_count_stops_at_ceil_bound():
 )
 def test_sink_receives_the_event_log(tmp_path, cfg):
     lines = []
-    streamed = run_scenario(cfg.plan(), on_event=lines.append)
-    assert streamed.events == []
+    run_scenario(cfg.plan(), lines.append)
     assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
-    # The sink gets the body of the events.csv that simulate writes ...
+    # The sink gets the body of the events.csv that simulate writes.
     assert cmd_simulate(cfg, tmp_path) == 0
     comment, header, *body = (tmp_path / "events.csv").read_text().splitlines(keepends=True)
-    assert header == ",".join(SimEvent._fields) + "\n"
+    assert header == ",".join(EVENT_COLUMNS) + "\n"
     assert "".join(lines) == "".join(body)
-    # ... and without a sink the same lines are parsed into the result.
-    collected = run_scenario(cfg.plan())
-    assert [SimEvent.from_row(line) for line in lines] == collected.events
-    assert [e.seq for e in collected.events] == list(range(len(lines)))
-    assert replace(streamed, events=collected.events) == collected
+
+
+_TRUTHS = st.sampled_from(
+    [
+        BandNoiseTrace(36.0, 38.0),
+        BandNoiseTrace(36.5, 37.5),
+        SinusoidTrace(37.0, 1.5, 7.0),
+        RampTrace(36.0, 3.0),
+        ConstantTrace(36.7),
+    ]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    truths=st.lists(_TRUTHS, min_size=1, max_size=6),
+    mac_mode=st.sampled_from([TDMA, ALOHA]),
+    heard=st.integers(min_value=0, max_value=5),
+    seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+    noise_sigma_c=st.sampled_from([0.1, 0.5]),
+)
+def test_each_reading_carries_its_own_nodes_truth(truths, mac_mode, heard, seed, noise_sigma_c):
+    # Nodes of one cell read different traces, and equal traces share a
+    # truth group.  Aligned send-on-ready nodes in range all collide, so
+    # under ALOHA only node ``heard`` is in the access point's range.
+    heard %= len(truths)
+    distance = [10.0 if mac_mode == TDMA or i == heard else 150.0 for i in range(len(truths))]
+    cfg = ScenarioConfig(
+        nodes=tuple(NodeSpec(f"node{i}", i + 1, trace, distance_m=distance[i]) for i, trace in enumerate(truths)),
+        duration_s=12.0,
+        mac_mode=mac_mode,
+        seed=seed,
+        noise_sigma_c=noise_sigma_c,
+    )
+    result, _ = run_logged(cfg.plan())
+    trace_of = {make_sensor_id(cfg.family_code, node.serial): node.trace for node in cfg.nodes}
+    assert len(result.readings) == (len(truths) if mac_mode == TDMA else 1) * 12
+    for reading in result.readings:
+        assert reading.true_c == trace_of[reading.sensor_id].value(reading.sample_time_s, seed)
 
 
 def test_each_distinct_trace_is_evaluated_once_per_instant(monkeypatch):
@@ -628,7 +667,7 @@ def test_each_distinct_trace_is_evaluated_once_per_instant(monkeypatch):
         duration_s=150.0,
         noise_sigma_c=0.1,
     )
-    result = run_scenario(cfg.plan())
+    result, _ = run_logged(cfg.plan())
     assert result.stats.conversions == 50 * 150
     assert calls == [float(k) for k in range(150)]
 
@@ -644,7 +683,7 @@ def test_signed_zero_times_keep_their_own_stamps():
         ),
     )
     lines = []
-    run_scenario(cfg.plan(), on_event=lines.append)
+    run_scenario(cfg.plan(), lines.append)
     assert lines[:2] == ["0.0,0,tx_start,interferer1,bits=256\n", "-0.0,1,tx_start,interferer2,bits=256\n"]
 
 
@@ -666,10 +705,10 @@ def test_frames_are_encoded_only_where_decoded(monkeypatch, cfg):
         return encode(*args)
 
     monkeypatch.setattr(sim, "encode_frame", counted)
-    result = run_scenario(cfg.plan())
+    result, events = run_logged(cfg.plan())
     assert result.stats.collisions > 0 and result.stats.delivered > 0
     assert len(encodes) == result.stats.delivered + result.stats.corrupt
-    assert len(encodes) == sum(e.kind == "rx_deliver" for e in result.events)
+    assert len(encodes) == sum(e.kind == "rx_deliver" for e in events)
 
 
 def test_invalid_config_raises_config_error():
@@ -677,7 +716,7 @@ def test_invalid_config_raises_config_error():
 
     bad = two_nodes(mac_mode="csma")
     with pytest.raises(ConfigError):
-        run_scenario(bad.plan())
+        bad.plan()
 
 
 _interferer = st.builds(
@@ -711,7 +750,7 @@ def test_every_frame_ends_in_one_counted_fate(distances, mac_mode, interferers, 
         sample_period_s=sample_period_s,
         interferers=tuple(replace(intf, name=f"interferer{j}") for j, intf in enumerate(interferers, 1)),
     )
-    engine = _Engine(cfg.plan())
+    engine = _Engine(cfg.plan(), [].append)
     s = engine.run().stats
     # What the run left unfinished, read from the engine's own state.
     pending = sum(node.pending is not None for node in engine.nodes)

@@ -8,7 +8,9 @@ commit (for example made with ``git archive <rev> | tar -x -C <dir>``):
 Each command is run once from ``<other-tree>/src`` and once from this
 checkout's ``src``, and the files it writes are compared byte for byte.
 The commands are ``simulate`` on every ``configs/*.conf`` of this
-checkout and on each ``perfbench`` workload at seeds 1-10, compared on
+checkout, once in its own MAC mode and once under the other ``--mac``
+(so the send-on-ready delivery path is compared on configs that
+deliver), and on each ``perfbench`` workload at seeds 1-10, compared on
 the CSVs the benchmark hashes (``perfbench/outputs.py``'s
 ``OUTPUT_FILES``); ``report schedule`` on every ``configs/*.conf``;
 and ``report delay`` (default grid and a 3x4 grid) and ``report
@@ -35,8 +37,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "src"))
 
 from outputs import OUTPUT_FILES  # noqa: E402
+from thermnet.config import ALOHA, TDMA, load_config  # noqa: E402
 from workloads import WORKLOADS, scenario_text  # noqa: E402
 
 REPORT = "report.csv"
@@ -120,6 +124,10 @@ def main() -> int:
             (config.name, ["simulate", "--config", str(config), "--out", "{out}"], OUTPUT_FILES)
             for config in scenarios
         ]
+        for config in configs:
+            other_mac = ALOHA if load_config(config).mac_mode == TDMA else TDMA
+            argv = ["simulate", "--config", str(config), "--mac", other_mac, "--out", "{out}"]
+            cases.append((f"{config.name} --mac {other_mac}", argv, OUTPUT_FILES))
         cases += [
             (f"schedule {config.name}", ["report", "schedule", "--config", str(config), "--out", f"{{out}}/{REPORT}"], (REPORT,))
             for config in configs
