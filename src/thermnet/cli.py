@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -23,7 +22,7 @@ from .csvio import open_csv, write_csv
 from .delays import DelayParams, total_delay
 from .energy import DevicePowerProfile, EnergyLedger, energy_sweep
 from .monitor import EmptySeries, ReadingStore, agreement, evaluate_alerts
-from .sim import EVENT_COLUMNS, SimResult, run_scenario
+from .sim import EVENT_COLUMNS, SimResult, SimStats, run_scenario
 from .traces import finite_float
 
 _VERSION_TAG = "format v1"
@@ -43,8 +42,8 @@ def _write_simulation_outputs(plan: RunPlan, result: SimResult, out_dir: Path) -
     write_csv(
         out_dir / "ledgers.csv",
         f"energy ledgers, {_VERSION_TAG}",
-        ["entity", *(f.name for f in fields(EnergyLedger)), "total_j"],
-        [[name, *astuple(led), led.total_j] for name, led in sorted(result.ledgers.items())],
+        ["entity", *EnergyLedger._fields, "total_j"],
+        [[name, *led, led.total_j] for name, led in sorted(result.ledgers.items())],
     )
 
     store = ReadingStore(roster=hex_of)
@@ -77,7 +76,7 @@ def _write_simulation_outputs(plan: RunPlan, result: SimResult, out_dir: Path) -
         out_dir / "stats.csv",
         f"run counters, {_VERSION_TAG}",
         ["counter", "value"],
-        [[f.name, getattr(result.stats, f.name)] for f in fields(result.stats)],
+        [[name, getattr(result.stats, name)] for name in SimStats.__slots__],
     )
 
 
@@ -152,7 +151,7 @@ def cmd_report_energy(
 
 
 def cmd_report_schedule(config: ScenarioConfig, out: str | Path) -> int:
-    schedule = replace(config, mac_mode=TDMA).plan().schedule
+    schedule = config._replace(mac_mode=TDMA).plan().schedule
     by_slot = sorted(schedule.assignments.items(), key=lambda kv: kv[1])
     rows = [
         [slot, sid.hex(), schedule.slot_offset_s(sid), schedule.slot_duration_s, schedule.frame_period_s]
@@ -214,9 +213,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "simulate":
             config = load_config(args.config)
             if args.seed is not None:
-                config = replace(config, seed=args.seed)
+                config = config._replace(seed=args.seed)
             if args.mac is not None:
-                config = replace(config, mac_mode=args.mac)
+                config = config._replace(mac_mode=args.mac)
             return cmd_simulate(config, args.out)
         if args.report_kind == "schedule":
             return cmd_report_schedule(load_config(args.config), args.out)

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .delays import DelayParams, airtime, mcu_prep_delay, propagation_delay, serial_delay, total_delay, usb_delay
 from .energy import DevicePowerProfile
@@ -46,16 +45,14 @@ class ValidationError(ConfigError):
     """Well-formed config with inconsistent values; names the field."""
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     name: str
     serial: int
-    trace: TemperatureTrace = field(default_factory=lambda: ConstantTrace(37.0))
+    trace: TemperatureTrace = ConstantTrace(37.0)
     distance_m: float = 10.0
 
 
-@dataclass(frozen=True)
-class InterfererSpec:
+class InterfererSpec(NamedTuple):
     """A foreign transmitter that periodically occupies the channel."""
 
     name: str
@@ -126,8 +123,7 @@ KEYS: dict[str, dict[str, tuple[Callable[[str], object], str | None, str]]] = {
 _BOUNDS = {"finite": lambda v: True, ">= 0": lambda v: v >= 0, "positive": lambda v: v > 0}
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     nodes: tuple[NodeSpec, ...]
     duration_s: float = 60.0
     seed: int = 1
@@ -139,9 +135,9 @@ class ScenarioConfig:
     guard_s: float = DEFAULT_GUARD_S
     beacon_s: float = DEFAULT_BEACON_S
     interferers: tuple[InterfererSpec, ...] = ()
-    delay_params: DelayParams = field(default_factory=DelayParams)
-    power_profile: DevicePowerProfile = field(default_factory=DevicePowerProfile)
-    alert_rule: AlertRule = field(default_factory=AlertRule)
+    delay_params: DelayParams = DelayParams()
+    power_profile: DevicePowerProfile = DevicePowerProfile()
+    alert_rule: AlertRule = AlertRule()
 
     def sections(self) -> list[tuple[str, str, object]]:
         """(KEYS section, section name, record its keys set) for every section."""
@@ -190,12 +186,14 @@ class ScenarioConfig:
         ids = [make_sensor_id(self.family_code, node.serial) for node in self.nodes]
         schedule = (build_schedule(ids, FRAME_BITS, p, guard_s=self.guard_s, beacon_s=self.beacon_s)
                     if self.mac_mode == TDMA else None)
-        # Equal traces (dataclass equality) read the same truth, so each
-        # distinct one is evaluated once per instant.  Floats that compare
-        # equal differ at most in the sign of a zero, which rounding to
-        # counts erases.
-        truth_of: dict[TemperatureTrace, int] = {}
-        node_truth = tuple(truth_of.setdefault(node.trace, len(truth_of)) for node in self.nodes)
+        # Traces of one kind with equal fields read the same truth, so each
+        # distinct one is evaluated once per instant.  The key holds the
+        # kind because tuples compare by value alone: a ramp and a band
+        # with equal fields are equal tuples.  Floats that compare equal
+        # differ at most in the sign of a zero, which rounding to counts
+        # erases.
+        truth_of: dict[tuple[type, TemperatureTrace], int] = {}
+        node_truth = tuple(truth_of.setdefault((type(n.trace), n.trace), len(truth_of)) for n in self.nodes)
         plan = RunPlan(
             self, _or_inf(mcu_prep_delay, p), p.radio_switch_delay_s, airtime(FRAME_BITS, p),
             serial_delay(FRAME_BITS, p), usb_delay(FRAME_BITS, p), p.sensor_conversion_s,
@@ -207,7 +205,7 @@ class ScenarioConfig:
                 for node, sid in zip(self.nodes, ids)
             ),
             schedule,
-            tuple(truth_of),
+            tuple(trace for _, trace in truth_of),
             node_truth,
         )
         # A span the engine adds to its clock must make t + span > t for every
@@ -254,8 +252,7 @@ def _or_inf(compute: Callable[..., float], *args) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class NodePlan:
+class NodePlan(NamedTuple):
     """A node's fixed terms, and the name ``events.csv`` gives it."""
 
     spec: NodeSpec
@@ -266,8 +263,7 @@ class NodePlan:
     slot_offset_s: float  # in the TDMA frame; 0 under ALOHA
 
 
-@dataclass(frozen=True)
-class RunPlan:
+class RunPlan(NamedTuple):
     """A validated scenario and every term its run holds fixed, each
     computed once, by ``ScenarioConfig.plan``."""
 

@@ -19,11 +19,10 @@ bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class DelayParams:
+class DelayParams(NamedTuple):
     """Device and link configuration feeding the delay terms."""
 
     mcu_clock_hz: float = 8_000_000.0
@@ -36,8 +35,7 @@ class DelayParams:
     propagation_speed_mps: float = 2.998e8
 
 
-@dataclass(frozen=True)
-class DelayBudget:
+class DelayBudget(NamedTuple):
     """The eight delay terms of one packet and their sum, in seconds."""
 
     t1: float

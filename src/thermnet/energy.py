@@ -9,14 +9,12 @@ modeled hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .delays import DelayParams, airtime
 
 
-@dataclass(frozen=True)
-class DevicePowerProfile:
+class DevicePowerProfile(NamedTuple):
     """Supply voltage and per-state current draws of one node's devices."""
 
     supply_voltage_v: float = 9.0
@@ -49,8 +47,7 @@ def energy(watts: float, duration_s: float) -> float:
     return watts * duration_s
 
 
-@dataclass(frozen=True)
-class EnergyLedger:
+class EnergyLedger(NamedTuple):
     """Accumulated joules of one entity, split by activity."""
 
     transmit_j: float = 0.0
@@ -64,8 +61,7 @@ class EnergyLedger:
         return self.transmit_j + self.receive_j + self.idle_j + self.sensing_j + self.mcu_j
 
 
-@dataclass(frozen=True)
-class EnergySweepRow:
+class EnergySweepRow(NamedTuple):
     bits: int
     repetitions: int
     e_tx_j: float

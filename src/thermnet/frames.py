@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 FRAME_BITS = 256
 FRAME_BYTES = FRAME_BITS // 8
@@ -69,8 +69,7 @@ class BadFrameCrc(FrameError):
     """Frame CRC mismatch over the covered bytes."""
 
 
-@dataclass(frozen=True, slots=True)
-class SensorId:
+class SensorId(NamedTuple):
     """64-bit ROM code: family byte, 48-bit serial, CRC-8 over both."""
 
     family_code: int
@@ -107,8 +106,7 @@ def validate_sensor_id(sensor_id: SensorId) -> bool:
     return crc8(body) == sensor_id.crc
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
+class Frame(NamedTuple):
     """Decoded contents of one over-air packet."""
 
     sensor_id: SensorId

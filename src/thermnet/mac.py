@@ -11,7 +11,7 @@ in the simulation engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .delays import DelayParams, airtime
 from .frames import SensorId
@@ -25,8 +25,7 @@ class DuplicateNode(ValueError):
     """The same sensor id appeared twice in a schedule request."""
 
 
-@dataclass(frozen=True)
-class SlotSchedule:
+class SlotSchedule(NamedTuple):
     """Slot assignment for one cell: frame = beacon + n equal slots."""
 
     beacon_slot_s: float

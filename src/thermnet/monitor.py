@@ -11,8 +11,7 @@ feed for any charting tool.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .frames import SensorId, TEMP_LSB_C, validate_sensor_id
 
@@ -24,8 +23,7 @@ class EmptySeries(ValueError):
     """Agreement asked for on a sensor with no stored readings."""
 
 
-@dataclass(frozen=True, slots=True)
-class Reading:
+class Reading(NamedTuple):
     """One delivered measurement.
 
     ``time_s`` is the delivery (serial output) timestamp and
@@ -49,8 +47,7 @@ class Reading:
         return self.raw * TEMP_LSB_C
 
 
-@dataclass(frozen=True)
-class AlertRule:
+class AlertRule(NamedTuple):
     high_threshold_c: float = 38.0
     rise_rate_c_per_min: float = 0.5
     rise_window_s: float = 60.0
@@ -61,16 +58,14 @@ class AlertRule:
                 raise ValueError("alert rule values must be finite and positive")
 
 
-@dataclass(frozen=True)
-class Alert:
+class Alert(NamedTuple):
     kind: str
     sensor_id: SensorId
     trigger_time_s: float
     value: float
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     mae_c: float
     max_err_c: float
     n: int

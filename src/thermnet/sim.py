@@ -48,8 +48,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .config import NodePlan, RunPlan
 from .energy import EnergyLedger, energy, power
@@ -96,15 +95,17 @@ EVENT_COLUMNS = ("time_s", "seq", "kind", "subject", "detail")
 EVENT_ROW = "%s,%d,%s,%s,%s\n"
 
 
-@dataclass(slots=True)
 class Transmission:
     """A signal on the air; collided is set while overlaps are live."""
 
-    sender: str
-    start_s: float
-    end_s: float
-    distance_m: float
-    collided: bool = False
+    __slots__ = ("sender", "start_s", "end_s", "distance_m", "collided")
+
+    def __init__(self, sender: str, start_s: float, end_s: float, distance_m: float):
+        self.sender = sender
+        self.start_s = start_s
+        self.end_s = end_s
+        self.distance_m = distance_m
+        self.collided = False
 
 
 class Medium:
@@ -209,9 +210,8 @@ def sense_and_quantize(
     return [(round(min(max(c / TEMP_LSB_C, MIN_COUNTS), MAX_COUNTS)), t) for c, t in zip(temps, true_c)]
 
 
-@dataclass
 class SimStats:
-    """Run counters, one ``stats.csv`` row each, in field order.
+    """Run counters, one ``stats.csv`` row each, in ``__slots__`` order.
 
     - conversions: temperature conversions started
     - frames_queued: frames built from a finished conversion
@@ -228,20 +228,17 @@ class SimStats:
     corrupt and out_of_range count node frames only.
     """
 
-    conversions: int = 0
-    frames_queued: int = 0
-    transmissions: int = 0
-    delivered: int = 0
-    collisions: int = 0
-    corrupt: int = 0
-    deferrals: int = 0
-    beacons: int = 0
-    out_of_range: int = 0
-    replaced_pending: int = 0
+    __slots__ = (
+        "conversions", "frames_queued", "transmissions", "delivered", "collisions",
+        "corrupt", "deferrals", "beacons", "out_of_range", "replaced_pending",
+    )
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     readings: list[Reading]
     ledgers: dict[str, EnergyLedger]
     stats: SimStats
@@ -252,7 +249,6 @@ class SimResult:
 _Packet = tuple[int, float, int, float]
 
 
-@dataclass
 class _Node:
     """One sensor node's run state; ``plan`` holds its fixed terms.
 
@@ -260,10 +256,13 @@ class _Node:
     while it is set, one SLOT_START is queued for slot ``slot_k``.
     """
 
-    plan: NodePlan
-    pending: Optional[_Packet] = None
-    slot_k: int = 0
-    radio_active_s: float = 0.0
+    __slots__ = ("plan", "pending", "slot_k", "radio_active_s")
+
+    def __init__(self, plan: NodePlan):
+        self.plan = plan
+        self.pending: Optional[_Packet] = None
+        self.slot_k = 0
+        self.radio_active_s = 0.0
 
 
 class _Engine:

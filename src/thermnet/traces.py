@@ -19,9 +19,8 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 from .rng import float_key, unit_uniform
 
@@ -37,16 +36,14 @@ def finite_float(text: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class ConstantTrace:
+class ConstantTrace(NamedTuple):
     value_c: float
 
     def value(self, t: float, seed: int = 0) -> float:
         return self.value_c
 
 
-@dataclass(frozen=True)
-class RampTrace:
+class RampTrace(NamedTuple):
     start_c: float
     rate_c_per_min: float
 
@@ -54,8 +51,7 @@ class RampTrace:
         return self.start_c + self.rate_c_per_min * (t / 60.0)
 
 
-@dataclass(frozen=True)
-class SinusoidTrace:
+class SinusoidTrace(NamedTuple):
     mean_c: float
     amplitude_c: float
     period_s: float
@@ -67,8 +63,7 @@ class SinusoidTrace:
         )
 
 
-@dataclass(frozen=True)
-class BandNoiseTrace:
+class BandNoiseTrace(NamedTuple):
     """Uniform fluctuation between a lower and an upper band.
 
     The value is keyed by (seed, t) only, not by node: every band node
@@ -84,8 +79,7 @@ class BandNoiseTrace:
         return self.low_c + (self.high_c - self.low_c) * u
 
 
-@dataclass(frozen=True)
-class CsvTrace:
+class CsvTrace(NamedTuple):
     """Piecewise-linear trace loaded from a (time_s, temp_c) CSV file."""
 
     times_s: tuple[float, ...]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 from thermnet.config import ALOHA, NodeSpec, ScenarioConfig

@@ -11,7 +11,6 @@ import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields, replace
 from io import StringIO
 from pathlib import Path
 
@@ -285,19 +284,19 @@ def test_bad_trace_spec_exits_1_naming_key_and_line(tmp_path, capsys, spec):
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("field", ["duration_s", "sample_period_s"])
 def test_validate_rejects_non_finite_timing(field, value):
-    config = replace(ScenarioConfig(nodes=(NodeSpec("node1", 1),)), **{field: value})
+    config = ScenarioConfig(nodes=(NodeSpec("node1", 1),))._replace(**{field: value})
     with pytest.raises(ValidationError, match=f"scenario.{field} must be finite"):
         config.plan()
 
 
 NON_FINITE_FIELDS = [
-    ("node1.distance_m", lambda c, v: replace(c, nodes=(replace(c.nodes[0], distance_m=v),))),
-    ("medium.range_m", lambda c, v: replace(c, range_m=v)),
-    ("sensor.noise_sigma_c", lambda c, v: replace(c, noise_sigma_c=v)),
-    ("mac.guard_s", lambda c, v: replace(c, guard_s=v)),
-    ("delay.air_data_rate_bps", lambda c, v: replace(c, delay_params=DelayParams(air_data_rate_bps=v))),
-    ("power.supply_voltage_v", lambda c, v: replace(c, power_profile=DevicePowerProfile(supply_voltage_v=v))),
-    ("interferer1.start_s", lambda c, v: replace(c, interferers=(InterfererSpec("interferer1", start_s=v),))),
+    ("node1.distance_m", lambda c, v: c._replace(nodes=(c.nodes[0]._replace(distance_m=v),))),
+    ("medium.range_m", lambda c, v: c._replace(range_m=v)),
+    ("sensor.noise_sigma_c", lambda c, v: c._replace(noise_sigma_c=v)),
+    ("mac.guard_s", lambda c, v: c._replace(guard_s=v)),
+    ("delay.air_data_rate_bps", lambda c, v: c._replace(delay_params=DelayParams(air_data_rate_bps=v))),
+    ("power.supply_voltage_v", lambda c, v: c._replace(power_profile=DevicePowerProfile(supply_voltage_v=v))),
+    ("interferer1.start_s", lambda c, v: c._replace(interferers=(InterfererSpec("interferer1", start_s=v),))),
 ]
 
 
@@ -370,7 +369,7 @@ def test_setting_every_key_to_its_printed_default_changes_nothing():
         f"{key.replace('<k>', '1')} = {default}\n" for key, default in printed.items() if default is not None
     )
     bare = parse_config_text("node1.serial = 1\n")
-    assert parse_config_text(text) == replace(bare, interferers=(InterfererSpec("interferer1"),))
+    assert parse_config_text(text) == bare._replace(interferers=(InterfererSpec("interferer1"),))
 
 
 def test_every_field_has_exactly_one_key():
@@ -383,7 +382,7 @@ def test_every_field_has_exactly_one_key():
     assert {section for section, _, _ in config.sections()} == set(KEYS)
     unkeyed = {"name", "nodes", "interferers", "delay_params", "power_profile", "alert_rule"}
     for record_type, record_keys in keys.items():
-        assert sorted(record_keys) == sorted(f.name for f in fields(record_type) if f.name not in unkeyed)
+        assert sorted(record_keys) == sorted(f for f in record_type._fields if f not in unkeyed)
     assert set(keys) == {ScenarioConfig, NodeSpec, InterfererSpec, DelayParams, DevicePowerProfile, AlertRule}
 
 
@@ -601,8 +600,8 @@ def test_simulate_keeps_readings_after_sequence_wrap(tmp_path):
     )
     result, _ = run_logged(config.plan())
     first = result.readings[0]
-    wrapped = replace(first, time_s=first.time_s + 65536.0, sample_time_s=first.sample_time_s + 65536.0)
-    result = replace(result, readings=[*result.readings, wrapped])
+    wrapped = first._replace(time_s=first.time_s + 65536.0, sample_time_s=first.sample_time_s + 65536.0)
+    result = result._replace(readings=[*result.readings, wrapped])
     _write_simulation_outputs(config.plan(), result, tmp_path)
     rows = read_rows(tmp_path / "agreement.csv")
     assert [row["n"] for row in rows] == ["4"]

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -68,7 +67,7 @@ def test_duplicate_sequence_dropped_with_counter():
     store = ReadingStore()
     first = reading(1, 0, 36.5, seq=7)
     store.ingest(first)
-    store.ingest(replace(first, time_s=first.time_s + 0.5))
+    store.ingest(first._replace(time_s=first.time_s + 0.5))
     assert store.duplicate_count == 1
     assert store.series(make_sensor_id(serial=1)) == [first]
 
@@ -114,7 +113,7 @@ def test_partition_accounting():
     total = 0
     for t in range(20):
         # From t = 10 on, sample t - 10 arrives again: ten duplicates.
-        store.ingest(replace(reading(1, t % 10, 36.0), time_s=float(t)))
+        store.ingest(reading(1, t % 10, 36.0)._replace(time_s=float(t)))
         store.ingest(reading(2, t, 30.0, seq=t))  # all unknown
         total += 2
     assert (store.duplicate_count, store.unknown_count) == (10, 20)
@@ -312,7 +311,7 @@ def rate_on_a_slope(draw, series, rule):
     slope = rounded(slope) if slope is not None else None
     if draw(st.booleans()) and slope is not None and 0 < slope < math.inf:
         rate = math.nextafter(slope, draw(st.sampled_from([slope, math.inf, 0.0])))
-        rule = replace(rule, rise_rate_c_per_min=rate)
+        rule = rule._replace(rise_rate_c_per_min=rate)
     return series, rule
 
 
@@ -339,7 +338,7 @@ def extreme_series():
     sid = make_sensor_id(serial=1)
     times_raws = [(0.0, -880), (5e-324, 2000), (1e300, 2000), (1e300, -880), (1.5e300, 1 << 40)]
     series = [Reading(sid, t, raw, k, 0.0, t, 0.0) for k, (t, raw) in enumerate(times_raws)]
-    return series, replace(RULE, rise_window_s=1e301)
+    return series, RULE._replace(rise_window_s=1e301)
 
 
 def test_all_tied_window_has_no_slope():

@@ -6,7 +6,6 @@ conservation against an event-log recompute).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -312,7 +311,7 @@ def test_identical_runs_are_identical():
 def test_different_seed_changes_noisy_run():
     noisy = two_nodes(noise_sigma_c=0.1)
     a, _ = run_logged(noisy.plan())
-    b, _ = run_logged(replace(noisy, seed=999).plan())
+    b, _ = run_logged(noisy._replace(seed=999).plan())
     assert [r.raw for r in a.readings] != [r.raw for r in b.readings]
 
 
@@ -365,7 +364,7 @@ def test_forward_pipeline_stage_times():
 
 
 def test_forward_fast_serial_limit():
-    fast = replace(PARAMS, serial_rate_bps=1e15)
+    fast = PARAMS._replace(serial_rate_bps=1e15)
     delivered = _delivered(two_nodes(duration_s=20.0, delay_params=fast))
     assert len(delivered) == 40
     for _, at in delivered:
@@ -377,8 +376,8 @@ def test_measured_stages_match_closed_form():
     # fast limit.  The serial-start and USB-start instants are not
     # logged, so the receiver chain is checked as one sum.
     for cfg in (two_nodes(duration_s=20.0), one_node(ALOHA, duration_s=20.0)):
-        for params in (PARAMS, replace(PARAMS, serial_rate_bps=1e15)):
-            for distance_m, at in _delivered(replace(cfg, delay_params=params)):
+        for params in (PARAMS, PARAMS._replace(serial_rate_bps=1e15)):
+            for distance_m, at in _delivered(cfg._replace(delay_params=params)):
                 closed = total_delay(FRAME_BITS, distance_m, params)
                 assert abs(at["conversion_done"] - at["conversion_start"] - closed.t7) < 1e-9
                 if cfg.mac_mode == TDMA:
@@ -476,7 +475,7 @@ def test_energy_ledger_matches_event_log_recompute():
 
 def test_out_of_range_node_is_never_delivered():
     cfg = two_nodes()
-    cfg = replace(cfg, nodes=(replace(cfg.nodes[0], distance_m=250.0), cfg.nodes[1]))
+    cfg = cfg._replace(nodes=(cfg.nodes[0]._replace(distance_m=250.0), cfg.nodes[1]))
     result, _ = run_logged(cfg.plan())
     assert result.stats.out_of_range > 0
     delivered_ids = {r.sensor_id.serial for r in result.readings}
@@ -571,8 +570,7 @@ class _QueueWatch(_Engine):
 def test_queue_holds_only_what_is_in_flight(duration_s):
     # Sampling instants are not queued, so the queue is bounded by the
     # cell's size, not by the number of samples in the run.
-    cfg = replace(
-        _cell(5, TDMA, duration_s),
+    cfg = _cell(5, TDMA, duration_s)._replace(
         interferers=(
             InterfererSpec("interferer1", distance_m=20.0, period_s=0.3, bits=1024),
             InterfererSpec("interferer2", distance_m=60.0, period_s=0.7, start_s=0.2, bits=256),
@@ -587,7 +585,7 @@ def test_queue_holds_only_what_is_in_flight(duration_s):
 def test_conversion_count_stops_at_ceil_bound():
     # 290 * 0.8 < 232.00000000000003, but the float quotient is exactly
     # 290, so the ceil bound, not the ``t < end`` test, ends sampling.
-    cfg = replace(_cell(1, TDMA, 232.00000000000003), sample_period_s=0.8)
+    cfg = _cell(1, TDMA, 232.00000000000003)._replace(sample_period_s=0.8)
     assert 290 * 0.8 < cfg.duration_s
     assert run_logged(cfg.plan())[0].stats.conversions == 290
 
@@ -651,6 +649,24 @@ def test_each_reading_carries_its_own_nodes_truth(truths, mac_mode, heard, seed,
     assert len(result.readings) == (len(truths) if mac_mode == TDMA else 1) * 12
     for reading in result.readings:
         assert reading.true_c == trace_of[reading.sensor_id].value(reading.sample_time_s, seed)
+
+
+def test_traces_of_two_kinds_with_equal_fields_keep_their_own_truths():
+    # A ramp and a band with equal fields are equal as tuples; each still
+    # reads its own truth, so the plan holds one group per node.
+    cfg = ScenarioConfig(
+        nodes=(NodeSpec("node1", 1, RampTrace(36.0, 38.0)), NodeSpec("node2", 2, BandNoiseTrace(36.0, 38.0))),
+        duration_s=20.0,
+        noise_sigma_c=0.0,
+    )
+    plan = cfg.plan()
+    assert [type(trace) for trace in plan.truths] == [RampTrace, BandNoiseTrace]
+    assert plan.node_truth == (0, 1)
+    result, _ = run_logged(plan)
+    trace_of = {node.sensor_id: node.spec.trace for node in plan.nodes}
+    assert len(result.readings) == 2 * 20
+    for reading in result.readings:
+        assert reading.true_c == trace_of[reading.sensor_id].value(reading.sample_time_s, cfg.seed)
 
 
 def test_each_distinct_trace_is_evaluated_once_per_instant(monkeypatch):
@@ -748,7 +764,7 @@ def test_every_frame_ends_in_one_counted_fate(distances, mac_mode, interferers, 
         duration_s=duration_s,
         mac_mode=mac_mode,
         sample_period_s=sample_period_s,
-        interferers=tuple(replace(intf, name=f"interferer{j}") for j, intf in enumerate(interferers, 1)),
+        interferers=tuple(intf._replace(name=f"interferer{j}") for j, intf in enumerate(interferers, 1)),
     )
     engine = _Engine(cfg.plan(), [].append)
     s = engine.run().stats
