@@ -27,7 +27,8 @@ from .traces import finite_float
 
 _VERSION_TAG = "format v1"
 # v2: beacon rows dropped; beacon instants are k * frame_period_s.
-_EVENTS_TAG = "format v2"
+# v3: a slot's listen-before-send verdict is its slot_start detail.
+_EVENTS_TAG = "format v3"
 
 
 def _write_simulation_outputs(plan: RunPlan, result: SimResult, out_dir: Path) -> None:

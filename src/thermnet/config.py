@@ -113,11 +113,10 @@ KEYS: dict[str, dict[str, tuple[Callable[[str], object], str | None, str]]] = {
         "mcu_i_active_a": (finite_float, ">= 0", "MCU active current, A (default {})"),
         "mcu_i_idle_a": (finite_float, ">= 0", "MCU idle current, A (default {})"),
     },
-    # AlertRule.validate checks these: finite and positive.
     "alert": {
-        "high_threshold_c": (finite_float, None, "high-temperature alert threshold, degC (default {})"),
-        "rise_rate_c_per_min": (finite_float, None, "rise-rate alert threshold, degC/min (default {})"),
-        "rise_window_s": (finite_float, None, "rise-rate window, seconds (default {})"),
+        "high_threshold_c": (finite_float, "positive", "high-temperature alert threshold, degC (default {})"),
+        "rise_rate_c_per_min": (finite_float, "positive", "rise-rate alert threshold, degC/min (default {})"),
+        "rise_window_s": (finite_float, "positive", "rise-rate window, seconds (default {})"),
     },
 }
 _BOUNDS = {"finite": lambda v: True, ">= 0": lambda v: v >= 0, "positive": lambda v: v > 0}
@@ -178,7 +177,6 @@ class ScenarioConfig(NamedTuple):
             raise ValidationError("mac.family_code must fit in 8 bits")
         try:
             self.power_profile.validate()
-            self.alert_rule.validate()
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
 

@@ -62,7 +62,6 @@ AP = "ap"
 
 CONVERSION_DONE = "conversion_done"
 SLOT_START = "slot_start"
-RSSI_SAMPLE = "rssi_sample"
 TX_START = "tx_start"
 TX_END = "tx_end"
 RX_DELIVER = "rx_deliver"
@@ -71,10 +70,6 @@ SERIAL_OUT = "serial_out"
 
 # A signal's fate at the access point, as ``Medium.finish`` returns it.
 OUT_OF_RANGE, COLLIDED, RECEIVED = "out_of_range", "collided", "received"
-
-LOGGED_KINDS = frozenset(
-    {CONVERSION_DONE, SLOT_START, RSSI_SAMPLE, TX_START, TX_END, RX_DELIVER, RX_COLLISION, SERIAL_OUT}
-)
 
 _NOISE_STREAM = 0x5E
 
@@ -290,8 +285,7 @@ class _Engine:
         assert time_s >= self.now, f"{handler.__name__} scheduled in the past"
         heapq.heappush(self._heap, (time_s, next(self._heap_seq), handler, payload))
 
-    def _log(self, kind: str, subject: str, detail: str = "") -> None:
-        assert kind in LOGGED_KINDS
+    def _log(self, kind: str, subject: str, detail: str) -> None:
         now = self.now
         if now != self._stamp_s or not now:
             self._stamp_s = now
@@ -391,12 +385,12 @@ class _Engine:
         self._push(node.slot_k * self.plan.schedule.frame_period_s + node.plan.slot_offset_s, self._on_slot_start, node)
 
     def _on_slot_start(self, node: _Node) -> None:
-        """Listen before send: a free channel transmits the pending frame,
+        """Listen before send, logged as the slot's one row with detail
+        ``busy`` or ``free``: a free channel transmits the pending frame,
         a busy one defers it to the node's slot in the next frame, with
         no retry bound."""
-        self._log(SLOT_START, node.plan.subject)
         busy = self.medium.busy_at(self.now, node.plan.spec.distance_m)
-        self._log(RSSI_SAMPLE, node.plan.subject, "busy" if busy else "free")
+        self._log(SLOT_START, node.plan.subject, "busy" if busy else "free")
         if busy:
             self.stats.deferrals += 1
             node.slot_k += 1

@@ -90,14 +90,13 @@ class CsvTrace(NamedTuple):
         times: list[float] = []
         temps: list[float] = []
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
+            rows = (row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#"))
+            for i, row in enumerate(rows):
                 try:
                     t, c = float(row[0]), float(row[1])
                 except (IndexError, ValueError):
-                    # Tolerate a single header row.
-                    if not times:
+                    # Only the first row may be a header.
+                    if i == 0:
                         continue
                     raise ValueError(f"bad trace row in {path}: {row!r}") from None
                 if not (math.isfinite(t) and math.isfinite(c)):

@@ -268,17 +268,21 @@ def test_non_finite_value_exits_1_naming_key_and_line(tmp_path, capsys, key, val
 
 
 BAD_TRACE_SPECS = [
-    "constant:nan", "band:30,inf", "foo:1", "ramp:1", "csv:missing.csv", "sinusoid:37,1,inf", "csv:nan_row.csv"
+    "constant:nan", "band:30,inf", "foo:1", "ramp:1", "csv:missing.csv", "sinusoid:37,1,inf", "csv:nan_row.csv",
+    "csv:bad_row_after_header.csv",
 ]
 
 
 @pytest.mark.parametrize("spec", BAD_TRACE_SPECS)
 def test_bad_trace_spec_exits_1_naming_key_and_line(tmp_path, capsys, spec):
     (tmp_path / "nan_row.csv").write_text("time_s,temp_c\n0.0,36.0\n10.0,nan\n")
+    # Only the first row may be a header.
+    (tmp_path / "bad_row_after_header.csv").write_text("time,temp\ngarbage,row\n0,36\n60,37\n")
     config = write_config(tmp_path, f"node1.serial = 1\nscenario.seed = 2\nnode1.trace = {spec}\n")
     code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 1
-    assert f":3: bad value for 'node1.trace': '{spec}'" in capsys.readouterr().err
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: ") and f":3: bad value for 'node1.trace': '{spec}'" in err
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

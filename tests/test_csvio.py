@@ -41,7 +41,7 @@ _WORDS = st.text(alphabet=string.ascii_letters + string.digits + "_=.- ", max_si
 @example(0.0, 0, "conversion_done", "28a311", "k=0 raw=-880")
 @example(-0.0, 1, "slot_start", "ap", "")
 @example(5e-324, 2, "tx_end", "interferer_1", "collided=True")
-@example(1e-7, 3, "rssi_sample", "x", "busy")
+@example(1e-7, 3, "slot_start", "x", "busy")
 @example(1e16, 4, "tx_start", "node1", "seq=65535")
 @example(7, 5, "", " ", " a ")
 def test_event_row_is_csv_writer_line(time_s, seq, kind, subject, detail):

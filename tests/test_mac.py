@@ -151,8 +151,7 @@ def test_full_slot_cycle_free_channel():
     # Each frame waits for the node's next slot, finds the channel free
     # and goes out one radio switch later.
     assert slots == [next_slot_time(schedule, sid, t) for t in ready]
-    assert [e.time_s for e in _node_events(events, "rssi_sample")] == slots
-    assert [e.detail for e in _node_events(events, "rssi_sample")] == ["free"] * len(ready)
+    assert [e.detail for e in _node_events(events, "slot_start")] == ["free"] * len(ready)
     starts = [e.time_s for e in _node_events(events, "tx_start")]
     assert starts == [t + PARAMS.radio_switch_delay_s for t in slots]
 
@@ -163,7 +162,7 @@ def test_busy_channel_defers_to_next_frame():
     schedule, sid = plan.schedule, make_sensor_id(serial=1)
     period, offset = schedule.frame_period_s, schedule.slot_offset_s(sid)
     slots = [e.time_s for e in _node_events(events, "slot_start")]
-    busy = {e.time_s for e in _node_events(events, "rssi_sample") if e.detail == "busy"}
+    busy = {e.time_s for e in _node_events(events, "slot_start") if e.detail == "busy"}
     # Every slot instant is k * period + offset exactly, and a busy slot
     # k is followed by slot k + 1, however many times in a row.
     frame_of = {t: round((t - offset) / period) for t in slots}
@@ -181,6 +180,17 @@ def test_no_pending_frame_terminates():
         # sends it, and after the last frame the node stays quiet.
         assert len(_node_events(events, "slot_start")) == result.stats.deferrals + result.stats.transmissions
         assert result.stats.transmissions == result.stats.frames_queued
+
+
+def test_slot_start_row_carries_its_verdict():
+    # One row per slot decision: the listen-before-send verdict is the
+    # slot_start detail, with no separate RSSI row.
+    result, events = run_logged(_one_node(HELD_BY_BURSTS).plan())
+    assert not any(e.kind == "rssi_sample" for e in events)
+    verdicts = [e.detail for e in events if e.kind == "slot_start"]
+    assert set(verdicts) == {"busy", "free"}
+    assert verdicts.count("busy") == result.stats.deferrals
+    assert verdicts.count("free") == result.stats.transmissions
 
 
 def test_frame_ready_during_own_transmission_goes_in_next_slot():

@@ -491,7 +491,7 @@ def test_interferer_forces_deferrals():
     )
     result, events = run_logged(cfg.plan())
     assert result.stats.deferrals > 0
-    assert any(e.kind == "rssi_sample" and e.detail == "busy" for e in events)
+    assert any(e.kind == "slot_start" and e.detail == "busy" for e in events)
     assert all(r.sensor_id.serial == 1 for r in result.readings)
 
 
