@@ -18,17 +18,21 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .config import TDMA, ConfigError, RunPlan, ScenarioConfig, config_help, load_config
-from .csvio import open_csv, write_csv
+from .csvio import open_csv, stamp, write_csv
 from .delays import DelayParams, total_delay
 from .energy import DevicePowerProfile, EnergyLedger, energy_sweep
 from .monitor import EmptySeries, ReadingStore, agreement, evaluate_alerts
 from .sim import EVENT_COLUMNS, SimResult, SimStats, run_scenario
 from .traces import finite_float
 
-_VERSION_TAG = "format v1"
+_VERSION_TAG = "format v1"  # stats.csv and the reports
+# v2: times are exact stamps of whole picoseconds, so ledger joules come
+# from whole-tick spans, and sensor noise is keyed by the node's serial.
+_RUN_TAG = "format v2"
 # v2: beacon rows dropped; beacon instants are k * frame_period_s.
 # v3: a slot's listen-before-send verdict is its slot_start detail.
-_EVENTS_TAG = "format v3"
+# v4: times are exact stamps of whole picoseconds.
+_EVENTS_TAG = "format v4"
 
 
 def _write_simulation_outputs(plan: RunPlan, result: SimResult, out_dir: Path) -> None:
@@ -36,13 +40,13 @@ def _write_simulation_outputs(plan: RunPlan, result: SimResult, out_dir: Path) -
     hex_of = {node.sensor_id: node.subject for node in plan.nodes}
     write_csv(
         out_dir / "readings.csv",
-        f"delivered readings, {_VERSION_TAG}",
+        f"delivered readings, {_RUN_TAG}",
         ["serial_out_time_s", "sensor_id_hex", "raw", "temp_c", "sequence", "total_delay_s"],
-        [[r.time_s, hex_of[r.sensor_id], r.raw, r.temp_c, r.sequence, r.total_delay_s] for r in result.readings],
+        [[stamp(r.time), hex_of[r.sensor_id], r.raw, r.temp_c, r.sequence, r.total_delay_s] for r in result.readings],
     )
     write_csv(
         out_dir / "ledgers.csv",
-        f"energy ledgers, {_VERSION_TAG}",
+        f"energy ledgers, {_RUN_TAG}",
         ["entity", *EnergyLedger._fields, "total_j"],
         [[name, *led, led.total_j] for name, led in sorted(result.ledgers.items())],
     )
@@ -54,7 +58,7 @@ def _write_simulation_outputs(plan: RunPlan, result: SimResult, out_dir: Path) -
     for node in plan.nodes:
         series = store.series(node.sensor_id)
         for alert in evaluate_alerts(series, plan.config.alert_rule):
-            alert_rows.append([alert.kind, node.subject, alert.trigger_time_s, alert.value])
+            alert_rows.append([alert.kind, node.subject, stamp(alert.trigger_time), alert.value])
         try:
             report = agreement(series)
         except EmptySeries:
@@ -62,13 +66,13 @@ def _write_simulation_outputs(plan: RunPlan, result: SimResult, out_dir: Path) -
         agreement_rows.append([node.subject, report.mae_c, report.max_err_c, report.n])
     write_csv(
         out_dir / "alerts.csv",
-        f"alerts, {_VERSION_TAG}",
+        f"alerts, {_RUN_TAG}",
         ["kind", "sensor_id_hex", "time_s", "value"],
         alert_rows,
     )
     write_csv(
         out_dir / "agreement.csv",
-        f"measured vs truth, {_VERSION_TAG}",
+        f"measured vs truth, {_RUN_TAG}",
         ["sensor_id_hex", "mae_c", "max_err_c", "n"],
         agreement_rows,
     )
@@ -101,7 +105,7 @@ def cmd_simulate(config: ScenarioConfig, out_dir: str | Path) -> int:
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
-    if plan.schedule is not None and plan.schedule.frame_period_s > config.sample_period_s:
+    if plan.frame_period > plan.sample_period:
         print(f"warning: TDMA frame period {plan.schedule.frame_period_s} s exceeds the sample period "
               f"{config.sample_period_s} s; {result.stats.replaced_pending} frames were replaced "
               f"before their slot", file=sys.stderr)

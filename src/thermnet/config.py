@@ -19,6 +19,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
+from .csvio import TICKS_PER_S
 from .delays import DelayParams, airtime, mcu_prep_delay, propagation_delay, serial_delay, total_delay, usb_delay
 from .energy import DevicePowerProfile
 from .frames import DEFAULT_FAMILY, FRAME_BITS, SensorId, make_sensor_id
@@ -89,7 +90,7 @@ KEYS: dict[str, dict[str, tuple[Callable[[str], object], str | None, str]]] = {
     },
     "interferer": {
         "distance_m": (finite_float, ">= 0", "foreign transmitter distance (default {})"),
-        "period_s": (finite_float, "finite", "burst period, >= ulp(scenario.duration_s) (default {})"),
+        "period_s": (finite_float, "positive", "burst period (default {})"),
         "start_s": (finite_float, ">= 0", "first burst time (default {})"),
         "bits": (int, "positive", "burst length in bits (default {})"),
     },
@@ -119,7 +120,7 @@ KEYS: dict[str, dict[str, tuple[Callable[[str], object], str | None, str]]] = {
         "rise_window_s": (finite_float, "positive", "rise-rate window, seconds (default {})"),
     },
 }
-_BOUNDS = {"finite": lambda v: True, ">= 0": lambda v: v >= 0, "positive": lambda v: v > 0}
+_BOUNDS = {">= 0": lambda v: v >= 0, "positive": lambda v: v > 0}
 
 
 class ScenarioConfig(NamedTuple):
@@ -180,6 +181,16 @@ class ScenarioConfig(NamedTuple):
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
 
+        def ticks(label: str, seconds: float, span: bool = True) -> int:
+            """``seconds`` in whole clock ticks; a span that is not 0 must not round to 0."""
+            try:
+                n = round(seconds * TICKS_PER_S)
+            except OverflowError:  # the product, or seconds itself, is infinite
+                raise ValidationError(f"{label} overflows") from None
+            if span and seconds and not n:
+                raise ValidationError(f"{label} is not 0 but rounds to 0 ps")
+            return n
+
         p = self.delay_params
         ids = [make_sensor_id(self.family_code, node.serial) for node in self.nodes]
         schedule = (build_schedule(ids, FRAME_BITS, p, guard_s=self.guard_s, beacon_s=self.beacon_s)
@@ -192,53 +203,47 @@ class ScenarioConfig(NamedTuple):
         # erases.
         truth_of: dict[tuple[type, TemperatureTrace], int] = {}
         node_truth = tuple(truth_of.setdefault((type(n.trace), n.trace), len(truth_of)) for n in self.nodes)
+        # Every span the run puts on its clock is converted once, here;
+        # a node's budget is only reported, so it stays in seconds.
+        t1, t4 = "t1 = delay.mac_instruction_clocks / delay.mcu_clock_hz", "t4 = frame bits / delay.air_data_rate_bps"
         plan = RunPlan(
-            self, _or_inf(mcu_prep_delay, p), p.radio_switch_delay_s, airtime(FRAME_BITS, p),
-            serial_delay(FRAME_BITS, p), usb_delay(FRAME_BITS, p), p.sensor_conversion_s,
-            tuple(_or_inf(airtime, intf.bits, p) for intf in self.interferers),
+            self,
+            ticks("scenario.duration_s", self.duration_s),
+            ticks("scenario.sample_period_s", self.sample_period_s),
+            ticks(t1, _or_inf(mcu_prep_delay, p)),
+            ticks("t2 = delay.radio_switch_delay_s", p.radio_switch_delay_s),
+            ticks(t4, airtime(FRAME_BITS, p)),
+            ticks("t6 + t8 = frame bits / delay.serial_rate_bps + frame bits / delay.usb_rate_bps",
+                  serial_delay(FRAME_BITS, p) + usb_delay(FRAME_BITS, p)),
+            ticks("t7 = delay.sensor_conversion_s", p.sensor_conversion_s),
+            0 if schedule is None else ticks("the TDMA frame period from delay.air_data_rate_bps, "
+                                             "delay.radio_switch_delay_s, mac.guard_s and mac.beacon_s",
+                                             schedule.frame_period_s),
             tuple(
-                NodePlan(node, sid, sid.hex(), propagation_delay(node.distance_m, p),
-                         _or_inf(lambda: total_delay(FRAME_BITS, node.distance_m, p).total),
-                         0.0 if schedule is None else schedule.slot_offset_s(sid))
+                NodePlan(node, sid, sid.hex(),
+                         ticks(f"t3 = {node.name}.distance_m / delay.propagation_speed_mps",
+                               propagation_delay(node.distance_m, p), span=False),
+                         total_delay(FRAME_BITS, node.distance_m, p).total,  # finite, as every term fits the clock
+                         # Below the frame period, so it fits the clock.
+                         0 if schedule is None else round(schedule.slot_offset_s(sid) * TICKS_PER_S))
                 for node, sid in zip(self.nodes, ids)
+            ),
+            tuple(
+                (ticks(f"{intf.name}.start_s", intf.start_s, span=False), ticks(f"{intf.name}.period_s", intf.period_s),
+                 ticks(f"{intf.name}.bits / delay.air_data_rate_bps", _or_inf(airtime, intf.bits, p)))
+                for intf in self.interferers
             ),
             schedule,
             tuple(trace for _, trace in truth_of),
             node_truth,
         )
-        # A span the engine adds to its clock must make t + span > t for every
-        # t <= duration_s, or be a t1 of 0; t3 and a node's total need only be finite.
-        tick = math.ulp(self.duration_s)
-        t1, t4 = "t1 = delay.mac_instruction_clocks / delay.mcu_clock_hz", "t4 = frame bits / delay.air_data_rate_bps"
-        rows = [
-            (t1, plan.prep_s, tick if plan.prep_s else 0.0),
-            ("t2 = delay.radio_switch_delay_s", plan.switch_s, tick),
-            (t4, plan.airtime_s, tick),
-            ("t6 + t8 = frame bits / delay.serial_rate_bps + frame bits / delay.usb_rate_bps",
-             plan.serial_s + plan.usb_s, tick),
-            ("t7 = delay.sensor_conversion_s", plan.conversion_s, tick),
-        ]
-        for node in plan.nodes:
-            rows.append((f"t3 = {node.spec.name}.distance_m / delay.propagation_speed_mps", node.propagation_s, 0.0))
-            rows.append((f"{node.spec.name}'s total delay", node.budget_s, 0.0))
-        for intf, burst_s in zip(self.interferers, plan.burst_airtime_s):
-            rows.append((f"{intf.name}.bits / delay.air_data_rate_bps", burst_s, tick))
-            rows.append((f"{intf.name}.period_s", intf.period_s, tick))
-        if schedule is not None:
-            rows.append(("the TDMA frame period from delay.air_data_rate_bps, delay.radio_switch_delay_s, "
-                         "mac.guard_s and mac.beacon_s", schedule.frame_period_s, tick))
-        for label, span, least in rows:
-            if not math.isfinite(span):
-                raise ValidationError(f"{label} overflows")
-            if span < least:
-                raise ValidationError(f"{label} must be at least ulp(scenario.duration_s)")
         # A node's sensor, its MCU and, under ALOHA, its radio each end
         # one sample's work before the next sample's begins.
-        busy = [("delay.sensor_conversion_s", plan.conversion_s), (t1, plan.prep_s)]
+        busy = [("delay.sensor_conversion_s", plan.conversion), (t1, plan.prep)]
         if schedule is None:
-            busy.append((f"{t4} under {ALOHA}", plan.airtime_s))
+            busy.append((f"{t4} under {ALOHA}", plan.airtime))
         for label, span in busy:
-            if self.sample_period_s < span:
+            if plan.sample_period < span:
                 raise ValidationError(f"scenario.sample_period_s must be >= {label}")
         return plan
 
@@ -251,29 +256,33 @@ def _or_inf(compute: Callable[..., float], *args) -> float:
 
 
 class NodePlan(NamedTuple):
-    """A node's fixed terms, and the name ``events.csv`` gives it."""
+    """A node's fixed terms, and the name ``events.csv`` gives it.  Like
+    every ``RunPlan`` term but the budget, its spans are whole ticks."""
 
     spec: NodeSpec
     sensor_id: SensorId
     subject: str  # sensor_id.hex()
-    propagation_s: float  # t3
+    propagation: int  # t3
     budget_s: float  # the eight-term total, each reading's total_delay_s
-    slot_offset_s: float  # in the TDMA frame; 0 under ALOHA
+    slot_offset: int  # in the TDMA frame; 0 under ALOHA
 
 
 class RunPlan(NamedTuple):
     """A validated scenario and every term its run holds fixed, each
-    computed once, by ``ScenarioConfig.plan``."""
+    computed once, by ``ScenarioConfig.plan``, in clock ticks
+    (``csvio.TICKS_PER_S`` to the second)."""
 
     config: ScenarioConfig
-    prep_s: float  # t1
-    switch_s: float  # the radio switch, t2 and t5
-    airtime_s: float  # a frame's, t4
-    serial_s: float  # t6
-    usb_s: float  # t8
-    conversion_s: float  # t7
-    burst_airtime_s: tuple[float, ...]  # each interferer's
+    duration: int
+    sample_period: int
+    prep: int  # t1
+    switch: int  # the radio switch, t2 and t5
+    airtime: int  # a frame's, t4
+    serial: int  # the serial transfer and its USB hop, t6 + t8
+    conversion: int  # t7
+    frame_period: int  # the TDMA frame's; 0 under ALOHA
     nodes: tuple[NodePlan, ...]
+    bursts: tuple[tuple[int, int, int], ...]  # each interferer's start, period and airtime
     schedule: Optional[SlotSchedule]  # None under ALOHA
     truths: tuple[TemperatureTrace, ...]
     node_truth: tuple[int, ...]  # node i reads truths[node_truth[i]]
@@ -355,6 +364,7 @@ def config_help() -> str:
         for key, (_, _, text) in KEYS[section].items():
             text = text.format(getattr(record, key)).replace("\n", "\n" + " " * 33)
             lines.append(f"  {f'{label}.{key}':<30} {text}")
-    lines.append("\nEvery span the run adds to its clock (t1 unless 0, t2, t4, t6 + t8, t7, each burst's airtime\n"
-                 "and period, the TDMA frame period) must be finite and >= ulp(scenario.duration_s).")
+    lines.append("\nThe run's clock counts whole picoseconds.  Every span it adds to that clock (the duration, the\n"
+                 "sample period, t1 unless 0, t2, t4, t6 + t8, t7, each burst's airtime and period, the TDMA\n"
+                 "frame period) must not overflow it and, unless it is 0, must not round to 0 ps.")
     return "\n".join(lines)

@@ -1,11 +1,12 @@
-"""Deterministic CSV writing.
+"""Deterministic CSV writing, and the run's clock unit.
 
 Rows go to ``csv.writer`` unchanged: it writes a float as ``str(float)``,
 which equals ``repr`` on Python >= 3.2, so re-running the same scenario
 produces byte-identical files; newline handling is pinned to "\n" for
-the same reason.  The simulator formats ``events.csv`` lines itself
-(``thermnet.sim.EVENT_ROW``), to the bytes ``csv.writer`` would write
-(a test pins the two together).
+the same reason.  A run keeps time as an int count of picosecond ticks,
+and every time it writes is that count's ``stamp``, exact seconds.  The
+simulator formats ``events.csv`` lines itself (``thermnet.sim.EVENT_ROW``),
+to the bytes ``csv.writer`` would write (a test pins the two together).
 """
 
 from __future__ import annotations
@@ -14,6 +15,13 @@ import csv
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
+
+TICKS_PER_S = 10**12  # the clock's tick is 1 ps
+
+
+def stamp(t: int) -> str:
+    """A time of ``t >= 0`` ticks in seconds: whole seconds, a point, 12 digits."""
+    return "%d.%012d" % divmod(t, TICKS_PER_S)
 
 
 @contextmanager

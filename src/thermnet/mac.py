@@ -4,8 +4,9 @@ Time is divided into repeating frames: one beacon window followed by one
 dedicated slot per node.  Frame k starts at ``k * frame_period_s`` and a
 node's own slot in it at ``k * frame_period_s + slot_offset_s``; the
 model has no clock drift, so every slot instant follows from the
-schedule alone.  The listen-before-send loop that uses these slots runs
-in the simulation engine.
+schedule alone.  The run plan holds both spans in whole clock ticks, and
+the listen-before-send loop that uses these slots runs in the simulation
+engine.
 """
 
 from __future__ import annotations
@@ -68,16 +69,7 @@ def build_schedule(
     )
 
 
-def next_instant_index(period_s: float, offset_s: float, t: float) -> int:
-    """Least k >= 0 with ``k * period_s + offset_s >= t``, under the
-    float expression the engine times slots and beacons with.
-
-    The ceiling of the float quotient can be one off, so k is then
-    stepped under that expression.
-    """
-    k = max(math.ceil((t - offset_s) / period_s), 0)
-    while k * period_s + offset_s < t:
-        k += 1
-    while k and (k - 1) * period_s + offset_s >= t:
-        k -= 1
-    return k
+def next_instant_index(period: int, offset: int, t: int) -> int:
+    """Least k >= 0 with ``k * period + offset >= t``, all in whole ticks:
+    one exact ceiling division."""
+    return max(-((offset - t) // period), 0)

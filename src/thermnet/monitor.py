@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Optional
 
+from .csvio import TICKS_PER_S
 from .frames import SensorId, TEMP_LSB_C, validate_sensor_id
 
 HIGH_TEMP = "high_temp"
@@ -26,20 +27,20 @@ class EmptySeries(ValueError):
 class Reading(NamedTuple):
     """One delivered measurement.
 
-    ``time_s`` is the delivery (serial output) timestamp and
-    ``sample_time_s`` the conversion-start instant the value physically
-    refers to.  ``true_c`` is the true temperature at that instant, the
+    ``time`` is the delivery (serial output) instant and ``sample_time``
+    the conversion-start instant the value physically refers to, both in
+    whole clock ticks.  ``true_c`` is the true temperature at that instant, the
     one the sensor read before noise and quantization, so accuracy
     metrics compare against it and transport delay does not bias them.
     ``temp_c`` is always raw counts times the sensor resolution.
     """
 
     sensor_id: SensorId
-    time_s: float
+    time: int
     raw: int
     sequence: int
     total_delay_s: float
-    sample_time_s: float
+    sample_time: int
     true_c: float
 
     @property
@@ -61,7 +62,7 @@ class AlertRule(NamedTuple):
 class Alert(NamedTuple):
     kind: str
     sensor_id: SensorId
-    trigger_time_s: float
+    trigger_time: int  # in clock ticks
     value: float
 
 
@@ -76,7 +77,7 @@ class ReadingStore:
 
     A single writer ingests; ``series`` hands out new lists so readers
     never observe a partially applied insert.  Each sensor's readings are
-    kept by ``sample_time_s``, which is also the duplicate key: a sensor
+    kept by ``sample_time``, which is also the duplicate key: a sensor
     starts at most one conversion per instant, so that key stays unique
     after the 16-bit sequence number wraps.  An id's CRC and roster
     membership are checked at its first reading; an unknown id is counted
@@ -86,7 +87,7 @@ class ReadingStore:
 
     def __init__(self, roster: Optional[Iterable[SensorId]] = None):
         self.roster = set(roster) if roster is not None else None
-        self._series: dict[SensorId, dict[float, Reading]] = {}
+        self._series: dict[SensorId, dict[int, Reading]] = {}
         self.duplicate_count = 0
         self.unknown_count = 0
 
@@ -98,17 +99,17 @@ class ReadingStore:
                 self.unknown_count += 1
                 return
             series = self._series[sid] = {}
-        if reading.sample_time_s in series:
+        if reading.sample_time in series:
             self.duplicate_count += 1
             return
-        series[reading.sample_time_s] = reading
+        series[reading.sample_time] = reading
 
     def ingest_all(self, readings: Iterable[Reading]) -> None:
         for reading in readings:
             self.ingest(reading)
 
     def series(self, sensor_id: SensorId) -> list[Reading]:
-        return sorted(self._series.get(sensor_id, {}).values(), key=lambda r: (r.time_s, r.sequence))
+        return sorted(self._series.get(sensor_id, {}).values(), key=lambda r: (r.time, r.sequence))
 
 
 def evaluate_alerts(series: list[Reading], rule: AlertRule) -> list[Alert]:
@@ -117,50 +118,41 @@ def evaluate_alerts(series: list[Reading], rule: AlertRule) -> list[Alert]:
     Each alert kind fires once per excursion and re-arms when the value
     (temperature, or rise rate) drops back below its threshold.  The rise
     rate is the exact least-squares slope, in degC per minute, of the
-    readings at or after ``time_s - rule.rise_window_s``, with each time
-    the exact value of its float and each temperature ``raw / 16``; a
-    window whose times are all equal has none.  A rapid-rise alert fires
-    when that slope is at least ``rule.rise_rate_c_per_min``, compared
-    exactly, and its ``value`` is the slope rounded once to a float (inf
-    if it overflows).  Raises ValueError if the rule is invalid, or unless
-    every ``time_s`` is finite and non-negative and none is below the one
-    before.
+    readings at or after ``time - rule.rise_window_s``, with each time in
+    whole ticks and each temperature ``raw / 16``; a window whose times are
+    all equal has none.  A rapid-rise alert fires when that slope is at
+    least ``rule.rise_rate_c_per_min``, compared exactly, and its ``value``
+    is the slope rounded once to a float (inf if it overflows).  Raises
+    ValueError if the rule is invalid, or if a time is negative or below
+    the one before.
 
-    The window moves with two pointers and keeps exact running sums, so
-    a reading costs O(1) amortised.  At the start, and each time the
-    window has turned over (every reading summed at the last re-centring
-    has left it), ``ref`` moves to the window's first time and the sums
-    are taken afresh.  With ``q = ulp(ref)`` and ``ref >= 0``, every later
-    time ``t`` is a whole multiple of ``q``, so ``U = (t - ref) / q``,
-    taken from ``t.as_integer_ratio()``, is an exact integer, and the sums
-    of U, U*U, U*raw and raw are Python ints: adding a reading as it enters
-    and subtracting it as it leaves is exact, so nothing drifts, and
-    re-centring keeps the ints small (the updates of Chan, Golub &
-    LeVeque, Am. Stat. 37(3), 1983, done exactly).  Over n readings the
-    slope is 15 (n sum U*raw - sum U sum raw) / (4 q (n sum U*U - (sum U)**2))
+    The window moves with two pointers and keeps running sums of t, t*t,
+    t*raw and raw.  Times are ints, so the sums are Python ints: adding a
+    reading as it enters and subtracting it as it leaves is exact, and a
+    reading costs O(1) amortised.  Over n readings the slope is
+    15 * TICKS_PER_S * (n sum t*raw - sum t sum raw) / (4 (n sum t*t - (sum t)**2))
     degC/min, which is compared and rounded as a ratio of ints.
     """
     rule.validate()
-    prev = 0.0
+    prev = 0
     for reading in series:
-        if not prev <= reading.time_s < math.inf:  # also rejects NaN
-            raise ValueError(f"series is not time-ordered in [0, inf) at t={reading.time_s!r}")
-        prev = reading.time_s
-
-    def units(t: float) -> int:  # t / q, whole for every t >= ref
-        t_n, t_d = t.as_integer_ratio()
-        return t_n * q_d // (t_d * q_n)
+        if not prev <= reading.time:
+            raise ValueError(f"series is not time-ordered from 0 at t={reading.time!r}")
+        prev = reading.time
 
     high = rule.high_threshold_c
-    window = rule.rise_window_s
+    # Times are whole ticks, so one is at or after t - rise_window_s exactly
+    # when it is at or after t - window, the window's floor in ticks.
+    window_n, window_d = rule.rise_window_s.as_integer_ratio()
+    window = window_n * TICKS_PER_S // window_d
     rate_n, rate_d = rule.rise_rate_c_per_min.as_integer_ratio()
     alerts: list[Alert] = []
     high_armed = True
     rise_armed = True
     lo = 0
-    turned_over_at = 0  # the window has turned over once lo reaches this
+    s_t = s_tt = s_tr = s_r = 0  # over the window
     for i, reading in enumerate(series):
-        t, temp = reading.time_s, reading.temp_c
+        t, raw, temp = reading.time, reading.raw, reading.temp_c
         if temp >= high:
             if high_armed:
                 alerts.append(Alert(HIGH_TEMP, reading.sensor_id, t, temp))
@@ -168,30 +160,16 @@ def evaluate_alerts(series: list[Reading], rule: AlertRule) -> list[Alert]:
         else:
             high_armed = True
 
-        start = t - window
-        first = lo
-        while series[lo].time_s < start:
+        s_t, s_tt, s_tr, s_r = s_t + t, s_tt + t * t, s_tr + t * raw, s_r + raw
+        while series[lo].time < t - window:
+            old_t, old_raw = series[lo].time, series[lo].raw
+            s_t, s_tt, s_tr, s_r = s_t - old_t, s_tt - old_t * old_t, s_tr - old_t * old_raw, s_r - old_raw
             lo += 1
-        if lo >= turned_over_at:
-            turned_over_at = i + 1
-            ref = series[lo].time_s
-            q_n, q_d = math.ulp(ref).as_integer_ratio()
-            base = units(ref)
-            su = suu = sur = sr = 0
-            entering = series[lo : i + 1]
-        else:
-            for old in series[first:lo]:
-                k, r = units(old.time_s) - base, old.raw
-                su, suu, sur, sr = su - k, suu - k * k, sur - k * r, sr - r
-            entering = (reading,)
-        for new in entering:
-            k, r = units(new.time_s) - base, new.raw
-            su, suu, sur, sr = su + k, suu + k * k, sur + k * r, sr + r
 
         # The slope is top / bottom degC/min; bottom is 0 if all times are equal.
         n = i + 1 - lo
-        top = 15 * q_d * (n * sur - su * sr)
-        bottom = 4 * q_n * (n * suu - su * su)
+        top = 15 * TICKS_PER_S * (n * s_tr - s_t * s_r)
+        bottom = 4 * (n * s_tt - s_t * s_t)
         if bottom > 0 and top * rate_d >= bottom * rate_n:
             if rise_armed:
                 try:

@@ -9,11 +9,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from thermnet.config import RunPlan, ScenarioConfig
-from thermnet.delays import mcu_prep_delay
+from thermnet.config import RunPlan
+from thermnet.csvio import TICKS_PER_S
 from thermnet.energy import EnergyLedger
-from thermnet.frames import SensorId
-from thermnet.mac import SlotSchedule
 from thermnet.monitor import HIGH_TEMP, RAPID_RISE, Alert, AlertRule, Reading
 from thermnet.sim import SimResult, run_scenario
 
@@ -47,13 +45,21 @@ def read_rows(path: str | Path) -> list[dict[str, str]]:
     return list(csv.DictReader(lines))
 
 
-class SimEvent(NamedTuple):
-    """One ``events.csv`` row, in column order (``sim.EVENT_COLUMNS``).
+def ticks_of(stamp: str) -> int:
+    """The tick count a ``csvio.stamp`` was written from."""
+    whole, point, fraction = stamp.partition(".")
+    assert point and len(fraction) == 12 and (whole + fraction).isdigit(), stamp
+    return int(whole) * TICKS_PER_S + int(fraction)
 
-    ``seq`` is the position in the log, which is ordered by (time_s, seq).
+
+class SimEvent(NamedTuple):
+    """One ``events.csv`` row, in column order (``sim.EVENT_COLUMNS``),
+    with its time in clock ticks.
+
+    ``seq`` is the position in the log, which is ordered by (time, seq).
     """
 
-    time_s: float
+    time: int
     seq: int
     kind: str
     subject: str
@@ -61,10 +67,9 @@ class SimEvent(NamedTuple):
 
     @classmethod
     def from_row(cls, row: str) -> "SimEvent":
-        """The event an ``EVENT_ROW`` line was formatted from; ``repr``
-        round-trips a float exactly."""
-        time_s, seq, kind, subject, detail = row.split(",", 4)
-        return cls(float(time_s), int(seq), kind, subject, detail[:-1])
+        """The event an ``EVENT_ROW`` line was formatted from."""
+        stamp, seq, kind, subject, detail = row.split(",", 4)
+        return cls(ticks_of(stamp), int(seq), kind, subject, detail[:-1])
 
 
 def run_logged(plan: RunPlan) -> tuple[SimResult, list[SimEvent]]:
@@ -74,32 +79,30 @@ def run_logged(plan: RunPlan) -> tuple[SimResult, list[SimEvent]]:
     return result, [SimEvent.from_row(line) for line in lines]
 
 
-def next_slot_time(schedule: SlotSchedule, node_id: SensorId, now: float) -> float:
-    """The node's first slot start at or after ``now``, by scanning k = 0,
-    1, ... under the engine's ``k * frame_period_s + slot_offset_s``."""
-    period, offset = schedule.frame_period_s, schedule.slot_offset_s(node_id)
+def next_slot_time(plan: RunPlan, node: int, now: int) -> int:
+    """Node ``node``'s first slot start at or after tick ``now``, by
+    scanning k = 0, 1, ... under ``k * frame_period + slot_offset``."""
+    period, offset = plan.frame_period, plan.nodes[node].slot_offset
     k = 0
     while k * period + offset < now:
         k += 1
     return k * period + offset
 
 
-def ledger_from_events(events: list[SimEvent], config: ScenarioConfig, subject: str) -> EnergyLedger:
+def ledger_from_events(events: list[SimEvent], plan: RunPlan, subject: str) -> EnergyLedger:
     """Recompute one node's energy ledger from the event log alone.
 
     Walks tx_start/tx_end pairs and conversion_done events, charges
     V*i*t for each activity, and fills the rest of the run with the
     per-device idle currents.  Activity that has not completed by the
     end of the run is charged as idle, mirroring the simulator's rule.
+    Times are the log's ticks and the plan's spans, summed exactly.
     """
-    prof = config.power_profile
-    params = config.delay_params
+    prof = plan.config.power_profile
     v = prof.supply_voltage_v
-    t7 = params.sensor_conversion_s
-    t1 = mcu_prep_delay(params)
-    end = config.duration_s
+    end = plan.duration
 
-    tx_time = 0.0
+    tx_time = 0
     open_tx = None
     n_conversions = 0
     n_preps = 0
@@ -107,26 +110,26 @@ def ledger_from_events(events: list[SimEvent], config: ScenarioConfig, subject: 
         if event.subject != subject:
             continue
         if event.kind == "tx_start":
-            open_tx = event.time_s
+            open_tx = event.time
         elif event.kind == "tx_end" and open_tx is not None:
-            tx_time += event.time_s - open_tx
+            tx_time += event.time - open_tx
             open_tx = None
         elif event.kind == "conversion_done":
             n_conversions += 1
-            if event.time_s + t1 <= end:
+            if event.time + plan.prep <= end:
                 n_preps += 1
 
-    sense_time = n_conversions * t7
-    prep_time = n_preps * t1
+    sense_time = n_conversions * plan.conversion
+    prep_time = n_preps * plan.prep
     return EnergyLedger(
-        transmit_j=v * prof.radio_i_transmit_a * tx_time,
-        sensing_j=v * prof.sensor_i_active_a * sense_time,
-        mcu_j=v * prof.mcu_i_active_a * prep_time,
+        transmit_j=v * prof.radio_i_transmit_a * (tx_time / TICKS_PER_S),
+        sensing_j=v * prof.sensor_i_active_a * (sense_time / TICKS_PER_S),
+        mcu_j=v * prof.mcu_i_active_a * (prep_time / TICKS_PER_S),
         idle_j=v
         * (
-            prof.radio_i_idle_a * (end - tx_time)
-            + prof.sensor_i_idle_a * (end - sense_time)
-            + prof.mcu_i_idle_a * (end - prep_time)
+            prof.radio_i_idle_a * ((end - tx_time) / TICKS_PER_S)
+            + prof.sensor_i_idle_a * ((end - sense_time) / TICKS_PER_S)
+            + prof.mcu_i_idle_a * ((end - prep_time) / TICKS_PER_S)
         ),
     )
 
@@ -145,38 +148,40 @@ def collided_by_pairwise_scan(transmissions: list[tuple[float, float, float]], r
     return collided
 
 
-def access_point_ledger(result: SimResult, config: ScenarioConfig) -> EnergyLedger:
+def access_point_ledger(result: SimResult, plan: RunPlan) -> EnergyLedger:
     """The receiver listens for the whole run."""
-    prof = config.power_profile
+    prof = plan.config.power_profile
     return EnergyLedger(
-        receive_j=prof.supply_voltage_v * prof.radio_i_receive_a * config.duration_s
+        receive_j=prof.supply_voltage_v * prof.radio_i_receive_a * (plan.duration / TICKS_PER_S)
     )
 
 
 def evaluate_alerts_oracle(series: list[Reading], rule: AlertRule) -> list[Alert]:
     """The quadratic reference scan: each window is filtered from the whole
-    prefix and its slope taken in exact rationals.
+    prefix, against the exact window in ticks, and its slope taken in
+    exact rationals.
 
     A rapid-rise alert fires when the exact slope is at least the rule's
     rate, and its value is that slope rounded once to a float.
     """
     rate = Fraction(rule.rise_rate_c_per_min)
+    window_ticks = Fraction(rule.rise_window_s) * TICKS_PER_S
     alerts: list[Alert] = []
     high_armed = True
     rise_armed = True
     for i, reading in enumerate(series):
         if reading.temp_c >= rule.high_threshold_c:
             if high_armed:
-                alerts.append(Alert(HIGH_TEMP, reading.sensor_id, reading.time_s, reading.temp_c))
+                alerts.append(Alert(HIGH_TEMP, reading.sensor_id, reading.time, reading.temp_c))
                 high_armed = False
         else:
             high_armed = True
 
-        window = [r for r in series[: i + 1] if r.time_s >= reading.time_s - rule.rise_window_s]
+        window = [r for r in series[: i + 1] if r.time >= reading.time - window_ticks]
         slope = _slope_c_per_min_oracle(window)
         if slope is not None and slope >= rate:
             if rise_armed:
-                alerts.append(Alert(RAPID_RISE, reading.sensor_id, reading.time_s, rounded(slope)))
+                alerts.append(Alert(RAPID_RISE, reading.sensor_id, reading.time, rounded(slope)))
                 rise_armed = False
         else:
             rise_armed = True
@@ -184,9 +189,9 @@ def evaluate_alerts_oracle(series: list[Reading], rule: AlertRule) -> list[Alert
 
 
 def _slope_c_per_min_oracle(window: list[Reading]) -> Optional[Fraction]:
-    """Exact least-squares slope of ``raw / 16`` vs ``time_s``, per minute,
+    """Exact least-squares slope of ``raw / 16`` vs time, per minute,
     or None when the window has fewer than two distinct times."""
-    times = [Fraction(r.time_s) for r in window]
+    times = [Fraction(r.time, TICKS_PER_S) for r in window]
     temps = [Fraction(r.raw, 16) for r in window]
     mean_t = sum(times) / len(window)
     mean_c = sum(temps) / len(window)
@@ -254,13 +259,14 @@ def band_value_oracle(low_c: float, high_c: float, t: float, seed: int) -> float
 
 
 def sense_band_oracle(
-    low_c: float, high_c: float, t_s: float, seed: int, noise_sigma_c: float, node_key: int
+    low_c: float, high_c: float, t: int, seed: int, noise_sigma_c: float, serial: int
 ) -> int:
-    """``sense_and_quantize`` of a band trace: truth plus seeded noise in
-    0.0625 degC counts, clamped to -55..125 degC."""
-    true_c = band_value_oracle(low_c, high_c, t_s, seed)
+    """``sense_and_quantize`` of a band trace at tick t: truth at t in
+    seconds plus noise keyed by seed, serial and tick, in 0.0625 degC
+    counts, clamped to -55..125 degC."""
+    true_c = band_value_oracle(low_c, high_c, t / TICKS_PER_S, seed)
     noise_c = 0.0
     if noise_sigma_c > 0:
-        noise_c = noise_sigma_c * gauss_oracle(seed, _NOISE_STREAM, node_key, _float_key(t_s))
+        noise_c = noise_sigma_c * gauss_oracle(seed, _NOISE_STREAM, serial, t)
     counts = (true_c + noise_c) / 0.0625
     return round(min(max(counts, -880), 2000))

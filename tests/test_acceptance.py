@@ -182,14 +182,15 @@ def test_criterion_09_ledger_matches_event_log(capsys):
         seed=123,
         noise_sigma_c=0.1,
     )
-    result, events = run_logged(config.plan())
+    plan = config.plan()
+    result, events = run_logged(plan)
     worst = 0.0
     for sid in (make_sensor_id(serial=1), make_sensor_id(serial=2)):
-        oracle = ledger_from_events(events, config, sid.hex())
+        oracle = ledger_from_events(events, plan, sid.hex())
         ledger = result.ledgers[sid.hex()]
         for name in LEDGER_FIELDS:
             worst = max(worst, abs(getattr(oracle, name) - getattr(ledger, name)))
-    ap_oracle = access_point_ledger(result, config)
+    ap_oracle = access_point_ledger(result, plan)
     for name in LEDGER_FIELDS:
         worst = max(worst, abs(getattr(ap_oracle, name) - getattr(result.ledgers[AP], name)))
     ok = worst <= 1e-9

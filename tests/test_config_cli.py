@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import thermnet
 from helpers import read_rows, run_logged
 from thermnet.cli import _write_simulation_outputs, cmd_simulate, main
+from thermnet.csvio import TICKS_PER_S
 from thermnet.config import (
     ALOHA,
     KEYS,
@@ -231,21 +232,29 @@ STALLING_INTERFERER = (
 )
 
 
-@pytest.mark.parametrize("period", ["1e-20", repr(math.nextafter(math.ulp(5.0), 0.0)), "0", "-1"])
-def test_interferer_period_that_cannot_advance_the_clock_rejected(period):
-    # 1.0 + 1e-20 == 1.0: such a burst would requeue itself at the same
-    # time forever.  Only the config is checked; nothing is run.
-    with pytest.raises(ValidationError, match="^interferer1.period_s must be at least ulp"):
+PERIODS_THAT_STALL = [
+    ("1e-20", "is not 0 but rounds to 0 ps"),
+    (repr(math.nextafter(math.ulp(5.0), 0.0)), "is not 0 but rounds to 0 ps"),
+    ("5e-13", "is not 0 but rounds to 0 ps"),
+    ("0", "must be positive"),
+    ("-1", "must be positive"),
+]
+
+
+@pytest.mark.parametrize("period, message", PERIODS_THAT_STALL, ids=[period for period, _ in PERIODS_THAT_STALL])
+def test_interferer_period_that_cannot_advance_the_clock_rejected(period, message):
+    # A period under half a tick would requeue its burst at the same tick
+    # forever.  Only the config is checked; nothing is run.
+    with pytest.raises(ValidationError, match=f"^interferer1.period_s {message}$"):
         parse_config_text(STALLING_INTERFERER.format(period)).plan()
 
 
-def test_interferer_period_of_one_ulp_of_the_run_advances_every_burst():
-    period = math.ulp(5.0)
-    config = parse_config_text(STALLING_INTERFERER.format(repr(period))).plan().config
-    assert config.interferers[0].period_s == period
-    # Every time up to the end moves forward, across binade edges too.
-    for t in (0.0, -0.0, 5e-324, 1.0, math.nextafter(4.0, 0.0), 4.0, math.nextafter(5.0, 0.0), 5.0):
-        assert t + period > t
+def test_interferer_period_of_one_tick_advances_every_burst():
+    assert parse_config_text(STALLING_INTERFERER.format("1e-12")).plan().bursts[0][:2] == (TICKS_PER_S, 1)
+    # Bursts from 0 every tick, in a run of ten ticks: one at each tick.
+    plan = parse_config_text("node1.serial = 1\nscenario.duration_s = 1e-11\ninterferer1.period_s = 1e-12\n").plan()
+    _, events = run_logged(plan)
+    assert [(e.time, e.kind, e.subject) for e in events] == [(t, "tx_start", "interferer1") for t in range(11)]
 
 
 NON_FINITE_KEYS = [
@@ -390,21 +399,21 @@ def test_every_field_has_exactly_one_key():
     assert set(keys) == {ScenarioConfig, NodeSpec, InterfererSpec, DelayParams, DevicePowerProfile, AlertRule}
 
 
-# A rate can be positive and finite and still make a derived time overflow.
+# A rate can be positive and finite and still make a derived time overflow,
+# as a float or as a count of picosecond ticks.
 OVERFLOWING = [
     ("delay.air_data_rate_bps = 5e-324", "t4 = frame bits / delay.air_data_rate_bps overflows"),
-    # The airtime is finite, but the TDMA slot length in ms is not.
-    ("delay.air_data_rate_bps = 1e-305", "the TDMA frame period from delay.air_data_rate_bps"),
+    # The airtime is finite, but not in ticks.
+    ("delay.air_data_rate_bps = 1e-295", "t4 = frame bits / delay.air_data_rate_bps overflows"),
     ("interferer1.bits = 1" + "0" * 320, "interferer1.bits / delay.air_data_rate_bps overflows"),
     ("delay.mcu_clock_hz = 5e-324", "t1 = delay.mac_instruction_clocks / delay.mcu_clock_hz overflows"),
     ("delay.mac_instruction_clocks = 1" + "0" * 400, "t1 = delay.mac_instruction_clocks"),
     ("mac.guard_s = 1e306", "the TDMA frame period from delay.air_data_rate_bps, delay.radio_switch_delay_s, "
                             "mac.guard_s and mac.beacon_s overflows"),
-    # t3 and the total are checked at the farthest node.
-    ("node2.serial = 2\nnode2.distance_m = 1e300\ndelay.propagation_speed_mps = 1e-10",
+    # t3 is checked at each node; here it is finite, but not in ticks.
+    ("node2.serial = 2\nnode2.distance_m = 1e300\ndelay.propagation_speed_mps = 1e3",
      "t3 = node2.distance_m / delay.propagation_speed_mps overflows"),
-    ("delay.air_data_rate_bps = 2e-306\ndelay.serial_rate_bps = 2e-306",
-     "node1's total delay overflows"),
+    ("interferer1.start_s = 1e300", "interferer1.start_s overflows"),
 ]
 
 
@@ -420,24 +429,20 @@ def test_config_whose_delay_terms_overflow_exits_1(tmp_path, capsys, command, li
     assert not out.exists()
 
 
-# Configs a run cannot honour, though every key is in its bounds.  The
-# first three each ended in a traceback and a partial events.csv.
-_HUGE_CLOCK = "scenario.duration_s = 1e308\nscenario.sample_period_s = 3e307\n"
-# ulp(1e12) is 1.22e-4 s; with t1 at 0, every default span is above it.
-_LARGE_CLOCK = "scenario.duration_s = 1e12\nscenario.sample_period_s = 3e11\ndelay.mac_instruction_clocks = 0\n"
-_BELOW_ULP = "must be at least ulp(scenario.duration_s)"
+# Configs a run cannot honour, though every key is in its bounds.
+_HUGE_CLOCK = "scenario.duration_s = 1e300\nscenario.sample_period_s = 3e299\n"
+_TO_0 = "is not 0 but rounds to 0 ps"
 UNHONOURED = [
-    # t1, 40 us, is below ulp(1e308); so, under TDMA, is the frame period.
-    (_HUGE_CLOCK, f"t1 = delay.mac_instruction_clocks / delay.mcu_clock_hz {_BELOW_ULP}"),
-    (_HUGE_CLOCK + "scenario.mac_mode = aloha", f"t1 = delay.mac_instruction_clocks / delay.mcu_clock_hz {_BELOW_ULP}"),
-    # A 1-bit burst lasts 5.2e-5 s.
-    (_LARGE_CLOCK + "scenario.mac_mode = aloha\ninterferer1.bits = 1\ninterferer1.period_s = 1e11",
-     f"interferer1.bits / delay.air_data_rate_bps {_BELOW_ULP}"),
-    # These runs went on without the span the clock dropped.
-    (_LARGE_CLOCK + "delay.radio_switch_delay_s = 1e-4", f"t2 = delay.radio_switch_delay_s {_BELOW_ULP}"),
-    (_LARGE_CLOCK + "delay.serial_rate_bps = 1e7\ndelay.usb_rate_bps = 1e7",
-     f"t6 + t8 = frame bits / delay.serial_rate_bps + frame bits / delay.usb_rate_bps {_BELOW_ULP}"),
-    (_LARGE_CLOCK + "delay.sensor_conversion_s = 1e-4", f"t7 = delay.sensor_conversion_s {_BELOW_ULP}"),
+    (_HUGE_CLOCK, "scenario.duration_s overflows"),
+    (_HUGE_CLOCK + "scenario.mac_mode = aloha", "scenario.duration_s overflows"),
+    ("scenario.duration_s = 1e-13", f"scenario.duration_s {_TO_0}"),
+    ("delay.mcu_clock_hz = 1e16", f"t1 = delay.mac_instruction_clocks / delay.mcu_clock_hz {_TO_0}"),
+    # A 1-bit burst at 1e13 bit/s lasts 0.1 ps.
+    ("delay.air_data_rate_bps = 1e13\ninterferer1.bits = 1", f"interferer1.bits / delay.air_data_rate_bps {_TO_0}"),
+    ("delay.radio_switch_delay_s = 1e-13", f"t2 = delay.radio_switch_delay_s {_TO_0}"),
+    ("delay.serial_rate_bps = 1e16\ndelay.usb_rate_bps = 1e16",
+     f"t6 + t8 = frame bits / delay.serial_rate_bps + frame bits / delay.usb_rate_bps {_TO_0}"),
+    ("delay.sensor_conversion_s = 1e-13", f"t7 = delay.sensor_conversion_s {_TO_0}"),
     # A node's MCU, or its radio under ALOHA, would work on two samples at
     # once and be busy for longer than the run.
     ("scenario.duration_s = 10\ndelay.mac_instruction_clocks = 40000000",
@@ -449,7 +454,9 @@ UNHONOURED = [
 
 
 @pytest.mark.parametrize(
-    "lines, message", UNHONOURED, ids=["tdma", "aloha", "burst", "switch", "serial_usb", "conversion", "mcu", "radio"]
+    "lines, message",
+    UNHONOURED,
+    ids=["tdma", "aloha", "duration_to_0", "t1", "burst", "switch", "serial_usb", "conversion", "mcu", "radio"],
 )
 def test_config_the_run_cannot_honour_exits_1(tmp_path, capsys, lines, message):
     path = write_config(tmp_path, f"node1.serial = 1\n{lines}\n")
@@ -457,6 +464,18 @@ def test_config_the_run_cannot_honour_exits_1(tmp_path, capsys, lines, message):
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_a_long_run_keeps_every_span():
+    # ulp(1e20) is 16,384 s, so a float clock lost t1 (39.5 us) and every
+    # other default span, and the plan rejected this run.  In ticks each
+    # conversion still ends t7 after its instant, and every frame arrives.
+    plan = parse_config_text("node1.serial = 1\nscenario.duration_s = 1e20\nscenario.sample_period_s = 3e19\n").plan()
+    assert (plan.prep, plan.conversion) == (39_500_000, 750_000_000_000)
+    result, events = run_logged(plan)
+    done = [e.time for e in events if e.kind == "conversion_done"]
+    assert done == [k * plan.sample_period + plan.conversion for k in range(4)]
+    assert result.stats.delivered == 4
 
 
 def test_busy_time_that_fills_the_run_is_not_longer_than_it(tmp_path):
@@ -499,11 +518,12 @@ def test_simulate_plans_once_and_builds_the_schedule_once(tmp_path, monkeypatch)
     assert calls == ["plan", "build_schedule"]
 
 
-# Any positive magnitude a key accepts, or the key's default.
-_WIDE = st.floats(min_value=5e-324, max_value=1e308)
+# Any positive magnitude a key accepts, up to 1e290, so that spans in
+# seconds still fit the picosecond clock, or the key's default.
+_WIDE = st.floats(min_value=5e-324, max_value=1e290)
 _DRAWN_KEYS = {
-    "mac.guard_s": st.floats(min_value=0.0, max_value=1e308),
-    "mac.beacon_s": st.floats(min_value=0.0, max_value=1e308),
+    "mac.guard_s": st.floats(min_value=0.0, max_value=1e290),
+    "mac.beacon_s": st.floats(min_value=0.0, max_value=1e290),
     **{f"delay.{key}": _WIDE for key in ("mcu_clock_hz", "radio_switch_delay_s", "air_data_rate_bps",
                                          "serial_rate_bps", "usb_rate_bps", "sensor_conversion_s",
                                          "propagation_speed_mps")},
@@ -514,9 +534,11 @@ _DRAWN_KEYS = {
 
 @st.composite
 def _scenario_texts(draw) -> str:
-    duration_s = draw(st.floats(min_value=0.0, max_value=1e308) | st.floats(min_value=0.0, max_value=100.0))
+    # Run lengths and spacings the clock can hold: 0, or 1 ps to 1e290 s.
+    duration_s = draw(st.just(0.0) | st.floats(min_value=1e-12, max_value=1e290)
+                      | st.floats(min_value=1e-12, max_value=100.0))
     # Samples and bursts at least duration_s / 64 apart bound a run's work.
-    spaced = st.floats(min_value=max(duration_s / 64, 5e-324), max_value=1e308)
+    spaced = st.floats(min_value=max(duration_s / 64, 1e-12), max_value=1e290)
     keys = {
         "scenario.duration_s": duration_s,
         "scenario.sample_period_s": draw(spaced),
@@ -528,11 +550,11 @@ def _scenario_texts(draw) -> str:
             keys[key] = value
     for i in range(1, draw(st.integers(min_value=1, max_value=8)) + 1):
         keys[f"node{i}.serial"] = i
-        keys[f"node{i}.distance_m"] = draw(st.floats(min_value=0.0, max_value=1e308))
+        keys[f"node{i}.distance_m"] = draw(st.floats(min_value=0.0, max_value=1e290))
     for j in range(1, draw(st.integers(min_value=0, max_value=2)) + 1):
         keys[f"interferer{j}.period_s"] = draw(spaced)
-        keys[f"interferer{j}.start_s"] = draw(st.floats(min_value=0.0, max_value=1e308))
-        keys[f"interferer{j}.distance_m"] = draw(st.floats(min_value=0.0, max_value=1e308))
+        keys[f"interferer{j}.start_s"] = draw(st.floats(min_value=0.0, max_value=1e290))
+        keys[f"interferer{j}.distance_m"] = draw(st.floats(min_value=0.0, max_value=1e290))
         keys[f"interferer{j}.bits"] = draw(st.integers(min_value=1, max_value=8192))
     return "".join(f"{key} = {value}\n" for key, value in keys.items())
 
@@ -604,7 +626,7 @@ def test_simulate_keeps_readings_after_sequence_wrap(tmp_path):
     )
     result, _ = run_logged(config.plan())
     first = result.readings[0]
-    wrapped = first._replace(time_s=first.time_s + 65536.0, sample_time_s=first.sample_time_s + 65536.0)
+    wrapped = first._replace(time=first.time + 65536 * TICKS_PER_S, sample_time=first.sample_time + 65536 * TICKS_PER_S)
     result = result._replace(readings=[*result.readings, wrapped])
     _write_simulation_outputs(config.plan(), result, tmp_path)
     rows = read_rows(tmp_path / "agreement.csv")

@@ -1,8 +1,8 @@
 """Slotted access layer tests.
 
 Slot layout values are recomputed by hand from the airtime and guard
-numbers; next-slot arithmetic is checked against a brute force scan so
-the modular arithmetic cannot hide an off-by-one.  The
+numbers; next-slot arithmetic, in whole ticks, is checked against a
+brute force scan so the modular arithmetic cannot hide an off-by-one.  The
 listen-before-send loop is checked on the event log of whole runs.
 """
 
@@ -15,9 +15,10 @@ from hypothesis import example, given, strategies as st
 
 from helpers import next_slot_time, run_logged
 from thermnet.config import InterfererSpec, NodeSpec, ScenarioConfig
-from thermnet.delays import DelayParams, airtime, mcu_prep_delay
+from thermnet.csvio import TICKS_PER_S
+from thermnet.delays import DelayParams, airtime
 from thermnet.frames import FRAME_BITS, make_sensor_id
-from thermnet.mac import DuplicateNode, SlotSchedule, build_schedule, next_instant_index
+from thermnet.mac import DuplicateNode, build_schedule, next_instant_index
 from thermnet.traces import ConstantTrace
 
 PARAMS = DelayParams()
@@ -71,49 +72,42 @@ def test_larger_guard_means_longer_slots():
     assert wide.slot_duration_s > tight.slot_duration_s
 
 
-@given(st.floats(min_value=0, max_value=5.0))
+@given(st.integers(min_value=0, max_value=5 * TICKS_PER_S))
 def test_next_slot_time_against_scan(now):
-    schedule = build_schedule(ids(2, 6), FRAME_BITS, PARAMS)
-    period = schedule.frame_period_s
-    for node_id in schedule.assignments:
-        offset = schedule.slot_offset_s(node_id)
-        k = next_instant_index(period, offset, now)
-        got = k * period + offset
-        assert got == next_slot_time(schedule, node_id, now)
+    plan = ScenarioConfig(nodes=(NodeSpec("node1", 2), NodeSpec("node2", 6))).plan()
+    period = plan.frame_period
+    for i, node in enumerate(plan.nodes):
+        k = next_instant_index(period, node.slot_offset, now)
+        got = k * period + node.slot_offset
+        assert got == next_slot_time(plan, i, now)
         assert got >= now
-        assert k == 0 or (k - 1) * period + offset < now
+        assert k == 0 or (k - 1) * period + node.slot_offset < now
 
 
 @st.composite
-def _schedule_node_now(draw):
-    """A schedule, one of its nodes, and a time that is often within two
-    ulps of one of that node's slot starts."""
-    serials = sorted(draw(st.sets(st.integers(min_value=1, max_value=64), min_size=1, max_size=8)))
-    beacon_s = draw(st.floats(min_value=0.0, max_value=1.0))
-    slot_s = draw(st.floats(min_value=1e-6, max_value=1.0))
-    schedule = SlotSchedule(
-        beacon_slot_s=beacon_s,
-        slot_duration_s=slot_s,
-        assignments={sid: i for i, sid in enumerate(ids(*serials))},
-        frame_period_s=beacon_s + len(serials) * slot_s,
-    )
-    node_id = make_sensor_id(serial=draw(st.sampled_from(serials)))
+def _period_offset_now(draw):
+    """A frame period and a slot offset in it, in ticks, and a tick that
+    is often within two ticks of one of that slot's starts."""
+    period = draw(st.integers(min_value=1, max_value=10**15))
+    offset = draw(st.integers(min_value=0, max_value=period - 1))
     if draw(st.booleans()):
-        return schedule, node_id, draw(st.floats(min_value=0.0, max_value=1e6))
-    k = draw(st.integers(min_value=0, max_value=10**7))
-    now = k * schedule.frame_period_s + schedule.slot_offset_s(node_id)
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        now = math.nextafter(now, draw(st.sampled_from([-math.inf, math.inf])))
-    return schedule, node_id, max(now, 0.0)
+        return period, offset, draw(st.integers(min_value=0, max_value=10**24))
+    k = draw(st.integers(min_value=0, max_value=10**9))
+    return period, offset, max(k * period + offset + draw(st.integers(min_value=-2, max_value=2)), 0)
 
 
-# Serial 6 of the default eight-node cell: the quotient's ceiling gave the
-# slot at 27672.819, one ulp before now.
-@given(_schedule_node_now())
-@example((build_schedule(ids(*range(1, 9)), FRAME_BITS, PARAMS), make_sensor_id(serial=6), 27672.819000000003))
+_EIGHT = ScenarioConfig(nodes=tuple(NodeSpec(f"node{i}", i) for i in range(1, 9))).plan()
+
+
+# Serial 6 of the default eight-node cell, at its slot 179,693 and a tick
+# either side: under a float clock, the quotient's ceiling gave the slot
+# one ulp before now.
+@given(_period_offset_now())
+@example((_EIGHT.frame_period, _EIGHT.nodes[5].slot_offset, 27672819000000000 + 1))
+@example((_EIGHT.frame_period, _EIGHT.nodes[5].slot_offset, 27672819000000000))
+@example((_EIGHT.frame_period, _EIGHT.nodes[5].slot_offset, 27672819000000000 - 1))
 def test_next_slot_index_is_least_slot_at_or_after_now(case):
-    schedule, node_id, now = case
-    period, offset = schedule.frame_period_s, schedule.slot_offset_s(node_id)
+    period, offset, now = case
     k = next_instant_index(period, offset, now)
     assert k >= 0
     assert k * period + offset >= now
@@ -145,27 +139,25 @@ def _node_events(events, kind):
 def test_full_slot_cycle_free_channel():
     plan = _one_node(duration_s=3.0).plan()
     _, events = run_logged(plan)
-    schedule, sid = plan.schedule, make_sensor_id(serial=1)
-    ready = [e.time_s + mcu_prep_delay(PARAMS) for e in _node_events(events, "conversion_done")]
-    slots = [e.time_s for e in _node_events(events, "slot_start")]
+    ready = [e.time + plan.prep for e in _node_events(events, "conversion_done")]
+    slots = [e.time for e in _node_events(events, "slot_start")]
     # Each frame waits for the node's next slot, finds the channel free
     # and goes out one radio switch later.
-    assert slots == [next_slot_time(schedule, sid, t) for t in ready]
+    assert slots == [next_slot_time(plan, 0, t) for t in ready]
     assert [e.detail for e in _node_events(events, "slot_start")] == ["free"] * len(ready)
-    starts = [e.time_s for e in _node_events(events, "tx_start")]
-    assert starts == [t + PARAMS.radio_switch_delay_s for t in slots]
+    starts = [e.time for e in _node_events(events, "tx_start")]
+    assert starts == [t + plan.switch for t in slots]
 
 
 def test_busy_channel_defers_to_next_frame():
     plan = _one_node(HELD_BY_BURSTS).plan()
     result, events = run_logged(plan)
-    schedule, sid = plan.schedule, make_sensor_id(serial=1)
-    period, offset = schedule.frame_period_s, schedule.slot_offset_s(sid)
-    slots = [e.time_s for e in _node_events(events, "slot_start")]
-    busy = {e.time_s for e in _node_events(events, "slot_start") if e.detail == "busy"}
+    period, offset = plan.frame_period, plan.nodes[0].slot_offset
+    slots = [e.time for e in _node_events(events, "slot_start")]
+    busy = {e.time for e in _node_events(events, "slot_start") if e.detail == "busy"}
     # Every slot instant is k * period + offset exactly, and a busy slot
     # k is followed by slot k + 1, however many times in a row.
-    frame_of = {t: round((t - offset) / period) for t in slots}
+    frame_of = {t: (t - offset) // period for t in slots}
     assert all(t == k * period + offset for t, k in frame_of.items())
     for t, after in zip(slots, slots[1:]):
         if t in busy:
@@ -196,19 +188,18 @@ def test_slot_start_row_carries_its_verdict():
 def test_frame_ready_during_own_transmission_goes_in_next_slot():
     plan = _one_node(HELD_BY_BURSTS).plan()
     result, events = run_logged(plan)
-    starts = [e.time_s for e in _node_events(events, "tx_start")]
-    ends = [e.time_s for e in _node_events(events, "tx_end")]
-    ready = [e.time_s + mcu_prep_delay(PARAMS) for e in _node_events(events, "conversion_done")]
+    starts = [e.time for e in _node_events(events, "tx_start")]
+    ends = [e.time for e in _node_events(events, "tx_end")]
+    ready = [e.time + plan.prep for e in _node_events(events, "conversion_done")]
     assert starts[0] < ready[1] < ends[0]
-    next_slot = next_slot_time(plan.schedule, make_sensor_id(serial=1), ready[1])
-    assert starts[1] == next_slot + PARAMS.radio_switch_delay_s
+    assert starts[1] == next_slot_time(plan, 0, ready[1]) + plan.switch
     assert result.stats.transmissions == 4
     assert [r.sequence for r in result.readings] == [0, 1, 2, 3]
 
 
 def test_slot_starts_never_precede_their_frame():
-    # The quotient's ceiling alone puts node 1's 79th slot at
-    # 728.1219999999998, one ulp before its frame is ready at 728.122.
+    # Under a float clock, the quotient's ceiling alone put node 1's 79th
+    # slot at 728.1219999999998, one ulp before its frame was ready at 728.122.
     config = ScenarioConfig(
         nodes=(NodeSpec("node1", 1, ConstantTrace(37.0)), NodeSpec("node2", 2, ConstantTrace(37.0))),
         duration_s=740.0,
@@ -216,13 +207,13 @@ def test_slot_starts_never_precede_their_frame():
         noise_sigma_c=0.0,
         beacon_s=0.044,
     )
-    _, events = run_logged(config.plan())
-    prep_s = mcu_prep_delay(PARAMS)
+    plan = config.plan()
+    _, events = run_logged(plan)
     for serial in (1, 2):
         subject = make_sensor_id(serial=serial).hex()
         own = [e for e in events if e.subject == subject]
-        ready = [e.time_s + prep_s for e in own if e.kind == "conversion_done"]
-        slots = [e.time_s for e in own if e.kind == "slot_start"]
+        ready = [e.time + plan.prep for e in own if e.kind == "conversion_done"]
+        slots = [e.time for e in own if e.kind == "slot_start"]
         assert len(slots) == len(ready) == 80
         assert all(slot >= t for slot, t in zip(slots, ready))
 

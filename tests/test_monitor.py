@@ -7,12 +7,14 @@ from __future__ import annotations
 import math
 import random
 import statistics
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import _slope_c_per_min_oracle, evaluate_alerts_oracle, rounded, run_logged
 from thermnet.config import NodeSpec, ScenarioConfig
+from thermnet.csvio import TICKS_PER_S
 from thermnet.frames import TEMP_LSB_C, SensorId, make_sensor_id
 from thermnet.monitor import (
     Alert,
@@ -30,14 +32,16 @@ RULE = AlertRule()
 
 
 def reading(serial, t, temp_c, seq=None, true_c=36.5):
+    """A reading delivered at ``t`` seconds, sampled 0.777 s before."""
     raw = round(temp_c / 0.0625)
+    time = round(t * TICKS_PER_S)
     return Reading(
         sensor_id=make_sensor_id(serial=serial),
-        time_s=float(t),
+        time=time,
         raw=raw,
         sequence=seq if seq is not None else int(t),
         total_delay_s=0.777,
-        sample_time_s=float(t) - 0.777,
+        sample_time=time - 777_000_000_000,
         true_c=true_c,
     )
 
@@ -67,7 +71,7 @@ def test_duplicate_sequence_dropped_with_counter():
     store = ReadingStore()
     first = reading(1, 0, 36.5, seq=7)
     store.ingest(first)
-    store.ingest(first._replace(time_s=first.time_s + 0.5))
+    store.ingest(first._replace(time=first.time + TICKS_PER_S // 2))
     assert store.duplicate_count == 1
     assert store.series(make_sensor_id(serial=1)) == [first]
 
@@ -91,7 +95,7 @@ def test_unknown_sensor_counted_not_stored():
 def test_invalid_id_counted_as_unknown():
     store = ReadingStore()
     sid = make_sensor_id(serial=3)
-    forged = Reading(SensorId(sid.family_code, sid.serial, sid.crc ^ 1), 0.0, 100, 0, 0.0, 0.0, 0.0)
+    forged = Reading(SensorId(sid.family_code, sid.serial, sid.crc ^ 1), 0, 100, 0, 0.0, 0, 0.0)
     store.ingest(forged)
     assert store.unknown_count == 1
 
@@ -100,7 +104,7 @@ def test_out_of_order_arrival_is_time_sorted():
     store = ReadingStore()
     for t in (5, 1, 3, 2, 4, 0):
         store.ingest(reading(1, t, 36.0, seq=t))
-    times = [r.time_s for r in store.series(make_sensor_id(serial=1))]
+    times = [r.time for r in store.series(make_sensor_id(serial=1))]
     assert times == sorted(times)
 
 
@@ -113,7 +117,7 @@ def test_partition_accounting():
     total = 0
     for t in range(20):
         # From t = 10 on, sample t - 10 arrives again: ten duplicates.
-        store.ingest(reading(1, t % 10, 36.0)._replace(time_s=float(t)))
+        store.ingest(reading(1, t % 10, 36.0)._replace(time=t * TICKS_PER_S))
         store.ingest(reading(2, t, 30.0, seq=t))  # all unknown
         total += 2
     assert (store.duplicate_count, store.unknown_count) == (10, 20)
@@ -146,7 +150,7 @@ def test_step_fires_exactly_one_high_temp():
     temps = [37.0] * 10 + [39.0] * 10
     alerts = [a for a in evaluate_alerts(series_from(temps), RULE) if a.kind == "high_temp"]
     assert len(alerts) == 1
-    assert alerts[0].trigger_time_s == 10.0
+    assert alerts[0].trigger_time == 10 * TICKS_PER_S
     assert alerts[0].value == 39.0
 
 
@@ -165,7 +169,7 @@ def test_ramp_triggers_rapid_rise_within_one_window():
     temps = [36.0 + t / 60.0 for t in range(120)]
     alerts = [a for a in evaluate_alerts(series_from(temps), RULE) if a.kind == "rapid_rise"]
     assert alerts
-    assert alerts[0].trigger_time_s <= RULE.rise_window_s
+    assert alerts[0].trigger_time <= RULE.rise_window_s * TICKS_PER_S
     assert alerts[0].value >= RULE.rise_rate_c_per_min
 
 
@@ -184,21 +188,21 @@ def test_rise_alerts_match_stdlib_regression_oracle():
     temps = [36.0 + 0.2 * math.sin(t / 7.0) + 0.05 * rng.random() for t in range(40)]
     series = series_from(temps)
     rule = AlertRule(rise_rate_c_per_min=0.3, rise_window_s=8.0)
-    got = [(a.trigger_time_s, a.value) for a in evaluate_alerts(series, rule) if a.kind == "rapid_rise"]
+    got = [(a.trigger_time, a.value) for a in evaluate_alerts(series, rule) if a.kind == "rapid_rise"]
 
     expected = []
     armed = True
     for i, r in enumerate(series):
-        window = [p for p in series[: i + 1] if p.time_s >= r.time_s - rule.rise_window_s]
+        window = [p for p in series[: i + 1] if p.time >= r.time - 8 * TICKS_PER_S]
         slope = None
         if len(window) >= 2:
             fit = statistics.linear_regression(
-                [p.time_s for p in window], [p.temp_c for p in window]
+                [p.time / TICKS_PER_S for p in window], [p.temp_c for p in window]
             )
             slope = fit.slope * 60.0
         if slope is not None and slope >= rule.rise_rate_c_per_min:
             if armed:
-                expected.append((r.time_s, slope))
+                expected.append((r.time, slope))
                 armed = False
         else:
             armed = True
@@ -226,10 +230,11 @@ def test_alert_rule_rejects_non_finite(field, value):
         evaluate_alerts(series_from([37.0] * 3), rule)
 
 
-@pytest.mark.parametrize("bad_time", [9.5, math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("bad_time", [9_500_000_000_000, -1], ids=["9.5", "-1.0"])
 def test_alerts_reject_unordered_series(bad_time):
-    # A negative time goes first, where only its sign is wrong; the rest last.
-    bad = Reading(make_sensor_id(serial=1), bad_time, 592, 99, 0.0, 0.0, 0.0)
+    # A negative time goes first, where only its sign is wrong; 9.5 s
+    # goes last, after 11 s.
+    bad = Reading(make_sensor_id(serial=1), bad_time, 592, 99, 0.0, 0, 0.0)
     series = series_from([37.0] * 12)
     series = [bad] + series if bad_time < 0 else series + [bad]
     with pytest.raises(ValueError, match="time-ordered"):
@@ -237,11 +242,12 @@ def test_alerts_reject_unordered_series(bad_time):
 
 
 def ramp_series(start, rate, moves):
-    """Readings on a line of slope exactly ``rate`` degC/min: each move
-    advances ``steps`` count periods (0.0625 * 60 / rate s each) and
-    ``steps`` counts, then offsets that one reading by ``bump`` counts."""
+    """Readings from tick ``start`` on a line of slope ``rate`` degC/min:
+    each move advances ``steps`` count periods (0.0625 * 60 / rate s each,
+    whole ticks at the rates drawn here) and ``steps`` counts, then offsets
+    that one reading by ``bump`` counts."""
     sid = make_sensor_id(serial=1)
-    period = TEMP_LSB_C * 60.0 / rate
+    period = round(TEMP_LSB_C * 60.0 / rate * TICKS_PER_S)
     series = [Reading(sid, start, 584, 0, 0.0, start, 0.0)]
     done = 0
     for k, (steps, bump) in enumerate(moves, 1):
@@ -251,44 +257,49 @@ def ramp_series(start, rate, moves):
     return series
 
 
+def window_ticks(rule):
+    """The rule's window in ticks, exactly."""
+    return Fraction(rule.rise_window_s) * TICKS_PER_S
+
+
 @st.composite
 def alert_cases(draw):
-    """A time-ordered series and a rule, on a grid of quarter seconds.
+    """A time-ordered series and a rule, with times in ticks.
 
-    Times and the window are multiples of 0.25 s, so ``t - window`` is
-    exact and readings land exactly on the window's start.  Series start
-    at 0 s, near 1e3 s, or at 1e9 or 3.3e9 s, where centring a window
-    in floats would cancel most of each time's digits.  A random walk mixes
-    ties, exact window lengths, irregular gaps, gaps longer than the
-    window and off-grid float steps.  A ramp of up to 300 readings sits
-    exactly on the rise threshold, bar the odd reading a count off, with
-    ties and gaps longer than the window; its window turns over and
-    re-centres many times.  Either may then put the rate on the exact
-    slope of one of its windows.
+    The window is a whole number of quarter seconds, so readings land
+    exactly on its start, or any float number of seconds, whose edge then
+    falls between two ticks.  Series start at 0 s, near 1e3 s, or at 1e9
+    or 3.3e9 s, where a time squared has 143 bits.  A random walk mixes
+    ties, exact window lengths, whole quarter seconds, gaps longer than
+    the window and steps of any tick count.  A ramp of up to 300 readings
+    sits exactly on the rise threshold, bar the odd reading a count off,
+    with ties and gaps longer than the window.  Either may then put the
+    rate on the exact slope of one of its windows.
     """
-    window_q = draw(st.sampled_from([1, 3, 8, 32, 240]))
-    window = window_q * 0.25
+    quarter = TICKS_PER_S // 4
+    window_s = draw(st.sampled_from([0.25, 0.75, 2.0, 8.0, 60.0]) | st.floats(min_value=1e-12, max_value=100.0))
     rule = AlertRule(
         high_threshold_c=draw(st.sampled_from([36.5, 37.0, 38.0])),
         rise_rate_c_per_min=draw(st.sampled_from([0.05, 0.5, 3.0, 30.0])),
-        rise_window_s=window,
+        rise_window_s=window_s,
     )
-    start = draw(st.sampled_from([0.0, 1000.25, 1e9, 3.3e9]))
+    window = int(window_ticks(rule))
+    start = draw(st.sampled_from([0, 1000 * TICKS_PER_S + quarter, 10**9 * TICKS_PER_S, 33 * 10**8 * TICKS_PER_S]))
     if draw(st.booleans()):
         rnd = draw(st.randoms(use_true_random=False))
-        period = TEMP_LSB_C * 60.0 / rule.rise_rate_c_per_min
-        gap = math.ceil(window / period) + 1
+        period = round(TEMP_LSB_C * 60.0 / rule.rise_rate_c_per_min * TICKS_PER_S)
+        gap = -(-window // period) + 1
         moves = [
             (rnd.choice([0, 1, 1, 1, 1, 2, gap]), rnd.choice([0] * 12 + [-1, 1]))
             for _ in range(draw(st.integers(1, 300)))
         ]
         return rate_on_a_slope(draw, ramp_series(start, rule.rise_rate_c_per_min, moves), rule)
     step = st.one_of(
-        st.just(0.0),
+        st.just(0),
         st.just(window),
-        st.integers(1, 2 * window_q).map(lambda q: q * 0.25),
-        st.integers(window_q + 1, 4 * window_q).map(lambda q: q * 0.25),
-        st.floats(0.0, 2.0 * window),
+        st.integers(1, 2 * (window // quarter) + 2).map(lambda q: q * quarter),
+        st.integers(window + 1, 4 * window + 1),
+        st.integers(0, 2 * window),
     )
     sid = make_sensor_id(serial=1)
     t, raw = start, 584
@@ -305,8 +316,8 @@ def rate_on_a_slope(draw, series, rule):
     series' windows, rounded, or the next float either side of that, so
     the alert hangs on the last bits of that slope."""
     i = draw(st.integers(0, len(series) - 1))
-    t = series[i].time_s
-    window = [r for r in series[: i + 1] if r.time_s >= t - rule.rise_window_s]
+    t = series[i].time
+    window = [r for r in series[: i + 1] if r.time >= t - window_ticks(rule)]
     slope = _slope_c_per_min_oracle(window)
     slope = rounded(slope) if slope is not None else None
     if draw(st.booleans()) and slope is not None and 0 < slope < math.inf:
@@ -323,48 +334,48 @@ def threshold_ramp(start):
 
 
 def tied_series():
-    # Nine readings at one time whose mean, fsum(times) / 9, does not
-    # round back to it: every deviation is the same ulp, and the
-    # least-squares quotient of those would be 10,240 degC/min.
-    t = 0.11599750802544773
+    # Nine readings at one time: the window has no slope, however large
+    # the ninth reading's jump.
+    t = 115_997_508_025
     sid = make_sensor_id(serial=1)
     raws = [584] * 8 + [608]
     return [Reading(sid, t, raw, k, 0.0, t, 0.0) for k, raw in enumerate(raws)], RULE
 
 
 def extreme_series():
-    # From 0 s to the smallest subnormal time, where the slope overflows
-    # to inf, then to 1e300 s: exact units need no range limit.
+    # A jump of 2**1000 counts in one tick, whose slope overflows to inf,
+    # then on to 10**300 ticks: exact sums need no range limit.
     sid = make_sensor_id(serial=1)
-    times_raws = [(0.0, -880), (5e-324, 2000), (1e300, 2000), (1e300, -880), (1.5e300, 1 << 40)]
+    times_raws = [(0, -880), (1, 1 << 1000), (10**300, 2000), (10**300, -880), (15 * 10**299, 1 << 40)]
     series = [Reading(sid, t, raw, k, 0.0, t, 0.0) for k, (t, raw) in enumerate(times_raws)]
     return series, RULE._replace(rise_window_s=1e301)
 
 
 def test_all_tied_window_has_no_slope():
     series, rule = tied_series()
-    expected = [Alert("high_temp", series[8].sensor_id, series[8].time_s, 38.0)]
+    expected = [Alert("high_temp", series[8].sensor_id, series[8].time, 38.0)]
     assert evaluate_alerts(series, rule) == expected
     assert evaluate_alerts_oracle(series, rule) == expected
 
 
 def test_threshold_ramp_fires_on_the_exact_slope():
-    # The readings' float times sit just off the 0.5 degC/min line: the
-    # exact slope is a hair above 0.5 at 8.277 s, below it from 23.277 s
-    # and back on it at 75.777 s.  A slope rounded several times wrote
-    # 0.5000000000000001 at 8.277 s and fired again at 38.277 s.
-    series, rule = threshold_ramp(0.777)
+    # The readings sit exactly on the 0.5 degC/min line, so every window
+    # of two or more times has exactly the rule's rate.  It fires at
+    # 8.277 s; again at 533.277 s, after the gap left one reading in the
+    # window; and at 825.777 s, once the reading a count high, which had
+    # pulled the slope below 0.5, has left the window.
+    series, rule = threshold_ramp(777_000_000_000)
     rises = [a for a in evaluate_alerts(series, rule) if a.kind == "rapid_rise"]
     assert rises == [a for a in evaluate_alerts_oracle(series, rule) if a.kind == "rapid_rise"]
-    assert [a.trigger_time_s for a in rises[:2]] == [8.277, 75.777]
-    assert [a.value for a in rises] == [0.5] * len(rises)
+    assert [a.trigger_time for a in rises] == [8_277_000_000_000, 533_277_000_000_000, 825_777_000_000_000]
+    assert [a.value for a in rises] == [0.5] * 3
 
 
 @settings(max_examples=300, deadline=None)
 @given(alert_cases())
-@example(threshold_ramp(0.777))
-@example(threshold_ramp(1e9))
-@example(threshold_ramp(3.3e9))
+@example(threshold_ramp(777_000_000_000))
+@example(threshold_ramp(10**9 * TICKS_PER_S))
+@example(threshold_ramp(33 * 10**8 * TICKS_PER_S))
 @example(tied_series())
 @example(extreme_series())
 def test_alerts_equal_quadratic_oracle(case):
@@ -414,8 +425,8 @@ def test_agreement_uses_sample_time_not_delivery_time():
     config = ScenarioConfig(nodes=(NodeSpec("node1", 1, trace),), duration_s=10.0, noise_sigma_c=0.0)
     series = run_logged(config.plan())[0].readings
     assert len(series) == 10
-    assert [r.true_c for r in series] == [trace.value(r.sample_time_s) for r in series]
-    assert all(r.true_c < trace.value(r.time_s) for r in series)
+    assert [r.true_c for r in series] == [trace.value(r.sample_time / TICKS_PER_S) for r in series]
+    assert all(r.true_c < trace.value(r.time / TICKS_PER_S) for r in series)
     assert agreement(series).max_err_c == 0.0
 
 

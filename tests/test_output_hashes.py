@@ -21,59 +21,59 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 PINNED = {
     "aloha.conf": {
-        "events.csv": "68a91e68d608a33548939adc30c54b098922427562e902308405d4153b0432d6",
-        "readings.csv": "9cf2364c3d9b3b9949ed357ee075a8b8f555335679087e24c5302e062879a3b0",
-        "ledgers.csv": "90aaf4eb9413bb48ffba64dbf190d55fee5090181285c50bfc97a8036be9c140",
-        "alerts.csv": "30c8b808c6bb14b007bf1d8bf4e699ff02b4821592a7796930982e1aeb2c5389",
-        "agreement.csv": "c443799f805935ee277174dc23ced77eb9ec4ba514d2d57fca1b303dfb685bd2",
+        "events.csv": "8769cee799fd322b000b99b7fc438d80c2021bffa2e7e89e9faa513656495d6e",
+        "readings.csv": "537c4f3447e78dc0d831d2a848335e267d82e52284aa796c83ee129a972c8a88",
+        "ledgers.csv": "1478b87e5912b2d5d2ca395ff82b4c3e7333e802b57fdfe2895b88622554c710",
+        "alerts.csv": "041228dbf22f871361f7cf8047a2292c6d166b22cdf2cb3f81c06bb173f2def9",
+        "agreement.csv": "d696349ef9d682d09e2e872cd56431f835d07236cab803b319b852549a0891db",
         "stats.csv": "6f583af1186bb42039867528ebc339cdc845d7b95d836dc0ccdc25b2d16dc6fd",
     },
     "fever.conf": {
-        "events.csv": "d4aeb616258201295535f2507fe51d9ea5f1590dc963f045c99d4b8071e75cf5",
-        "readings.csv": "b5d1ad314603a0b2808b85c6a4e901a1fc08a1a000c4b4901dc374e4b6b4abc6",
-        "ledgers.csv": "127d4504b9e9fa8dc1b2d02bd69b8c423a85828ce444e2ed91fdd3b725f5d65b",
-        "alerts.csv": "7a50a0b0fe8fcd9a8667c52d05e5149730f07f149d1faed292991f62529e639e",
-        "agreement.csv": "3ada6c005687608407eee73506bb5a55bd71665ebab597e8c96aeac1abb0ca51",
+        "events.csv": "2499ae1137883b0735cfe32148ac47f17d6529e2707e845b82d2a3921e16d755",
+        "readings.csv": "7e482bdf6e37f3ce6d7d19e08bc0192c5bfcde42afee00d054f92997cf8fa93b",
+        "ledgers.csv": "ac52d84c29529749a93abdff1ed38a65d4059f66bd885c1de059d3f3d6aad5ee",
+        "alerts.csv": "6b6f15d999087f3dc4a2eb33d1dae8699752b6352b3fc4b4ad8fa7fbb2ef3407",
+        "agreement.csv": "93e3d9826c6408ea2f2bbe33c5794d0d29318f4ed8490b543c4958ce3ac4a1bf",
         "stats.csv": "0e368fddd977746f6947a01612e7bb933077d0082c686e8c05284ba5e6570127",
     },
     "interference.conf": {
-        "events.csv": "4129d75fef2a69b0244f27426516c39fe0aecf0f3ac41a38548fe4d3f68bb219",
-        "readings.csv": "cd6b3c14cbc2059887a0d3eed6570f67c65ef2f6f3e49dac5ff97ebce8292fc0",
-        "ledgers.csv": "cb2b8c225f307cc05573c39b2183700a3524b24cfb72019bdf3ccde3e8e76e27",
-        "alerts.csv": "30c8b808c6bb14b007bf1d8bf4e699ff02b4821592a7796930982e1aeb2c5389",
-        "agreement.csv": "694e3c29e7e929c4525c991c0dd1cb3adef6122f8e4b4830508c3d5fa839ce54",
+        "events.csv": "d2e809a0aadbe66a478f8e71e525ba762cf908006f7e9f2295e6d58149b1b60c",
+        "readings.csv": "cec1771e8bb80c62a5e946a83c97505c10e442c89eb96586a845c71c8d404d65",
+        "ledgers.csv": "cd61a15e922b606f458d33b4575ae51dc2325cffea0434b619902f443b5da15c",
+        "alerts.csv": "041228dbf22f871361f7cf8047a2292c6d166b22cdf2cb3f81c06bb173f2def9",
+        "agreement.csv": "a69ef3f1e25e32646eadcf77b5d9f3a3eee1b83fbe58839a674bae23d87d1468",
         "stats.csv": "83978c85366f4d1e5f21e3b79969c7c4ddeb2ab9d8455cf2dc1fc1c320d9fcdc",
     },
     "mixed_traces.conf": {
-        "events.csv": "67001b31135bd948c07d5cc23c82f744cccb3f346a259aaa27b8ef940a7b392b",
-        "readings.csv": "6644c2e31c8340e2cf7cee1c00672d1144209ca3f61d544e8d0fdbee6c25597a",
-        "ledgers.csv": "17b692b4e960d8d59a52f94112d8c8b697060e7661e0647e15e44eee9f056618",
-        "alerts.csv": "43d98ee7e5a31f89b5ebf4ccc5e22871c6fea26b9ab75dc0f2cd50e28b4fad73",
-        "agreement.csv": "d011468e9bab8d854a2d9ee4088bec71842f35fe20af9a758952fc9e83aaddb1",
+        "events.csv": "7cf04b5c0a1fd144f89e3cc342cc19a477b95ae9f4d1cbc178c6bb8c82fa9e6d",
+        "readings.csv": "bc91e1f0745022e142d4f8bb24ea5701422646713b0f1842d3c3f51570a694b3",
+        "ledgers.csv": "9d1df6a500d8ede33ea0eb16ed96fba144ae490c2f111e3f89c44eb1db41d318",
+        "alerts.csv": "33b26d9ce3e25800397225179fdf2af53572dfe4e959b3aec8b0c64662563045",
+        "agreement.csv": "86c44e96a35bde77b25760bf69be9ec05732b709541524208484eb0c5c2b8369",
         "stats.csv": "575c60c547ed9b974ce180a5de45c6675d839068bdfb1b1c652eceffef961c20",
     },
     "scenario1.conf": {
-        "events.csv": "afa9eb889321bc2b00cba53abe8015f4640c34602e19c02597bd0da8780c3156",
-        "readings.csv": "cd68450eb4b956bff9a799f560aebf3a97ace698115a994193fed43e335a8b73",
-        "ledgers.csv": "b85fc83a4e832274cd550d51020d08d87ab7bcbd9ee4d416c3d580389fb3718e",
-        "alerts.csv": "e47cdfc54b90a59e15d12074f6f78657158fb7717fbd1ffc18dc6120951cf4d6",
-        "agreement.csv": "6137400ccc21a771a6343d6398641ef7202818f4de55ae4ef3315476ae44e081",
+        "events.csv": "6cf2c7d8f9fa1b9a2d40b51abab38b8074f250a209f0fb0721fd8c367795be58",
+        "readings.csv": "9ea28038fd363f06a5c8aa34759617d7b4d38438aa2a7fb956351d7b037a29a9",
+        "ledgers.csv": "48521996972f2d43bd204e7fc0f42bfdeeb79141f2b9549c0ce93a6fe9b1353e",
+        "alerts.csv": "22c2edd795f4280d0ed674b9229e94c2a23053e79ae94e0fddc1bfbdf0b77c3c",
+        "agreement.csv": "a4fbc5e0f105c721bfbdbbfa18c62fb94e197ce6ef2adb78df412eb2533bf07a",
         "stats.csv": "2f1447e67c6d9ed912c1fa1ae6a33a15d688c1dd522326376f4874aa0f0279e5",
     },
     "scenario2.conf": {
-        "events.csv": "c693bafd60f5a2c16b613fbc2e0c1ef992783e8ec59335077862e1290346754d",
-        "readings.csv": "2ac25df90c5127a732db86ed7c5a4962c0b7bfc67cd4dafe424d8663c73ff491",
-        "ledgers.csv": "cb2b8c225f307cc05573c39b2183700a3524b24cfb72019bdf3ccde3e8e76e27",
-        "alerts.csv": "30c8b808c6bb14b007bf1d8bf4e699ff02b4821592a7796930982e1aeb2c5389",
-        "agreement.csv": "047a842351b53bc9fbd147f5dc47d95ce532b0d77bc17f21fe0e6e070f7c762f",
+        "events.csv": "fa430b4dcc7a0c9bc6ababf3677cfca33aaff593f4cff4afb71ba8c8c5b5acea",
+        "readings.csv": "0460aa4b9567c74636e4da96efae12077334c35606b9c9314fbaafa796248591",
+        "ledgers.csv": "cd61a15e922b606f458d33b4575ae51dc2325cffea0434b619902f443b5da15c",
+        "alerts.csv": "041228dbf22f871361f7cf8047a2292c6d166b22cdf2cb3f81c06bb173f2def9",
+        "agreement.csv": "6e70891440bf0523c6845ba304a59bac6390d78571c060628c87667ff613d6bd",
         "stats.csv": "f9f5d640bbd0a1acdb828a4f61e78115d512bb3d883f348d98b8c844a757c462",
     },
     "ties.conf": {
-        "events.csv": "798b956c1fe1a89fb9c7b32ded459ada1df9df3879b8defedce368a0615e6dde",
-        "readings.csv": "b633ed7cf31d01dcc8431954131a9bba8858be9a2dd8ed53e856c2ec439f8e21",
-        "ledgers.csv": "c1c6f01274218209faec0b3ed50058efd5574b6498f45e92e823d9d76085030c",
-        "alerts.csv": "30c8b808c6bb14b007bf1d8bf4e699ff02b4821592a7796930982e1aeb2c5389",
-        "agreement.csv": "09ce55e2a5eef82699ada0da7a9f144ea5e4ce252e1c6f341c439245c9abd178",
+        "events.csv": "249a744f7f13df7cb45553f2a445cb1eccd7c54d8a412549d3d13733bbd259f6",
+        "readings.csv": "aa20b4336754c5075813e53a965f087f96a60822189aefbeca7647a1b87814fa",
+        "ledgers.csv": "d8186d17696bd3696290315f26b10824fa10ca396c64cc2019780f57d9bad54a",
+        "alerts.csv": "041228dbf22f871361f7cf8047a2292c6d166b22cdf2cb3f81c06bb173f2def9",
+        "agreement.csv": "c39b3b9a7e5eafbd4d05b02b4b16ddab96452df46f63d8e12a789985da14c9b7",
         "stats.csv": "9cca817fa4ac44a73e1eb499f84bf8804cb19d8b0b2578c2b17e687647cf8b0d",
     },
 }

@@ -25,6 +25,7 @@ from helpers import (
 from thermnet.cli import cmd_simulate
 from thermnet import sim
 from thermnet.config import ALOHA, TDMA, InterfererSpec, NodeSpec, ScenarioConfig, load_config
+from thermnet.csvio import TICKS_PER_S
 from thermnet.delays import DelayParams, airtime, total_delay
 from thermnet.frames import FRAME_BITS, make_sensor_id
 from thermnet.mac import build_schedule
@@ -61,8 +62,9 @@ def two_nodes(**overrides) -> ScenarioConfig:
 # -- medium ------------------------------------------------------------
 
 
-def _tx(sender, start, bits=FRAME_BITS, distance=10.0):
-    return Transmission(sender, start, start + airtime(bits, PARAMS), distance)
+def _tx(sender, start_s, bits=FRAME_BITS, distance=10.0):
+    start = round(start_s * TICKS_PER_S)
+    return Transmission(sender, start, start + round(airtime(bits, PARAMS) * TICKS_PER_S), distance)
 
 
 def test_single_transmission_is_clean():
@@ -74,7 +76,7 @@ def test_single_transmission_is_clean():
 def test_tiny_overlap_destroys_both():
     medium = Medium()
     first = _tx("a", 0.0)
-    second = _tx("b", first.end_s - 1e-6)
+    second = Transmission("b", first.end - 1, first.end + 1, 10.0)
     medium_transmit(medium, first)
     medium_transmit(medium, second)
     assert first.collided and second.collided
@@ -83,7 +85,7 @@ def test_tiny_overlap_destroys_both():
 def test_back_to_back_is_not_overlap():
     medium = Medium()
     first = _tx("a", 0.0)
-    second = _tx("b", first.end_s)
+    second = Transmission("b", first.end, first.end + 1, 10.0)
     medium_transmit(medium, first)
     medium_transmit(medium, second)
     assert not first.collided and not second.collided
@@ -109,16 +111,17 @@ def test_out_of_range_sender_cannot_collide_at_receiver():
 
 def test_busy_verdict_uses_listener_position():
     medium = Medium(range_m=100.0)
-    medium_transmit(medium, _tx("a", 0.0, distance=120.0))
-    t = 0.001
+    tx = medium_transmit(medium, _tx("a", 0.0, distance=120.0))
+    t = TICKS_PER_S // 1000
     assert medium.busy_at(t, 50.0)  # 70 m from the sender
     assert not medium.busy_at(t, 10.0)  # 110 m away, inaudible
-    assert not medium.busy_at(10.0, 50.0)  # long since over
+    assert medium.busy_at(tx.end - 1, 50.0)  # its last tick
+    assert not medium.busy_at(tx.end, 50.0)  # over
 
 
 def test_zero_length_transmission_rejected():
     with pytest.raises(ValueError):
-        medium_transmit(Medium(), Transmission("a", 1.0, 1.0, 10.0))
+        medium_transmit(Medium(), Transmission("a", TICKS_PER_S, TICKS_PER_S, 10.0))
 
 
 @pytest.mark.parametrize("distance", [10.0, 150.0])
@@ -150,13 +153,13 @@ def test_medium_matches_pairwise_scan(signals, finish_ended):
     # the oracle compares every pair.  Signals that have ended are
     # finished before the next start, as the engine does, or only once
     # every signal is on the air.
-    transmissions = sorted(((float(start), float(start + length), d) for start, length, d in signals), key=lambda tx: tx[0])
+    transmissions = sorted(((start, start + length, d) for start, length, d in signals), key=lambda tx: tx[0])
     medium = Medium(range_m=100.0)
     sent = []
     fate_of = {}
     for start, end, distance in transmissions:
         if finish_ended:
-            for tx in [tx for tx in medium.active.values() if tx.end_s <= start]:
+            for tx in [tx for tx in medium.active.values() if tx.end <= start]:
                 fate_of[id(tx)] = medium.finish(tx)
         sent.append(medium_transmit(medium, Transmission("n", start, end, distance)))
     collided = collided_by_pairwise_scan(transmissions, 100.0)
@@ -172,39 +175,40 @@ def test_medium_matches_pairwise_scan(signals, finish_ended):
 # -- sensor physics ----------------------------------------------------
 
 
-def sense_one(trace, t_s, seed, noise_sigma_c=0.0):
-    """The raw count of a one-node cell reading ``trace`` at t_s."""
-    ((raw, true_c),) = sense_and_quantize([trace], [0], t_s, seed, noise_sigma_c)
-    assert true_c == trace.value(t_s, seed)
+def sense_one(trace, t, seed, noise_sigma_c=0.0):
+    """The raw count of a one-node cell reading ``trace`` at tick t."""
+    ((raw, true_c),) = sense_and_quantize([trace], [0], [1], t, seed, noise_sigma_c)
+    assert true_c == trace.value(t / TICKS_PER_S, seed)
     return raw
 
 
 def test_quantize_constant_26():
-    assert sense_one(ConstantTrace(26.0), 3.0, seed=1) == 416
+    assert sense_one(ConstantTrace(26.0), 3 * TICKS_PER_S, seed=1) == 416
 
 
 def test_quantize_zero():
-    assert sense_one(ConstantTrace(0.0), 0.0, seed=1) == 0
+    assert sense_one(ConstantTrace(0.0), 0, seed=1) == 0
 
 
 def test_quantize_band_bounds():
     trace = BandNoiseTrace(26.0, 30.0)
-    values = [sense_one(trace, float(t), seed=9) for t in range(500)]
+    values = [sense_one(trace, t * TICKS_PER_S, seed=9) for t in range(500)]
     assert all(416 <= v <= 480 for v in values)
     assert len(set(values)) > 10
 
 
 def test_quantize_clamps_to_device_range():
-    assert sense_one(ConstantTrace(500.0), 0.0, seed=1) == 2000
-    assert sense_one(ConstantTrace(-500.0), 0.0, seed=1) == -880
-    assert sense_one(ConstantTrace(1e308), 0.0, seed=1) == 2000
+    assert sense_one(ConstantTrace(500.0), 0, seed=1) == 2000
+    assert sense_one(ConstantTrace(-500.0), 0, seed=1) == -880
+    assert sense_one(ConstantTrace(1e308), 0, seed=1) == 2000
 
 
 def test_noise_is_pure_in_time_and_seed():
     trace = ConstantTrace(37.0)
-    a = sense_one(trace, 5.0, seed=4, noise_sigma_c=0.1)
-    assert a == sense_one(trace, 5.0, seed=4, noise_sigma_c=0.1)
-    different = [sense_one(trace, 5.0, seed=s, noise_sigma_c=0.1) for s in range(30)]
+    t = 5 * TICKS_PER_S
+    a = sense_one(trace, t, seed=4, noise_sigma_c=0.1)
+    assert a == sense_one(trace, t, seed=4, noise_sigma_c=0.1)
+    different = [sense_one(trace, t, seed=s, noise_sigma_c=0.1) for s in range(30)]
     assert len(set(different)) > 1
 
 
@@ -214,41 +218,52 @@ _SEEDS = st.one_of(
     st.integers(min_value=1 << 64, max_value=1 << 80),
 )
 _INSTANTS = st.one_of(
-    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e300]),
-    st.floats(min_value=0.0, max_value=1e-300),
-    st.floats(min_value=0.0, max_value=1e6),
-    st.floats(min_value=1e6, max_value=1e300),
+    st.sampled_from([0, 1, TICKS_PER_S, 10**30]),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**18),
+    st.integers(min_value=10**18, max_value=10**30),
+)
+# Each node's truth group and its serial.
+_NODES = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=(1 << 48) - 1)),
+    min_size=2,
+    max_size=6,
+    unique_by=lambda node: node[1],
 )
 
 
 @settings(max_examples=200)
 @given(
     _SEEDS,
-    st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=6),
+    _NODES,
     st.lists(_INSTANTS, min_size=1, max_size=3),
     st.floats(min_value=-60.0, max_value=130.0),
     st.floats(min_value=0.0, max_value=10.0),
     st.sampled_from([0.0, 0.1, 2.5]),
 )
-@example(-1, [0, 1], [0.0, 5e-324, 1e300], 36.0, 2.0, 0.1)
-@example(1 << 64, [2, 0, 2, 2], [1.0], 36.0, 2.0, 0.1)
-def test_sensing_equals_step_by_step_rng(seed, node_truth, instants, low_c, width_c, sigma_c):
-    # The prefix cache must be keyed by seed, stream and node: several
+@example(-1, [(0, 1), (1, 2)], [0, 1, 10**30], 36.0, 2.0, 0.1)
+@example(1 << 64, [(2, 7), (0, 0), (2, 1 << 47), (2, 3)], [TICKS_PER_S], 36.0, 2.0, 0.1)
+def test_sensing_equals_step_by_step_rng(seed, nodes, instants, low_c, width_c, sigma_c):
+    # The prefix cache must be keyed by seed, stream and serial: several
     # nodes share each seed and each truth here, and the seeds vary
-    # across examples.  Node i's noise is keyed by i, and its true
-    # temperature is its own truth's.
+    # across examples.  A node's noise is keyed by its serial and the
+    # tick, and its true temperature is its own truth's at the tick in
+    # seconds.
     truths = [BandNoiseTrace(low_c + d, low_c + d + width_c) for d in (0.0, 0.5, 3.0)]
+    node_truth = [j for j, _ in nodes]
+    serials = [serial for _, serial in nodes]
     for t in instants:
+        t_s = t / TICKS_PER_S
         for trace in truths:
-            assert trace.value(t, seed) == band_value_oracle(trace.low_c, trace.high_c, t, seed)
+            assert trace.value(t_s, seed) == band_value_oracle(trace.low_c, trace.high_c, t_s, seed)
         expected = [
             (
-                sense_band_oracle(truths[j].low_c, truths[j].high_c, t, seed, sigma_c, i),
-                band_value_oracle(truths[j].low_c, truths[j].high_c, t, seed),
+                sense_band_oracle(truths[j].low_c, truths[j].high_c, t, seed, sigma_c, serial),
+                band_value_oracle(truths[j].low_c, truths[j].high_c, t_s, seed),
             )
-            for i, j in enumerate(node_truth)
+            for j, serial in nodes
         ]
-        assert sense_and_quantize(truths, node_truth, t, seed, sigma_c) == expected
+        assert sense_and_quantize(truths, node_truth, serials, t, seed, sigma_c) == expected
 
 
 @given(st.floats())
@@ -320,39 +335,45 @@ def one_node(mac_mode, **overrides) -> ScenarioConfig:
 
 
 def _delivered(cfg):
-    """Each delivered packet's node distance and stage times, read off the
-    run's event log.
+    """Each delivered packet's node distance and stage times in ticks,
+    read off the run's event log.
 
     The runs are too short for the sequence number to wrap, so a packet
     is (node, conversion k), and conversion k is sent as sequence k.  A
     node has one frame on the air at a time, so its next tx_end ends it,
     and under TDMA the slot that sends it is the node's last slot_start.
     """
-    result, events = run_logged(cfg.plan())
+    plan = cfg.plan()
+    result, events = run_logged(plan)
     distance_m = {make_sensor_id(cfg.family_code, node.serial).hex(): node.distance_m for node in cfg.nodes}
     packets, last_slot, on_air, delivered = {}, {}, {}, []
     for event in events:
         word = dict(w.split("=") for w in event.detail.split() if "=" in w)
         if event.kind == "conversion_done":
             k = int(word["k"])
-            packets[event.subject, k] = {"conversion_start": k * cfg.sample_period_s, "conversion_done": event.time_s}
+            packets[event.subject, k] = {"conversion_start": k * plan.sample_period, "conversion_done": event.time}
         elif event.kind == "slot_start":
-            last_slot[event.subject] = event.time_s
+            last_slot[event.subject] = event.time
         elif event.kind == "tx_start":
             packet = on_air[event.subject] = packets[event.subject, int(word["seq"])]
-            packet["tx_start"] = event.time_s
+            packet["tx_start"] = event.time
             if event.subject in last_slot:
                 packet["slot_start"] = last_slot[event.subject]
         elif event.kind == "tx_end":
-            on_air.pop(event.subject)["tx_end"] = event.time_s
+            on_air.pop(event.subject)["tx_end"] = event.time
         elif event.kind == "rx_deliver":
-            packets[word["from"], int(word["seq"])]["rx_deliver"] = event.time_s
+            packets[word["from"], int(word["seq"])]["rx_deliver"] = event.time
         elif event.kind == "serial_out":
             packet = packets[word["id"], int(word["seq"])]
-            packet["serial_out"] = event.time_s
+            packet["serial_out"] = event.time
             delivered.append((distance_m[word["id"]], packet))
     assert len(delivered) == result.stats.delivered > 0
     return delivered
+
+
+def _ticks_near(ticks, seconds):
+    """A span in ticks is within one tick of a closed-form span in seconds."""
+    return abs(ticks - seconds * TICKS_PER_S) <= 1
 
 
 def test_forward_pipeline_stage_times():
@@ -360,7 +381,7 @@ def test_forward_pipeline_stage_times():
     delivered = _delivered(two_nodes(duration_s=20.0))
     assert len(delivered) == 40
     for _, at in delivered:
-        assert at["serial_out"] - at["rx_deliver"] == pytest.approx(130e-6 + 256 / 19_200 + 256 / 12e6, abs=1e-12)
+        assert _ticks_near(at["serial_out"] - at["rx_deliver"], 130e-6 + 256 / 19_200 + 256 / 12e6)
 
 
 def test_forward_fast_serial_limit():
@@ -368,26 +389,27 @@ def test_forward_fast_serial_limit():
     delivered = _delivered(two_nodes(duration_s=20.0, delay_params=fast))
     assert len(delivered) == 40
     for _, at in delivered:
-        assert at["serial_out"] - at["rx_deliver"] == pytest.approx(130e-6 + 256 / 12e6, abs=1e-9)
+        assert _ticks_near(at["serial_out"] - at["rx_deliver"], 130e-6 + 256 / 12e6)
 
 
 def test_measured_stages_match_closed_form():
     # Both MACs, with the serial link at its default rate and near its
     # fast limit.  The serial-start and USB-start instants are not
-    # logged, so the receiver chain is checked as one sum.
+    # logged, so the receiver chain is checked as one sum.  Each stage
+    # is its planned span, within a tick of its closed form.
     for cfg in (two_nodes(duration_s=20.0), one_node(ALOHA, duration_s=20.0)):
         for params in (PARAMS, PARAMS._replace(serial_rate_bps=1e15)):
             for distance_m, at in _delivered(cfg._replace(delay_params=params)):
                 closed = total_delay(FRAME_BITS, distance_m, params)
-                assert abs(at["conversion_done"] - at["conversion_start"] - closed.t7) < 1e-9
+                assert _ticks_near(at["conversion_done"] - at["conversion_start"], closed.t7)
                 if cfg.mac_mode == TDMA:
-                    assert abs(at["tx_start"] - at["slot_start"] - closed.t2) < 1e-9
-                    assert at["slot_start"] >= at["conversion_done"] + closed.t1
+                    assert _ticks_near(at["tx_start"] - at["slot_start"], closed.t2)
+                    assert at["slot_start"] >= at["conversion_done"] + round(closed.t1 * TICKS_PER_S)
                 else:
-                    assert abs(at["tx_start"] - at["conversion_done"] - (closed.t1 + closed.t2)) < 1e-9
-                assert abs(at["tx_end"] - at["tx_start"] - closed.t4) < 1e-9
-                assert abs(at["rx_deliver"] - at["tx_end"] - closed.t3) < 1e-9
-                assert abs(at["serial_out"] - at["rx_deliver"] - (closed.t5 + closed.t6 + closed.t8)) < 1e-12
+                    assert _ticks_near(at["tx_start"] - at["conversion_done"], closed.t1 + closed.t2)
+                assert _ticks_near(at["tx_end"] - at["tx_start"], closed.t4)
+                assert _ticks_near(at["rx_deliver"] - at["tx_end"], closed.t3)
+                assert _ticks_near(at["serial_out"] - at["rx_deliver"], closed.t5 + closed.t6 + closed.t8)
 
 
 def test_reading_total_delay_matches_closed_form():
@@ -425,17 +447,19 @@ def test_unslotted_phase_aligned_nodes_collide():
 
 
 def test_event_log_is_ordered_and_causal():
-    _, events = run_logged(two_nodes(duration_s=15.0).plan())
-    times = [e.time_s for e in events]
+    plan = two_nodes(duration_s=15.0).plan()
+    _, events = run_logged(plan)
+    times = [e.time for e in events]
     assert times == sorted(times)
     assert [e.seq for e in events] == list(range(len(events)))
     # Every transmission runs start -> end -> delivery, strictly forward.
+    assert _ticks_near(plan.airtime, airtime(FRAME_BITS, PARAMS))
     for subject in (make_sensor_id(serial=1).hex(), make_sensor_id(serial=2).hex()):
-        starts = [e.time_s for e in events if e.kind == "tx_start" and e.subject == subject]
-        ends = [e.time_s for e in events if e.kind == "tx_end" and e.subject == subject]
+        starts = [e.time for e in events if e.kind == "tx_start" and e.subject == subject]
+        ends = [e.time for e in events if e.kind == "tx_end" and e.subject == subject]
         assert len(starts) == len(ends)
         for s, e in zip(starts, ends):
-            assert e - s == pytest.approx(airtime(FRAME_BITS, PARAMS), abs=1e-12)
+            assert e - s == plan.airtime
 
 
 def test_transmissions_only_inside_own_slots():
@@ -444,31 +468,28 @@ def test_transmissions_only_inside_own_slots():
     for cfg in (two_nodes(duration_s=25.0), two_nodes(duration_s=25.0, interferers=(bursts,))):
         plan = cfg.plan()
         _, events = run_logged(plan)
-        schedule = plan.schedule
-        slots = {nid.hex(): schedule.slot_offset_s(nid) for nid in schedule.assignments}
-        period = schedule.frame_period_s
+        slots = {node.subject: node.slot_offset for node in plan.nodes}
         for event in events:
             if event.kind != "tx_start" or event.subject == "interferer1":
                 continue
-            offset = slots[event.subject]
-            # 130 us after the slot edge, modulo the frame period.
-            pos = (event.time_s - PARAMS.radio_switch_delay_s - offset) % period
-            assert min(pos, period - pos) < 1e-6
+            # A radio switch after the slot edge, modulo the frame period.
+            assert (event.time - plan.switch - slots[event.subject]) % plan.frame_period == 0
 
 
 def test_energy_ledger_matches_event_log_recompute():
     cfg = two_nodes(duration_s=45.0, noise_sigma_c=0.1)
-    result, events = run_logged(cfg.plan())
+    plan = cfg.plan()
+    result, events = run_logged(plan)
     for node in cfg.nodes:
         subject = make_sensor_id(cfg.family_code, node.serial).hex()
-        want = ledger_from_events(events, cfg, subject)
+        want = ledger_from_events(events, plan, subject)
         got = result.ledgers[subject]
         assert abs(got.total_j - want.total_j) < 1e-9
         assert abs(got.transmit_j - want.transmit_j) < 1e-9
         assert abs(got.sensing_j - want.sensing_j) < 1e-9
         assert abs(got.mcu_j - want.mcu_j) < 1e-9
         assert abs(got.idle_j - want.idle_j) < 1e-9
-    ap = access_point_ledger(result, cfg)
+    ap = access_point_ledger(result, plan)
     assert abs(result.ledgers["ap"].total_j - ap.total_j) < 1e-9
     assert result.ledgers["ap"].receive_j == ap.receive_j
 
@@ -535,6 +556,11 @@ def _cell(n: int, mac_mode: str, duration_s: float) -> ScenarioConfig:
     )
 
 
+def _durations(max_s: float):
+    """Run lengths the clock holds: 0, or at least one tick."""
+    return st.just(0.0) | st.floats(min_value=1e-12, max_value=max_s)
+
+
 ONE_NODE_PERIOD_S = build_schedule([make_sensor_id(serial=1)], FRAME_BITS, PARAMS).frame_period_s
 
 
@@ -542,16 +568,17 @@ ONE_NODE_PERIOD_S = build_schedule([make_sensor_id(serial=1)], FRAME_BITS, PARAM
 @given(
     n=st.integers(min_value=1, max_value=5),
     mac_mode=st.sampled_from([TDMA, ALOHA]),
-    duration_s=st.floats(min_value=0.0, max_value=30.0),
+    duration_s=_durations(30.0),
 )
 @example(n=1, mac_mode=TDMA, duration_s=700 * ONE_NODE_PERIOD_S)  # a beacon falls exactly on the end
 def test_beacon_count_is_schedule_arithmetic(n, mac_mode, duration_s):
-    cfg = _cell(n, mac_mode, duration_s)
-    result, events = run_logged(cfg.plan())
+    plan = _cell(n, mac_mode, duration_s).plan()
+    result, events = run_logged(plan)
     expected = 0
-    if mac_mode == TDMA and duration_s > 0:
-        period = build_schedule([make_sensor_id(serial=n.serial) for n in cfg.nodes], FRAME_BITS, PARAMS).frame_period_s
-        expected = sum(1 for k in range(int(duration_s / period) + 2) if k * period <= duration_s)
+    if mac_mode == TDMA and plan.duration > 0:
+        period = round(build_schedule([node.sensor_id for node in plan.nodes], FRAME_BITS, PARAMS).frame_period_s
+                       * TICKS_PER_S)
+        expected = sum(1 for k in range(plan.duration // period + 2) if k * period <= plan.duration)
     assert result.stats.beacons == expected
     assert not any(e.kind == "beacon" for e in events)
 
@@ -561,8 +588,8 @@ class _QueueWatch(_Engine):
 
     max_queue = 0
 
-    def _push(self, time_s, handler, *payload):
-        super()._push(time_s, handler, *payload)
+    def _push(self, time, handler, *payload):
+        super()._push(time, handler, *payload)
         self.max_queue = max(self.max_queue, len(self._heap))
 
 
@@ -583,11 +610,13 @@ def test_queue_holds_only_what_is_in_flight(duration_s):
 
 
 def test_conversion_count_stops_at_ceil_bound():
-    # 290 * 0.8 < 232.00000000000003, but the float quotient is exactly
-    # 290, so the ceil bound, not the ``t < end`` test, ends sampling.
+    # 290 * 0.8 < 232.00000000000003 in floats, but the run ends at 232 s
+    # in whole ticks, so instant 290 is the end and is not sampled.
     cfg = _cell(1, TDMA, 232.00000000000003)._replace(sample_period_s=0.8)
     assert 290 * 0.8 < cfg.duration_s
-    assert run_logged(cfg.plan())[0].stats.conversions == 290
+    plan = cfg.plan()
+    assert plan.duration == 290 * plan.sample_period
+    assert run_logged(plan)[0].stats.conversions == 290
 
 
 @pytest.mark.parametrize(
@@ -648,7 +677,7 @@ def test_each_reading_carries_its_own_nodes_truth(truths, mac_mode, heard, seed,
     trace_of = {make_sensor_id(cfg.family_code, node.serial): node.trace for node in cfg.nodes}
     assert len(result.readings) == (len(truths) if mac_mode == TDMA else 1) * 12
     for reading in result.readings:
-        assert reading.true_c == trace_of[reading.sensor_id].value(reading.sample_time_s, seed)
+        assert reading.true_c == trace_of[reading.sensor_id].value(reading.sample_time / TICKS_PER_S, seed)
 
 
 def test_traces_of_two_kinds_with_equal_fields_keep_their_own_truths():
@@ -666,7 +695,7 @@ def test_traces_of_two_kinds_with_equal_fields_keep_their_own_truths():
     trace_of = {node.sensor_id: node.spec.trace for node in plan.nodes}
     assert len(result.readings) == 2 * 20
     for reading in result.readings:
-        assert reading.true_c == trace_of[reading.sensor_id].value(reading.sample_time_s, cfg.seed)
+        assert reading.true_c == trace_of[reading.sensor_id].value(reading.sample_time / TICKS_PER_S, cfg.seed)
 
 
 def test_each_distinct_trace_is_evaluated_once_per_instant(monkeypatch):
@@ -686,21 +715,6 @@ def test_each_distinct_trace_is_evaluated_once_per_instant(monkeypatch):
     result, _ = run_logged(cfg.plan())
     assert result.stats.conversions == 50 * 150
     assert calls == [float(k) for k in range(150)]
-
-
-def test_signed_zero_times_keep_their_own_stamps():
-    # 0.0 == -0.0, so a time stamp reused for equal times, or a cohort
-    # keyed on equal times, would print the second burst's time as 0.0.
-    cfg = two_nodes(
-        duration_s=2.0,
-        interferers=(
-            InterfererSpec("interferer1", distance_m=5.0, period_s=0.5, start_s=0.0),
-            InterfererSpec("interferer2", distance_m=8.0, period_s=0.7, start_s=-0.0),
-        ),
-    )
-    lines = []
-    run_scenario(cfg.plan(), lines.append)
-    assert lines[:2] == ["0.0,0,tx_start,interferer1,bits=256\n", "-0.0,1,tx_start,interferer2,bits=256\n"]
 
 
 @pytest.mark.parametrize(
@@ -751,7 +765,7 @@ _interferer = st.builds(
     mac_mode=st.sampled_from([TDMA, ALOHA]),
     interferers=st.lists(_interferer, max_size=3),
     sample_period_s=st.floats(min_value=0.75, max_value=3.0),
-    duration_s=st.floats(min_value=0.0, max_value=40.0),
+    duration_s=_durations(40.0),
 )
 # Runs that end with frames in the radio switch, at the receiver, and
 # waiting for a slot while others are on the air or in the serial chain.
@@ -782,3 +796,82 @@ def test_every_frame_ends_in_one_counted_fate(distances, mac_mode, interferers, 
     assert s.frames_queued - s.transmissions - s.replaced_pending == pending + switching
     # ... or is on the air or in the receiver's pipeline.
     assert s.transmissions - (s.delivered + s.collisions + s.corrupt + s.out_of_range) == on_air + in_receiver
+
+
+# -- metamorphic relations ----------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    truths=st.lists(_TRUTHS, min_size=2, max_size=6),
+    distances=st.lists(st.sampled_from([5.0, 60.0, 150.0]), min_size=6, max_size=6),
+    mac_mode=st.sampled_from([TDMA, ALOHA]),
+    interferers=st.lists(_interferer, max_size=2),
+    seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+    noise_sigma_c=st.sampled_from([0.1, 0.5]),
+)
+def test_declaration_order_is_not_physics(truths, distances, mac_mode, interferers, seed, noise_sigma_c):
+    # Reversing the node<k> blocks changes only the order nodes are
+    # handled in: each sensor's noise is keyed by its serial, and slots
+    # are assigned by serial, so every sensor reads the same values.
+    cfg = ScenarioConfig(
+        nodes=tuple(NodeSpec(f"node{i}", 0x3A00 + i, trace, distance_m=distances[i]) for i, trace in enumerate(truths)),
+        duration_s=12.0,
+        mac_mode=mac_mode,
+        seed=seed,
+        noise_sigma_c=noise_sigma_c,
+        interferers=tuple(intf._replace(name=f"interferer{j}") for j, intf in enumerate(interferers, 1)),
+    )
+    runs = [run_logged(c.plan())[0] for c in (cfg, cfg._replace(nodes=cfg.nodes[::-1]))]
+    by_sensor = [{} for _ in runs]
+    for series, run in zip(by_sensor, runs):
+        for reading in run.readings:
+            series.setdefault(reading.sensor_id, []).append(reading)
+    assert by_sensor[0] == by_sensor[1]
+    assert runs[0].ledgers == runs[1].ledgers
+    assert [getattr(runs[0].stats, name) for name in sim.SimStats.__slots__] == [
+        getattr(runs[1].stats, name) for name in sim.SimStats.__slots__
+    ]
+
+
+@st.composite
+def _prefix_cases(draw):
+    """A cell whose samples come far more often than duration_s / 64,
+    which the whole-run tests do not reach, and a short and a longer run
+    length for it."""
+    mac_mode = draw(st.sampled_from([TDMA, ALOHA]))
+    params = PARAMS._replace(
+        sensor_conversion_s=draw(st.sampled_from([1e-3, 0.02])),
+        air_data_rate_bps=draw(st.sampled_from([19_200.0, 250_000.0])),
+    )
+    busy_s = max(params.sensor_conversion_s, airtime(FRAME_BITS, params) if mac_mode == ALOHA else 0.0)
+    cfg = ScenarioConfig(
+        nodes=tuple(NodeSpec(f"node{i}", i + 1, RampTrace(36.0, 3.0), distance_m=d)
+                    for i, d in enumerate(draw(st.lists(st.sampled_from([5.0, 60.0, 150.0]), min_size=1, max_size=4)))),
+        mac_mode=mac_mode,
+        sample_period_s=draw(st.floats(min_value=busy_s, max_value=0.3)),
+        noise_sigma_c=0.5,
+        delay_params=params,
+        interferers=tuple(intf._replace(name=f"interferer{j}", period_s=intf.period_s / 10)
+                          for j, intf in enumerate(draw(st.lists(_interferer, max_size=2)), 1)),
+    )
+    short_s = draw(st.floats(min_value=1e-12, max_value=1.5))
+    return cfg, short_s, short_s + draw(st.floats(min_value=0.0, max_value=1.0)), draw(st.integers(min_value=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_prefix_cases())
+def test_a_shorter_run_is_a_prefix(case):
+    # The event log of a run of duration d is the log of the same cell run
+    # longer, cut after time d: events due exactly at the end run, and
+    # a conversion at the end is not started.  The cut is drawn anywhere,
+    # or on the time of one of the longer run's events.  A run of
+    # duration 0 is empty by definition, so the cut is after 0.
+    cfg, short_s, long_s, pick = case
+    _, long_events = run_logged(cfg._replace(duration_s=long_s).plan())
+    later = [e.time for e in long_events if e.time > 0]
+    if later and pick % 2:
+        short_s = later[pick % len(later)] / TICKS_PER_S
+    plan = cfg._replace(duration_s=short_s).plan()
+    _, short_events = run_logged(plan)
+    assert short_events == [e for e in long_events if e.time <= plan.duration]

@@ -75,9 +75,9 @@ _SID = make_sensor_id(serial=1)
 IMMUTABLE = [
     (_CONFIG, "duration_s"),
     (_CONFIG.nodes[0], "distance_m"),
-    (_PLAN, "airtime_s"),
+    (_PLAN, "airtime"),
     (_PLAN.nodes[0], "budget_s"),
-    (Reading(_SID, 1.0, 592, 0, 0.8, 0.0, 37.0), "raw"),
+    (Reading(_SID, 1, 592, 0, 0.8, 0, 37.0), "raw"),
     (_SID, "serial"),
     (Frame(_SID, 592, 0), "sequence"),
     (ConstantTrace(37.0), "value_c"),
