@@ -18,14 +18,16 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .config import TDMA, ConfigError, RunPlan, ScenarioConfig, config_help, load_config
-from .csvio import open_csv, stamp, write_csv
+from .csvio import TICKS_PER_S, open_csv, stamp, write_csv
 from .delays import DelayParams, total_delay
 from .energy import DevicePowerProfile, EnergyLedger, energy_sweep
 from .monitor import EmptySeries, ReadingStore, agreement, evaluate_alerts
 from .sim import EVENT_COLUMNS, SimResult, SimStats, run_scenario
 from .traces import finite_float
 
-_VERSION_TAG = "format v1"  # stats.csv and the reports
+_VERSION_TAG = "format v1"  # stats.csv and the delay and energy reports
+# v2: the slots are the run plan's whole ticks, the ones the engine runs.
+_SCHEDULE_TAG = "format v2"
 # v2: times are exact stamps of whole picoseconds, so ledger joules come
 # from whole-tick spans, and sensor noise is keyed by the node's serial.
 _RUN_TAG = "format v2"
@@ -106,7 +108,7 @@ def cmd_simulate(config: ScenarioConfig, out_dir: str | Path) -> int:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
     if plan.frame_period > plan.sample_period:
-        print(f"warning: TDMA frame period {plan.schedule.frame_period_s} s exceeds the sample period "
+        print(f"warning: TDMA frame period {plan.frame_period / TICKS_PER_S} s exceeds the sample period "
               f"{config.sample_period_s} s; {result.stats.replaced_pending} frames were replaced "
               f"before their slot", file=sys.stderr)
     print(f"simulated {config.duration_s} s: {len(result.readings)} readings, "
@@ -114,10 +116,10 @@ def cmd_simulate(config: ScenarioConfig, out_dir: str | Path) -> int:
     return 0
 
 
-def _write_report(out: str | Path, title: str, header: list[str], rows: list[list]) -> int:
+def _write_report(out: str | Path, title: str, header: list[str], rows: list[list], tag: str = _VERSION_TAG) -> int:
     """Write one report CSV; exit code 0, or 2 when it cannot be written."""
     try:
-        write_csv(out, f"{title}, {_VERSION_TAG}", header, rows)
+        write_csv(out, f"{title}, {tag}", header, rows)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return 2
@@ -156,14 +158,15 @@ def cmd_report_energy(
 
 
 def cmd_report_schedule(config: ScenarioConfig, out: str | Path) -> int:
-    schedule = config._replace(mac_mode=TDMA).plan().schedule
-    by_slot = sorted(schedule.assignments.items(), key=lambda kv: kv[1])
+    """The slots the engine runs for the scenario's nodes, planned as TDMA
+    whatever its MAC mode, in seconds."""
+    plan = config._replace(mac_mode=TDMA).plan()
     rows = [
-        [slot, sid.hex(), schedule.slot_offset_s(sid), schedule.slot_duration_s, schedule.frame_period_s]
-        for sid, slot in by_slot
+        [slot, node.subject, node.slot_offset / TICKS_PER_S, plan.slot / TICKS_PER_S, plan.frame_period / TICKS_PER_S]
+        for slot, node in enumerate(sorted(plan.nodes, key=lambda node: node.slot_offset))
     ]
     header = ["slot", "sensor_id_hex", "offset_s", "slot_duration_s", "frame_period_s"]
-    return _write_report(out, "slot schedule", header, rows)
+    return _write_report(out, "slot schedule", header, rows, _SCHEDULE_TAG)
 
 
 def _int_list(text: str) -> list[int]:

@@ -17,13 +17,13 @@ import math
 import re
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .csvio import TICKS_PER_S
 from .delays import DelayParams, airtime, mcu_prep_delay, propagation_delay, serial_delay, total_delay, usb_delay
 from .energy import DevicePowerProfile
 from .frames import DEFAULT_FAMILY, FRAME_BITS, SensorId, make_sensor_id
-from .mac import DEFAULT_BEACON_S, DEFAULT_GUARD_S, SlotSchedule, build_schedule
+from .mac import DEFAULT_BEACON_S, DEFAULT_GUARD_S, slot_length
 from .monitor import AlertRule
 from .traces import ConstantTrace, TemperatureTrace, finite_float, parse_trace
 
@@ -182,19 +182,20 @@ class ScenarioConfig(NamedTuple):
             raise ValidationError(str(exc)) from exc
 
         def ticks(label: str, seconds: float, span: bool = True) -> int:
-            """``seconds`` in whole clock ticks; a span that is not 0 must not round to 0."""
-            try:
-                n = round(seconds * TICKS_PER_S)
-            except OverflowError:  # the product, or seconds itself, is infinite
-                raise ValidationError(f"{label} overflows") from None
+            """``seconds`` in the nearest whole clock ticks, a half to even as
+            ``round`` does; a span that is not 0 must not round to 0."""
+            if seconds * TICKS_PER_S == math.inf:  # seconds, or its product, is infinite
+                raise ValidationError(f"{label} overflows")
+            num, den = seconds.as_integer_ratio()
+            n, rem = divmod(num * TICKS_PER_S, den)
+            if 2 * rem > den or 2 * rem == den and n & 1:
+                n += 1
             if span and seconds and not n:
                 raise ValidationError(f"{label} is not 0 but rounds to 0 ps")
             return n
 
         p = self.delay_params
         ids = [make_sensor_id(self.family_code, node.serial) for node in self.nodes]
-        schedule = (build_schedule(ids, FRAME_BITS, p, guard_s=self.guard_s, beacon_s=self.beacon_s)
-                    if self.mac_mode == TDMA else None)
         # Traces of one kind with equal fields read the same truth, so each
         # distinct one is evaluated once per instant.  The key holds the
         # kind because tuples compare by value alone: a ramp and a band
@@ -206,26 +207,36 @@ class ScenarioConfig(NamedTuple):
         # Every span the run puts on its clock is converted once, here;
         # a node's budget is only reported, so it stays in seconds.
         t1, t4 = "t1 = delay.mac_instruction_clocks / delay.mcu_clock_hz", "t4 = frame bits / delay.air_data_rate_bps"
+        spans = [ticks(label, seconds) for label, seconds in (
+            ("scenario.duration_s", self.duration_s),
+            ("scenario.sample_period_s", self.sample_period_s),
+            (t1, _or_inf(mcu_prep_delay, p)),
+            ("t2 = delay.radio_switch_delay_s", p.radio_switch_delay_s),
+            (t4, airtime(FRAME_BITS, p)),
+            ("t6 + t8 = frame bits / delay.serial_rate_bps + frame bits / delay.usb_rate_bps",
+             serial_delay(FRAME_BITS, p) + usb_delay(FRAME_BITS, p)),
+            ("t7 = delay.sensor_conversion_s", p.sensor_conversion_s),
+        )]
+        # The TDMA frame: a beacon, then one slot per node in ascending
+        # serial order, all whole ticks, so every slot start is exact.
+        beacon = slot = frame_period = 0
+        if self.mac_mode == TDMA:
+            beacon = ticks("mac.beacon_s", self.beacon_s, span=False)
+            guard = ticks("mac.guard_s", self.guard_s, span=False)
+            slot = slot_length(spans[4], spans[3], guard)  # t4 and t2
+            frame_period = beacon + len(self.nodes) * slot
+        rank = {serial: i for i, serial in enumerate(sorted(node.serial for node in self.nodes))}
         plan = RunPlan(
             self,
-            ticks("scenario.duration_s", self.duration_s),
-            ticks("scenario.sample_period_s", self.sample_period_s),
-            ticks(t1, _or_inf(mcu_prep_delay, p)),
-            ticks("t2 = delay.radio_switch_delay_s", p.radio_switch_delay_s),
-            ticks(t4, airtime(FRAME_BITS, p)),
-            ticks("t6 + t8 = frame bits / delay.serial_rate_bps + frame bits / delay.usb_rate_bps",
-                  serial_delay(FRAME_BITS, p) + usb_delay(FRAME_BITS, p)),
-            ticks("t7 = delay.sensor_conversion_s", p.sensor_conversion_s),
-            0 if schedule is None else ticks("the TDMA frame period from delay.air_data_rate_bps, "
-                                             "delay.radio_switch_delay_s, mac.guard_s and mac.beacon_s",
-                                             schedule.frame_period_s),
+            *spans,
+            slot,
+            frame_period,
             tuple(
                 NodePlan(node, sid, sid.hex(),
                          ticks(f"t3 = {node.name}.distance_m / delay.propagation_speed_mps",
                                propagation_delay(node.distance_m, p), span=False),
                          total_delay(FRAME_BITS, node.distance_m, p).total,  # finite, as every term fits the clock
-                         # Below the frame period, so it fits the clock.
-                         0 if schedule is None else round(schedule.slot_offset_s(sid) * TICKS_PER_S))
+                         beacon + rank[node.serial] * slot)
                 for node, sid in zip(self.nodes, ids)
             ),
             tuple(
@@ -233,14 +244,13 @@ class ScenarioConfig(NamedTuple):
                  ticks(f"{intf.name}.bits / delay.air_data_rate_bps", _or_inf(airtime, intf.bits, p)))
                 for intf in self.interferers
             ),
-            schedule,
             tuple(trace for _, trace in truth_of),
             node_truth,
         )
         # A node's sensor, its MCU and, under ALOHA, its radio each end
         # one sample's work before the next sample's begins.
         busy = [("delay.sensor_conversion_s", plan.conversion), (t1, plan.prep)]
-        if schedule is None:
+        if self.mac_mode == ALOHA:
             busy.append((f"{t4} under {ALOHA}", plan.airtime))
         for label, span in busy:
             if plan.sample_period < span:
@@ -264,7 +274,7 @@ class NodePlan(NamedTuple):
     subject: str  # sensor_id.hex()
     propagation: int  # t3
     budget_s: float  # the eight-term total, each reading's total_delay_s
-    slot_offset: int  # in the TDMA frame; 0 under ALOHA
+    slot_offset: int  # from a TDMA frame's start to this node's slot; 0 under ALOHA
 
 
 class RunPlan(NamedTuple):
@@ -280,10 +290,10 @@ class RunPlan(NamedTuple):
     airtime: int  # a frame's, t4
     serial: int  # the serial transfer and its USB hop, t6 + t8
     conversion: int  # t7
-    frame_period: int  # the TDMA frame's; 0 under ALOHA
+    slot: int  # a TDMA slot's length; 0 under ALOHA
+    frame_period: int  # the TDMA frame's, a beacon and a slot per node; 0 under ALOHA
     nodes: tuple[NodePlan, ...]
     bursts: tuple[tuple[int, int, int], ...]  # each interferer's start, period and airtime
-    schedule: Optional[SlotSchedule]  # None under ALOHA
     truths: tuple[TemperatureTrace, ...]
     node_truth: tuple[int, ...]  # node i reads truths[node_truth[i]]
 
@@ -364,7 +374,10 @@ def config_help() -> str:
         for key, (_, _, text) in KEYS[section].items():
             text = text.format(getattr(record, key)).replace("\n", "\n" + " " * 33)
             lines.append(f"  {f'{label}.{key}':<30} {text}")
-    lines.append("\nThe run's clock counts whole picoseconds.  Every span it adds to that clock (the duration, the\n"
-                 "sample period, t1 unless 0, t2, t4, t6 + t8, t7, each burst's airtime and period, the TDMA\n"
-                 "frame period) must not overflow it and, unless it is 0, must not round to 0 ps.")
+    lines.append("\nThe run's clock counts whole picoseconds, and each span is converted to the nearest one.  Every\n"
+                 "span it adds to that clock (the duration, the sample period, t1 unless 0, t2, t4, t6 + t8, t7,\n"
+                 "each burst's airtime and period) must not overflow it and, unless it is 0, must not round to\n"
+                 "0 ps; under tdma, neither may mac.beacon_s nor mac.guard_s overflow it.  A TDMA slot is t4, two\n"
+                 "t2 and the guard, rounded up to whole milliseconds; a frame is the beacon and one slot per\n"
+                 "node, in ascending serial order.")
     return "\n".join(lines)

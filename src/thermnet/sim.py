@@ -275,9 +275,6 @@ class _Engine:
         self._stamp = ""
         self.readings: list[Reading] = []
         self.stats = SimStats()
-        # Every node converts and frames at every instant: one clock each.
-        self._sensor_active = 0
-        self._mcu_active = 0
         self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._heap_seq = itertools.count()
         self.nodes = [_Node(node) for node in plan.nodes]
@@ -307,13 +304,11 @@ class _Engine:
                 self._push(start, self._on_interferer_burst, intf, period, airtime)
         period = plan.sample_period
         conversion = plan.conversion
-        n_nodes = len(self.nodes)
         serials = [node.spec.serial for node in plan.nodes]
-        for k in range(-(-end // period)):  # the instants before the end
+        for k in range(next_instant_index(period, 0, end)):  # the instants before the end
             t = k * period
             self._dispatch_before(t)
             self.now = t
-            self.stats.conversions += n_nodes
             sensed = sense_and_quantize(plan.truths, plan.node_truth, serials, t, cfg.seed, cfg.noise_sigma_c)
             self._push(t + conversion, self._on_conversions_done, k, t, sensed)
         # Events due exactly at the end still run.
@@ -328,18 +323,28 @@ class _Engine:
             handler(*payload)
 
     def _finish(self) -> SimResult:
-        end = self.plan.duration
-        prof = self.plan.config.power_profile
+        plan = self.plan
+        end = plan.duration
+        prof = plan.config.power_profile
         v = prof.supply_voltage_v
 
         def joules(amperes: float, ticks: int) -> float:
             return energy(power(v, amperes), ticks / TICKS_PER_S)
 
-        sensing_j = joules(prof.sensor_i_active_a, self._sensor_active)
-        mcu_j = joules(prof.mcu_i_active_a, self._mcu_active)
+        # Every node converts at each instant before the end and frames t7
+        # and t1 later, so the run's sampling work is schedule arithmetic, as
+        # its beacons are: what ends by the end comes before tick end + 1.
+        n_nodes = len(self.nodes)
+        converted = next_instant_index(plan.sample_period, plan.conversion, end + 1)
+        framed = next_instant_index(plan.sample_period, plan.conversion + plan.prep, end + 1)
+        self.stats.conversions = n_nodes * next_instant_index(plan.sample_period, 0, end)
+        self.stats.frames_queued = n_nodes * framed
+        sensor_active, mcu_active = converted * plan.conversion, framed * plan.prep
+        sensing_j = joules(prof.sensor_i_active_a, sensor_active)
+        mcu_j = joules(prof.mcu_i_active_a, mcu_active)
         # Busy spans never overlap and each ends by the end of the run.
-        sensor_idle_j = joules(prof.sensor_i_idle_a, end - self._sensor_active)
-        mcu_idle_j = joules(prof.mcu_i_idle_a, end - self._mcu_active)
+        sensor_idle_j = joules(prof.sensor_i_idle_a, end - sensor_active)
+        mcu_idle_j = joules(prof.mcu_i_idle_a, end - mcu_active)
         ledgers: dict[str, EnergyLedger] = {}
         for node in self.nodes:
             ledgers[node.plan.subject] = EnergyLedger(
@@ -350,9 +355,9 @@ class _Engine:
             )
         # The access point listens for the whole run.
         ledgers[AP] = EnergyLedger(receive_j=joules(prof.radio_i_receive_a, end))
-        if self.plan.schedule is not None and end:
+        if plan.frame_period and end:
             # The beacons k * frame_period <= end: those before tick end + 1.
-            self.stats.beacons = next_instant_index(self.plan.frame_period, 0, end + 1)
+            self.stats.beacons = next_instant_index(plan.frame_period, 0, end + 1)
         return SimResult(readings=self.readings, ledgers=ledgers, stats=self.stats)
 
     # -- node-side handlers --------------------------------------------
@@ -362,16 +367,13 @@ class _Engine:
         instant's frames then become ready together, as one cohort."""
         for node, (raw, _) in zip(self.nodes, sensed):
             self._log(CONVERSION_DONE, node.plan.subject, f"k={k} raw={raw}")
-        self._sensor_active += self.plan.conversion
         self._push(self.now + self.plan.prep, self._on_frames_ready, k % (1 << 16), started, sensed)
 
     def _on_frames_ready(self, sequence: int, started: int, sensed: list[tuple[int, float]]) -> None:
         """Every node frames its reading, in node order.  Send-on-ready
         puts the whole cohort on the air after the radio switch; under
         TDMA each node waits for its own slot."""
-        self.stats.frames_queued += len(sensed)
-        self._mcu_active += self.plan.prep
-        if self.plan.schedule is None:
+        if not self.plan.frame_period:
             cohort = [(node, (raw, true_c, sequence, started)) for node, (raw, true_c) in zip(self.nodes, sensed)]
             self._push(self.now + self.plan.switch, self._on_tx_start, cohort)
             return

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import thermnet
-from helpers import read_rows, run_logged
+from helpers import read_rows, run_logged, ticks_of
 from thermnet.cli import _write_simulation_outputs, cmd_simulate, main
 from thermnet.csvio import TICKS_PER_S
 from thermnet.config import (
@@ -408,8 +409,7 @@ OVERFLOWING = [
     ("interferer1.bits = 1" + "0" * 320, "interferer1.bits / delay.air_data_rate_bps overflows"),
     ("delay.mcu_clock_hz = 5e-324", "t1 = delay.mac_instruction_clocks / delay.mcu_clock_hz overflows"),
     ("delay.mac_instruction_clocks = 1" + "0" * 400, "t1 = delay.mac_instruction_clocks"),
-    ("mac.guard_s = 1e306", "the TDMA frame period from delay.air_data_rate_bps, delay.radio_switch_delay_s, "
-                            "mac.guard_s and mac.beacon_s overflows"),
+    ("mac.guard_s = 1e306", "mac.guard_s overflows"),
     # t3 is checked at each node; here it is finite, but not in ticks.
     ("node2.serial = 2\nnode2.distance_m = 1e300\ndelay.propagation_speed_mps = 1e3",
      "t3 = node2.distance_m / delay.propagation_speed_mps overflows"),
@@ -490,32 +490,63 @@ def test_busy_time_that_fills_the_run_is_not_longer_than_it(tmp_path):
 
 def test_report_schedule_rejects_an_aloha_frame_period_that_overflows(tmp_path, capsys):
     # The slot layout is reported for TDMA whatever the mode, so it is
-    # planned as TDMA and its frame period checked.
+    # planned as TDMA and its beacon and guard converted to ticks.
     path = write_config(tmp_path, "node1.serial = 1\nscenario.mac_mode = aloha\n"
                         "mac.beacon_s = 1.797e308\nmac.guard_s = 1e305\n")
     out = tmp_path / "schedule.csv"
     assert main(["report", "schedule", "--config", str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: the TDMA frame period")
+    assert capsys.readouterr().err == "error: mac.beacon_s overflows\n"
     assert not out.exists()
 
 
 def test_simulate_plans_once_and_builds_the_schedule_once(tmp_path, monkeypatch):
     calls = []
-    plan, build_schedule = ScenarioConfig.plan, thermnet.config.build_schedule
+    plan, slot_length = ScenarioConfig.plan, thermnet.config.slot_length
 
     def counted_plan(self):
         calls.append("plan")
         return plan(self)
 
-    def counted_build_schedule(*args, **kwargs):
-        calls.append("build_schedule")
-        return build_schedule(*args, **kwargs)
+    def counted_slot_length(*args):
+        calls.append("slot_length")
+        return slot_length(*args)
 
     monkeypatch.setattr(ScenarioConfig, "plan", counted_plan)
-    monkeypatch.setattr(thermnet.config, "build_schedule", counted_build_schedule)
+    monkeypatch.setattr(thermnet.config, "slot_length", counted_slot_length)
     config = ROOT / "configs" / "scenario1.conf"
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    assert calls == ["plan", "build_schedule"]
+    assert calls == ["plan", "slot_length"]
+
+
+def test_a_huge_frame_period_is_exact(tmp_path):
+    # Each guard fits the clock, so the frame of two such slots is a sum
+    # of whole ticks, however far past a float it goes.
+    path = write_config(tmp_path, "node1.serial = 1\nnode2.serial = 2\nmac.guard_s = 1e296\n")
+    plan = load_config(path).plan()
+    assert plan.frame_period == plan.nodes[1].slot_offset + plan.slot > 10**308
+    out = tmp_path / "schedule.csv"
+    assert main(["report", "schedule", "--config", str(path), "--out", str(out)]) == 0
+    assert [float(row["frame_period_s"]) for row in read_rows(out)] == [plan.frame_period / TICKS_PER_S] * 2
+
+
+@pytest.mark.parametrize("seconds, ticks", [
+    # The float product 0.3823781053545 * 1e12 rounds down to ...354.5,
+    # and then to ...354.
+    (0.3823781053545, 382_378_105_355),
+    (1e20, 10**32),
+    # 2**-13 s is exactly 122,070,312.5 ticks, and a half goes to even.
+    (2**-13, 122_070_312),
+    (3 * 2**-13, 366_210_938),
+])
+def test_spans_convert_to_the_nearest_tick(seconds, ticks):
+    plan = ScenarioConfig(nodes=(NodeSpec("node1", 1),), duration_s=seconds).plan()
+    assert plan.duration == ticks
+
+
+@given(st.just(0.0) | st.floats(min_value=1e-12, max_value=1e290) | st.floats(min_value=1e-12, max_value=100.0))
+def test_spans_convert_exactly(seconds):
+    plan = ScenarioConfig(nodes=(NodeSpec("node1", 1),), duration_s=seconds).plan()
+    assert plan.duration == round(Fraction(seconds) * TICKS_PER_S)
 
 
 # Any positive magnitude a key accepts, up to 1e290, so that spans in
@@ -788,10 +819,27 @@ def test_report_schedule(tmp_path):
     out = tmp_path / "schedule.csv"
     assert main(["report", "schedule", "--config", str(config), "--out", str(out)]) == 0
     rows = read_rows(out)
-    assert [row["slot"] for row in rows] == ["0", "1"]
-    assert float(rows[0]["offset_s"]) == 0.002
-    assert float(rows[1]["offset_s"]) == 0.002 + 0.019  # beacon + first slot
-    assert float(rows[0]["frame_period_s"]) == 0.04
+    # The slots the engine runs, in exact ticks: beacon, then one 19 ms
+    # slot per node.
+    assert [list(row.values()) for row in rows] == [
+        ["0", "28a31100000000aa", "0.002", "0.019", "0.04"],
+        ["1", "28402b00000000e3", "0.021", "0.019", "0.04"],
+    ]
+
+
+def test_report_schedule_prints_the_slots_the_engine_runs(tmp_path):
+    # interference.conf defers slots to later frames, and every slot the
+    # run logs is one the report lists, to the tick.
+    config = ROOT / "configs" / "interference.conf"
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert main(["report", "schedule", "--config", str(config), "--out", str(tmp_path / "schedule.csv")]) == 0
+    rows = read_rows(tmp_path / "schedule.csv")
+    offset = {row["sensor_id_hex"]: round(Fraction(row["offset_s"]) * TICKS_PER_S) for row in rows}
+    (period,) = {round(Fraction(row["frame_period_s"]) * TICKS_PER_S) for row in rows}
+    slots = [(ticks_of(row["time_s"]), row["subject"]) for row in read_rows(tmp_path / "out" / "events.csv")
+             if row["kind"] == "slot_start"]
+    assert any(row["detail"] == "busy" for row in read_rows(tmp_path / "out" / "events.csv"))
+    assert slots and all((t - offset[subject]) % period == 0 for t, subject in slots)
 
 
 @pytest.mark.parametrize(

@@ -8,68 +8,64 @@ listen-before-send loop is checked on the event log of whole runs.
 
 from __future__ import annotations
 
-import math
+from fractions import Fraction
 
-import pytest
 from hypothesis import example, given, strategies as st
 
 from helpers import next_slot_time, run_logged
-from thermnet.config import InterfererSpec, NodeSpec, ScenarioConfig
+from thermnet.config import ALOHA, InterfererSpec, NodeSpec, ScenarioConfig
 from thermnet.csvio import TICKS_PER_S
-from thermnet.delays import DelayParams, airtime
-from thermnet.frames import FRAME_BITS, make_sensor_id
-from thermnet.mac import DuplicateNode, build_schedule, next_instant_index
+from thermnet.frames import make_sensor_id
+from thermnet.mac import next_instant_index, slot_length
 from thermnet.traces import ConstantTrace
 
-PARAMS = DelayParams()
+MS = TICKS_PER_S // 1000
 
 
-def ids(*serials):
-    return [make_sensor_id(serial=s) for s in serials]
+def plan_of(*serials, **overrides):
+    """The plan of a TDMA cell of nodes with these serials, in this order."""
+    return ScenarioConfig(nodes=tuple(NodeSpec(f"node{i}", s) for i, s in enumerate(serials, 1)), **overrides).plan()
 
 
 def test_slot_duration_rounds_up_to_whole_millisecond():
     # airtime 13.33 ms + two 0.13 ms switches + 5 ms guard = 18.59 ms.
-    schedule = build_schedule(ids(1), FRAME_BITS, PARAMS)
-    raw = airtime(FRAME_BITS, PARAMS) + 2 * 130e-6 + 0.005
-    assert raw < schedule.slot_duration_s
-    assert schedule.slot_duration_s == pytest.approx(0.019, abs=1e-15)
-    assert schedule.slot_duration_s == math.ceil(raw * 1000) / 1000
+    plan = plan_of(1)
+    assert plan.airtime + 2 * plan.switch + 5 * MS == 18_593_333_333
+    assert plan.slot == 19 * MS
+    # A length already on a whole millisecond is not rounded up; one tick
+    # more is.
+    assert slot_length(19 * MS - 2, 1, 0) == 19 * MS
+    assert slot_length(19 * MS - 2, 1, 1) == 20 * MS
 
 
 def test_single_node_frame_period():
-    schedule = build_schedule(ids(1), FRAME_BITS, PARAMS)
-    assert schedule.frame_period_s == pytest.approx(0.021, abs=1e-15)
-    assert len(schedule.assignments) == 1
+    plan = plan_of(1)
+    assert plan.frame_period == 21 * MS
+    assert [node.slot_offset for node in plan.nodes] == [2 * MS]
 
 
 def test_two_node_frame_period_and_offsets():
-    schedule = build_schedule(ids(7, 3), FRAME_BITS, PARAMS)
-    assert schedule.frame_period_s == pytest.approx(0.040, abs=1e-15)
-    # Ascending serial order decides the slot order.
-    assert schedule.assignments[make_sensor_id(serial=3)] == 0
-    assert schedule.assignments[make_sensor_id(serial=7)] == 1
-    assert schedule.slot_offset_s(make_sensor_id(serial=3)) == pytest.approx(0.002)
-    assert schedule.slot_offset_s(make_sensor_id(serial=7)) == pytest.approx(0.021)
+    plan = plan_of(7, 3)
+    assert plan.frame_period == 40 * MS
+    # Ascending serial order decides the slot order: beacon, then serial
+    # 3's slot, then serial 7's.
+    assert [node.slot_offset for node in plan.nodes] == [21 * MS, 2 * MS]
 
 
 def test_assignment_is_input_order_invariant():
-    a = build_schedule(ids(5, 9, 2), FRAME_BITS, PARAMS)
-    b = build_schedule(ids(9, 2, 5), FRAME_BITS, PARAMS)
-    assert a == b
-
-
-def test_duplicate_and_empty_node_lists():
-    with pytest.raises(DuplicateNode):
-        build_schedule(ids(4, 4), FRAME_BITS, PARAMS)
-    with pytest.raises(ValueError):
-        build_schedule([], FRAME_BITS, PARAMS)
+    a, b = plan_of(5, 9, 2), plan_of(9, 2, 5)
+    assert a.frame_period == b.frame_period
+    assert {n.spec.serial: n.slot_offset for n in a.nodes} == {n.spec.serial: n.slot_offset for n in b.nodes}
 
 
 def test_larger_guard_means_longer_slots():
-    tight = build_schedule(ids(1), FRAME_BITS, PARAMS, guard_s=0.001)
-    wide = build_schedule(ids(1), FRAME_BITS, PARAMS, guard_s=0.010)
-    assert wide.slot_duration_s > tight.slot_duration_s
+    assert plan_of(1, guard_s=0.010).slot > plan_of(1, guard_s=0.001).slot
+
+
+def test_aloha_has_no_slots():
+    plan = plan_of(1, 2, mac_mode=ALOHA)
+    assert (plan.slot, plan.frame_period) == (0, 0)
+    assert [node.slot_offset for node in plan.nodes] == [0, 0]
 
 
 @given(st.integers(min_value=0, max_value=5 * TICKS_PER_S))
@@ -218,15 +214,21 @@ def test_slot_starts_never_precede_their_frame():
         assert all(slot >= t for slot, t in zip(slots, ready))
 
 
-@given(st.sets(st.integers(min_value=0, max_value=(1 << 48) - 1), min_size=1, max_size=16))
-def test_slots_never_overlap(serials):
-    guard_s = 0.005
-    schedule = build_schedule(ids(*serials), FRAME_BITS, PARAMS, guard_s=guard_s)
-    airtime_plus_switches = airtime(FRAME_BITS, PARAMS) + 2 * PARAMS.radio_switch_delay_s
-    assert schedule.slot_duration_s >= airtime_plus_switches + guard_s - 1e-12
-    offsets = sorted(schedule.slot_offset_s(nid) for nid in schedule.assignments)
-    assert offsets[0] >= schedule.beacon_slot_s
+@given(
+    st.sets(st.integers(min_value=0, max_value=(1 << 48) - 1), min_size=1, max_size=16),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_slots_never_overlap(serials, guard_s, beacon_s):
+    plan = plan_of(*serials, guard_s=guard_s, beacon_s=beacon_s)
+    beacon, guard = round(Fraction(beacon_s) * TICKS_PER_S), round(Fraction(guard_s) * TICKS_PER_S)
+    # The shortest whole number of milliseconds that holds the frame,
+    # both radio switches and the guard.
+    assert plan.slot % MS == 0
+    assert plan.slot - MS < plan.airtime + 2 * plan.switch + guard <= plan.slot
+    offsets = sorted(node.slot_offset for node in plan.nodes)
+    assert offsets[0] == beacon
     for a, b in zip(offsets, offsets[1:]):
         # Next slot starts after the previous transmission plus guard.
-        assert b - a >= schedule.slot_duration_s - 1e-12
-    assert offsets[-1] + schedule.slot_duration_s <= schedule.frame_period_s + 1e-12
+        assert b - a == plan.slot
+    assert offsets[-1] + plan.slot == plan.frame_period

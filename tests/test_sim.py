@@ -28,7 +28,6 @@ from thermnet.config import ALOHA, TDMA, InterfererSpec, NodeSpec, ScenarioConfi
 from thermnet.csvio import TICKS_PER_S
 from thermnet.delays import DelayParams, airtime, total_delay
 from thermnet.frames import FRAME_BITS, make_sensor_id
-from thermnet.mac import build_schedule
 from thermnet.rng import float_key, gauss, mix64
 from thermnet.sim import (
     EVENT_COLUMNS,
@@ -561,7 +560,12 @@ def _durations(max_s: float):
     return st.just(0.0) | st.floats(min_value=1e-12, max_value=max_s)
 
 
-ONE_NODE_PERIOD_S = build_schedule([make_sensor_id(serial=1)], FRAME_BITS, PARAMS).frame_period_s
+def _frame_period(n: int) -> int:
+    """A TDMA frame of n nodes at the defaults: a 2 ms beacon and n 19 ms slots."""
+    return (2 + 19 * n) * TICKS_PER_S // 1000
+
+
+ONE_NODE_PERIOD_S = _frame_period(1) / TICKS_PER_S
 
 
 @settings(max_examples=25, deadline=None)
@@ -576,8 +580,7 @@ def test_beacon_count_is_schedule_arithmetic(n, mac_mode, duration_s):
     result, events = run_logged(plan)
     expected = 0
     if mac_mode == TDMA and plan.duration > 0:
-        period = round(build_schedule([node.sensor_id for node in plan.nodes], FRAME_BITS, PARAMS).frame_period_s
-                       * TICKS_PER_S)
+        period = _frame_period(n)
         expected = sum(1 for k in range(plan.duration // period + 2) if k * period <= plan.duration)
     assert result.stats.beacons == expected
     assert not any(e.kind == "beacon" for e in events)
@@ -875,3 +878,66 @@ def test_a_shorter_run_is_a_prefix(case):
     plan = cfg._replace(duration_s=short_s).plan()
     _, short_events = run_logged(plan)
     assert short_events == [e for e in long_events if e.time <= plan.duration]
+
+
+def _same_outcome(a, b) -> None:
+    """Two runs delivered the same readings and ended with equal counters
+    and ledgers."""
+    assert a.readings == b.readings
+    assert a.ledgers == b.ledgers
+    assert [getattr(a.stats, name) for name in sim.SimStats.__slots__] == [
+        getattr(b.stats, name) for name in sim.SimStats.__slots__
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    truths=st.lists(_TRUTHS, min_size=1, max_size=6),
+    distances=st.lists(st.sampled_from([5.0, 60.0, 150.0]), min_size=6, max_size=6),
+    mac_mode=st.sampled_from([TDMA, ALOHA]),
+    interferers=st.lists(_interferer, min_size=1, max_size=3),
+    seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+    noise_sigma_c=st.sampled_from([0.0, 0.5]),
+)
+def test_a_far_interferer_is_no_interferer(truths, distances, mac_mode, interferers, seed, noise_sigma_c):
+    # Bursts from 10 km away are beyond the access point's range and every
+    # node's hearing, so they only add their own rows to the event log.
+    cfg = ScenarioConfig(
+        nodes=tuple(NodeSpec(f"node{i}", i + 1, trace, distance_m=distances[i]) for i, trace in enumerate(truths)),
+        duration_s=12.0,
+        mac_mode=mac_mode,
+        seed=seed,
+        noise_sigma_c=noise_sigma_c,
+    )
+    far = tuple(intf._replace(name=f"interferer{j}", distance_m=10_000.0) for j, intf in enumerate(interferers, 1))
+    quiet, _ = run_logged(cfg.plan())
+    noisy, events = run_logged(cfg._replace(interferers=far).plan())
+    assert any(e.subject == "interferer1" for e in events)
+    _same_outcome(quiet, noisy)
+
+
+_UNBANDED = st.sampled_from([SinusoidTrace(37.0, 1.5, 7.0), RampTrace(36.0, 3.0), ConstantTrace(36.7)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    truths=st.lists(_UNBANDED, min_size=1, max_size=6),
+    distances=st.lists(st.sampled_from([5.0, 60.0, 150.0]), min_size=6, max_size=6),
+    mac_mode=st.sampled_from([TDMA, ALOHA]),
+    interferers=st.lists(_interferer, max_size=2),
+    seeds=st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=2, max_size=2),
+)
+def test_the_seed_only_draws_noise(truths, distances, mac_mode, interferers, seeds):
+    # With no sensor noise and no band trace, nothing in the run is drawn
+    # from the seed: the event log and the whole outcome are the same at
+    # any seed.
+    cfg = ScenarioConfig(
+        nodes=tuple(NodeSpec(f"node{i}", i + 1, trace, distance_m=distances[i]) for i, trace in enumerate(truths)),
+        duration_s=12.0,
+        mac_mode=mac_mode,
+        noise_sigma_c=0.0,
+        interferers=tuple(intf._replace(name=f"interferer{j}") for j, intf in enumerate(interferers, 1)),
+    )
+    (a, a_events), (b, b_events) = (run_logged(cfg._replace(seed=seed).plan()) for seed in seeds)
+    assert a_events == b_events
+    _same_outcome(a, b)
