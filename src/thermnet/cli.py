@@ -21,7 +21,7 @@ from .config import TDMA, ConfigError, RunPlan, ScenarioConfig, config_help, loa
 from .csvio import TICKS_PER_S, open_csv, stamp, write_csv
 from .delays import DelayParams, total_delay
 from .energy import DevicePowerProfile, EnergyLedger, energy_sweep
-from .monitor import EmptySeries, ReadingStore, agreement, evaluate_alerts
+from .monitor import EmptySeries, agreement, evaluate_alerts
 from .sim import EVENT_COLUMNS, SimResult, SimStats, run_scenario
 from .traces import finite_float
 
@@ -53,12 +53,15 @@ def _write_simulation_outputs(plan: RunPlan, result: SimResult, out_dir: Path) -
         [[name, *led, led.total_j] for name, led in sorted(result.ledgers.items())],
     )
 
-    store = ReadingStore(roster=hex_of)
-    store.ingest_all(result.readings)
+    # Each frame carries its own node's id, and the engine delivers in
+    # time order, so one pass groups each sensor's series in time order.
+    series_of = {node.sensor_id: [] for node in plan.nodes}
+    for reading in result.readings:
+        series_of[reading.sensor_id].append(reading)
     alert_rows = []
     agreement_rows = []
     for node in plan.nodes:
-        series = store.series(node.sensor_id)
+        series = series_of[node.sensor_id]
         for alert in evaluate_alerts(series, plan.config.alert_rule):
             alert_rows.append([alert.kind, node.subject, stamp(alert.trigger_time), alert.value])
         try:

@@ -1,9 +1,9 @@
 """Scenario configuration: a flat key-value file format, validated into a run plan.
 
 The format is deliberately plain so a scenario can be written by hand
-and diffed: one ``section.key = value`` per line, ``#`` comments, no
-nesting.  Sections ``node<k>`` and ``interferer<k>`` may repeat with
-different ``<k>`` tokens to declare several entities.
+and diffed: UTF-8 text, one ``section.key = value`` per line, ``#``
+comments, no nesting.  Sections ``node<k>`` and ``interferer<k>`` may
+repeat with different ``<k>`` tokens to declare several entities.
 
 Each key is declared once, in ``KEYS``, which parsing, validation and
 ``--help`` all walk; it sets the field of its name on its section's
@@ -358,11 +358,17 @@ def parse_config_text(
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Parse a scenario file."""
+    """Parse a scenario file, which must be UTF-8 text."""
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(), source=str(path), base_dir=path.parent)
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+    return parse_config_text(text, source=str(path), base_dir=path.parent)
 
 
 def config_help() -> str:

@@ -1,9 +1,10 @@
-"""Receiving-side software: series storage, alerting and accuracy checks.
+"""Receiving-side software: alerting and accuracy checks.
 
-This stands in for the monitoring software of the physical system:
-per-sensor time series keyed by ROM id, high-temperature and rapid-rise
-alerts, and agreement metrics of each reading against the true
-temperature it carries.  ``thermnet simulate`` writes them as CSV; its
+This stands in for the monitoring software of the physical system.
+``thermnet simulate`` groups the delivered readings into one time series
+per ROM id, in delivery order, and on each series raises
+high-temperature and rapid-rise alerts and measures each reading against
+the true temperature it carries.  It writes them as CSV; its
 ``readings.csv`` (time, sensor id and temperature in long form) is the
 feed for any charting tool.
 """
@@ -11,17 +12,17 @@ feed for any charting tool.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple
 
 from .csvio import TICKS_PER_S
-from .frames import SensorId, TEMP_LSB_C, validate_sensor_id
+from .frames import SensorId, TEMP_LSB_C
 
 HIGH_TEMP = "high_temp"
 RAPID_RISE = "rapid_rise"
 
 
 class EmptySeries(ValueError):
-    """Agreement asked for on a sensor with no stored readings."""
+    """Agreement asked for on a sensor with no readings."""
 
 
 class Reading(NamedTuple):
@@ -70,46 +71,6 @@ class AgreementReport(NamedTuple):
     mae_c: float
     max_err_c: float
     n: int
-
-
-class ReadingStore:
-    """Per-sensor reading series with duplicate and roster filtering.
-
-    A single writer ingests; ``series`` hands out new lists so readers
-    never observe a partially applied insert.  Each sensor's readings are
-    kept by ``sample_time``, which is also the duplicate key: a sensor
-    starts at most one conversion per instant, so that key stays unique
-    after the 16-bit sequence number wraps.  An id's CRC and roster
-    membership are checked at its first reading; an unknown id is counted
-    on every reading.  Arrival order does not matter: ``series`` sorts by
-    delivery time, then sequence, with ties in arrival order.
-    """
-
-    def __init__(self, roster: Optional[Iterable[SensorId]] = None):
-        self.roster = set(roster) if roster is not None else None
-        self._series: dict[SensorId, dict[int, Reading]] = {}
-        self.duplicate_count = 0
-        self.unknown_count = 0
-
-    def ingest(self, reading: Reading) -> None:
-        sid = reading.sensor_id
-        series = self._series.get(sid)
-        if series is None:
-            if not validate_sensor_id(sid) or (self.roster is not None and sid not in self.roster):
-                self.unknown_count += 1
-                return
-            series = self._series[sid] = {}
-        if reading.sample_time in series:
-            self.duplicate_count += 1
-            return
-        series[reading.sample_time] = reading
-
-    def ingest_all(self, readings: Iterable[Reading]) -> None:
-        for reading in readings:
-            self.ingest(reading)
-
-    def series(self, sensor_id: SensorId) -> list[Reading]:
-        return sorted(self._series.get(sensor_id, {}).values(), key=lambda r: (r.time, r.sequence))
 
 
 def evaluate_alerts(series: list[Reading], rule: AlertRule) -> list[Alert]:

@@ -16,12 +16,12 @@ from thermnet.config import ALOHA, NodeSpec, ScenarioConfig
 from thermnet.delays import DelayParams, airtime, mcu_prep_delay, total_delay
 from thermnet.energy import DevicePowerProfile, energy_sweep, power
 from thermnet.frames import FrameError, crc8, decode_frame, encode_frame, make_sensor_id
-from thermnet.monitor import ReadingStore, agreement
+from thermnet.monitor import agreement
 from thermnet.sim import AP
 from thermnet.traces import BandNoiseTrace, ConstantTrace, RampTrace
-from thermnet.cli import cmd_simulate
+from thermnet.cli import _write_simulation_outputs, cmd_simulate
 
-from helpers import access_point_ledger, crc8_oracle, ledger_from_events, run_logged
+from helpers import access_point_ledger, crc8_oracle, ledger_from_events, read_rows, run_logged
 
 PARAMS = DelayParams()
 PROFILE = DevicePowerProfile()
@@ -132,7 +132,7 @@ def test_criterion_06_single_node_band_run(capsys):
              f"runtime {elapsed:.3f} s")
 
 
-def test_criterion_07_two_node_partition(capsys):
+def test_criterion_07_two_node_partition(capsys, tmp_path):
     config = ScenarioConfig(
         nodes=(
             NodeSpec("node1", 1, trace=ConstantTrace(36.5), distance_m=10.0),
@@ -142,20 +142,28 @@ def test_criterion_07_two_node_partition(capsys):
         seed=11,
         noise_sigma_c=0.0,
     )
-    result, _ = run_logged(config.plan())
-    first, second = make_sensor_id(serial=1), make_sensor_id(serial=2)
-    store = ReadingStore(roster=[first, second])
-    store.ingest_all(result.readings)
-    temps1 = {r.temp_c for r in store.series(first)}
-    temps2 = {r.temp_c for r in store.series(second)}
-    partition = temps1 == {36.5} and temps2 == {30.0}
-    complete = len(store.series(first)) == 60 and len(store.series(second)) == 60
-    clean = store.unknown_count == 0 and store.duplicate_count == 0
+    plan = config.plan()
+    result, _ = run_logged(plan)
+    # The series simulate groups from the delivered readings, read back from
+    # what it writes: readings.csv by id, and agreement.csv's count per id.
+    _write_simulation_outputs(plan, result, tmp_path)
+    first, second = make_sensor_id(serial=1).hex(), make_sensor_id(serial=2).hex()
+    temps: dict[str, set[float]] = {}
+    for row in read_rows(tmp_path / "readings.csv"):
+        temps.setdefault(row["sensor_id_hex"], set()).add(float(row["temp_c"]))
+    counts = {row["sensor_id_hex"]: int(row["n"]) for row in read_rows(tmp_path / "agreement.csv")}
+    partition = temps == {first: {36.5}, second: {30.0}}
+    complete = counts == {first: 60, second: 60}
+    in_roster = {r.sensor_id for r in result.readings} <= {node.sensor_id for node in plan.nodes}
+    distinct = all(
+        len({r.sample_time for r in result.readings if r.sensor_id == node.sensor_id}) == counts.get(node.subject)
+        for node in plan.nodes
+    )
     no_collisions = result.stats.collisions == 0
-    ok = partition and complete and clean and no_collisions
+    ok = partition and complete and in_roster and distinct and no_collisions
     _verdict(capsys, 7, ok,
-             f"series partitioned by id={partition}, 60+60 readings={complete}, "
-             f"collisions={result.stats.collisions}")
+             f"series partitioned by id={partition}, 60+60 readings={complete}, ids in roster={in_roster}, "
+             f"distinct sample times={distinct}, collisions={result.stats.collisions}")
 
 
 def test_criterion_08_slotted_access_prevents_collisions(capsys):

@@ -193,6 +193,18 @@ def test_parse_error_carries_filename(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("command", ["simulate", "schedule"])
+def test_config_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys, command):
+    path = tmp_path / "latin1.conf"
+    path.write_bytes(b"node1.serial = 1\n# caf\xe9\n")
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(path), "--out", str(out)]
+    assert main(argv if command == "simulate" else ["report", "schedule", *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:2: not UTF-8 text (invalid continuation byte)\n"
+    assert not out.exists()
+
+
 # -- validation --------------------------------------------------------
 
 

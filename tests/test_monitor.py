@@ -1,4 +1,4 @@
-"""Receiving-side tests: storage partition, alert semantics, and agreement
+"""Receiving-side tests: alert semantics, and agreement
 metrics with a Monte-Carlo oracle.
 """
 
@@ -15,13 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import _slope_c_per_min_oracle, evaluate_alerts_oracle, rounded, run_logged
 from thermnet.config import NodeSpec, ScenarioConfig
 from thermnet.csvio import TICKS_PER_S
-from thermnet.frames import TEMP_LSB_C, SensorId, make_sensor_id
+from thermnet.frames import TEMP_LSB_C, make_sensor_id
 from thermnet.monitor import (
     Alert,
     AlertRule,
     EmptySeries,
     Reading,
-    ReadingStore,
     agreement,
     evaluate_alerts,
 )
@@ -48,95 +47,6 @@ def reading(serial, t, temp_c, seq=None, true_c=36.5):
 
 def series_from(temps, serial=1, true_c=36.5):
     return [reading(serial, t, c, seq=t, true_c=true_c) for t, c in enumerate(temps)]
-
-
-# -- store -------------------------------------------------------------
-
-
-def test_interleaved_ingest_partitions_by_id():
-    store = ReadingStore()
-    for t in range(10):
-        store.ingest(reading(1, t, 36.5))
-        store.ingest(reading(2, t, 30.0))
-    one, two = make_sensor_id(serial=1), make_sensor_id(serial=2)
-    assert len(store.series(one)) == 10
-    assert len(store.series(two)) == 10
-    assert all(r.sensor_id == one for r in store.series(one))
-    assert all(r.sensor_id == two for r in store.series(two))
-    assert len(store.series(one)) + len(store.series(two)) == 20
-
-
-def test_duplicate_sequence_dropped_with_counter():
-    # The same conversion delivered again later is a duplicate.
-    store = ReadingStore()
-    first = reading(1, 0, 36.5, seq=7)
-    store.ingest(first)
-    store.ingest(first._replace(time=first.time + TICKS_PER_S // 2))
-    assert store.duplicate_count == 1
-    assert store.series(make_sensor_id(serial=1)) == [first]
-
-
-def test_sequence_wrap_is_not_a_duplicate():
-    # Samples k and k + 65536 share a 16-bit sequence number.
-    store = ReadingStore()
-    for k in (0, 1, 65536, 65537):
-        store.ingest(reading(1, k + 0.777, 36.5, seq=k % (1 << 16)))
-    assert len(store.series(make_sensor_id(serial=1))) == 4
-    assert store.duplicate_count == 0
-
-
-def test_unknown_sensor_counted_not_stored():
-    store = ReadingStore(roster=[make_sensor_id(serial=1)])
-    store.ingest(reading(2, 0, 30.0))
-    assert store.unknown_count == 1
-    assert store.series(make_sensor_id(serial=2)) == []
-
-
-def test_invalid_id_counted_as_unknown():
-    store = ReadingStore()
-    sid = make_sensor_id(serial=3)
-    forged = Reading(SensorId(sid.family_code, sid.serial, sid.crc ^ 1), 0, 100, 0, 0.0, 0, 0.0)
-    store.ingest(forged)
-    assert store.unknown_count == 1
-
-
-def test_out_of_order_arrival_is_time_sorted():
-    store = ReadingStore()
-    for t in (5, 1, 3, 2, 4, 0):
-        store.ingest(reading(1, t, 36.0, seq=t))
-    times = [r.time for r in store.series(make_sensor_id(serial=1))]
-    assert times == sorted(times)
-
-
-def test_empty_store_query():
-    assert ReadingStore().series(make_sensor_id(serial=9)) == []
-
-
-def test_partition_accounting():
-    store = ReadingStore(roster=[make_sensor_id(serial=1)])
-    total = 0
-    for t in range(20):
-        # From t = 10 on, sample t - 10 arrives again: ten duplicates.
-        store.ingest(reading(1, t % 10, 36.0)._replace(time=t * TICKS_PER_S))
-        store.ingest(reading(2, t, 30.0, seq=t))  # all unknown
-        total += 2
-    assert (store.duplicate_count, store.unknown_count) == (10, 20)
-    stored = sum(len(store.series(make_sensor_id(serial=serial))) for serial in (1, 2))
-    assert stored == total - store.duplicate_count - store.unknown_count
-
-
-@given(st.permutations(list(range(12))))
-def test_agreement_is_arrival_order_invariant(order):
-    rng = random.Random(4)
-    temps = [36.0 + rng.random() for _ in range(12)]
-    store = ReadingStore()
-    for index in order:
-        store.ingest(reading(1, index, temps[index], seq=index))
-    series = store.series(make_sensor_id(serial=1))
-    report = agreement(series)
-    baseline = agreement(series_from(temps))
-    assert report.mae_c == baseline.mae_c
-    assert report.max_err_c == baseline.max_err_c
 
 
 # -- alerts ------------------------------------------------------------
@@ -384,6 +294,16 @@ def test_alerts_equal_quadratic_oracle(case):
 
 
 # -- agreement ---------------------------------------------------------
+
+
+@given(st.permutations(list(range(12))))
+def test_agreement_is_arrival_order_invariant(order):
+    rng = random.Random(4)
+    temps = [36.0 + rng.random() for _ in range(12)]
+    report = agreement([reading(1, index, temps[index], seq=index) for index in order])
+    baseline = agreement(series_from(temps))
+    assert report.mae_c == baseline.mae_c
+    assert report.max_err_c == baseline.max_err_c
 
 
 def test_exact_series_has_zero_error():

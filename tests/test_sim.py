@@ -586,6 +586,43 @@ def test_beacon_count_is_schedule_arithmetic(n, mac_mode, duration_s):
     assert not any(e.kind == "beacon" for e in events)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    distances=st.lists(st.floats(min_value=0.0, max_value=90.0), min_size=1, max_size=8),
+    mac_mode=st.sampled_from([TDMA, ALOHA]),
+    conversion_s=st.sampled_from([0.01, 0.05, 0.75]),
+    # At least the 13.3 ms airtime, which an ALOHA node's period must cover.
+    extra_s=st.floats(min_value=0.004, max_value=1.0),
+    # In sample periods, often not a whole number of them.
+    periods=st.integers(min_value=0, max_value=4000).map(lambda n: n / 100),
+)
+def test_delay_is_the_constant_stages_plus_the_wait_for_a_slot(distances, mac_mode, conversion_s, extra_s, periods):
+    # An interference-free cell.  Under TDMA a frame waits less than one
+    # frame for its node's slot, also when the sample period is shorter
+    # than the frame and a fresher reading replaces a waiting one; a lone
+    # ALOHA node never waits.
+    if mac_mode == ALOHA:
+        distances = distances[:1]
+    cfg = ScenarioConfig(
+        nodes=tuple(NodeSpec(f"node{i}", i + 1, distance_m=d) for i, d in enumerate(distances)),
+        duration_s=periods * (conversion_s + extra_s),
+        mac_mode=mac_mode,
+        sample_period_s=conversion_s + extra_s,
+        noise_sigma_c=0.0,
+        delay_params=PARAMS._replace(sensor_conversion_s=conversion_s),
+    )
+    plan = cfg.plan()
+    result, _ = run_logged(plan)
+    constant = plan.conversion + plan.prep + 2 * plan.switch + plan.airtime + plan.serial
+    stages = {node.sensor_id: constant + node.propagation for node in plan.nodes}
+    for reading in result.readings:
+        delay = reading.time - reading.sample_time
+        if mac_mode == TDMA:
+            assert stages[reading.sensor_id] <= delay < stages[reading.sensor_id] + plan.frame_period
+        else:
+            assert delay == stages[reading.sensor_id]
+
+
 class _QueueWatch(_Engine):
     """Records the longest the event queue gets."""
 

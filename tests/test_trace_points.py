@@ -30,7 +30,6 @@ LIVE_LAYERS = (
     "frames.encode",
     "frames.decode",
     "sim.medium",
-    "monitor.ingest",
     "monitor.alerts",
     "monitor.agreement",
     "csvio.write",
