@@ -31,6 +31,8 @@ _SCHEDULE_TAG = "format v2"
 # v2: times are exact stamps of whole picoseconds, so ledger joules come
 # from whole-tick spans, and sensor noise is keyed by the node's serial.
 _RUN_TAG = "format v2"
+# v3: the delay column is each reading's own, serial out less conversion start.
+_READINGS_TAG = "format v3"
 # v2: beacon rows dropped; beacon instants are k * frame_period_s.
 # v3: a slot's listen-before-send verdict is its slot_start detail.
 # v4: times are exact stamps of whole picoseconds.
@@ -42,9 +44,10 @@ def _write_simulation_outputs(plan: RunPlan, result: SimResult, out_dir: Path) -
     hex_of = {node.sensor_id: node.subject for node in plan.nodes}
     write_csv(
         out_dir / "readings.csv",
-        f"delivered readings, {_RUN_TAG}",
+        f"delivered readings, {_READINGS_TAG}",
         ["serial_out_time_s", "sensor_id_hex", "raw", "temp_c", "sequence", "total_delay_s"],
-        [[stamp(r.time), hex_of[r.sensor_id], r.raw, r.temp_c, r.sequence, r.total_delay_s] for r in result.readings],
+        [(stamp(r.time), hex_of[r.sensor_id], r.raw, r.temp_c, r.sequence, stamp(r.time - r.sample_time))
+         for r in result.readings],
     )
     write_csv(
         out_dir / "ledgers.csv",

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .csvio import TICKS_PER_S
-from .delays import DelayParams, airtime, mcu_prep_delay, propagation_delay, serial_delay, total_delay, usb_delay
+from .delays import DelayParams, airtime, mcu_prep_delay, propagation_delay, serial_delay, usb_delay
 from .energy import DevicePowerProfile
 from .frames import DEFAULT_FAMILY, FRAME_BITS, SensorId, make_sensor_id
 from .mac import DEFAULT_BEACON_S, DEFAULT_GUARD_S, slot_length
@@ -32,6 +32,8 @@ ALOHA = "aloha"
 
 # A node or interferer name, which events.csv carries unquoted.
 _SECTION_NAME = re.compile(r"[A-Za-z0-9_]+")
+# Universal newlines' breaks; str.splitlines also splits at \f, U+2028 and more.
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 class ConfigError(ValueError):
@@ -204,8 +206,7 @@ class ScenarioConfig(NamedTuple):
         # erases.
         truth_of: dict[tuple[type, TemperatureTrace], int] = {}
         node_truth = tuple(truth_of.setdefault((type(n.trace), n.trace), len(truth_of)) for n in self.nodes)
-        # Every span the run puts on its clock is converted once, here;
-        # a node's budget is only reported, so it stays in seconds.
+        # Every span the run puts on its clock is converted once, here.
         t1, t4 = "t1 = delay.mac_instruction_clocks / delay.mcu_clock_hz", "t4 = frame bits / delay.air_data_rate_bps"
         spans = [ticks(label, seconds) for label, seconds in (
             ("scenario.duration_s", self.duration_s),
@@ -235,7 +236,6 @@ class ScenarioConfig(NamedTuple):
                 NodePlan(node, sid, sid.hex(),
                          ticks(f"t3 = {node.name}.distance_m / delay.propagation_speed_mps",
                                propagation_delay(node.distance_m, p), span=False),
-                         total_delay(FRAME_BITS, node.distance_m, p).total,  # finite, as every term fits the clock
                          beacon + rank[node.serial] * slot)
                 for node, sid in zip(self.nodes, ids)
             ),
@@ -267,13 +267,12 @@ def _or_inf(compute: Callable[..., float], *args) -> float:
 
 class NodePlan(NamedTuple):
     """A node's fixed terms, and the name ``events.csv`` gives it.  Like
-    every ``RunPlan`` term but the budget, its spans are whole ticks."""
+    every ``RunPlan`` term, its spans are whole ticks."""
 
     spec: NodeSpec
     sensor_id: SensorId
     subject: str  # sensor_id.hex()
     propagation: int  # t3
-    budget_s: float  # the eight-term total, each reading's total_delay_s
     slot_offset: int  # from a TDMA frame's start to this node's slot; 0 under ALOHA
 
 
@@ -310,7 +309,7 @@ def parse_config_text(
     values: dict[tuple[str, str], dict[str, object]] = {}
     seen: set[str] = set()
 
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(_LINE_BREAK.split(text), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -366,7 +365,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
+        lineno = len(_LINE_BREAK.split(data[:exc.start].decode("utf-8")))
         raise ParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
     return parse_config_text(text, source=str(path), base_dir=path.parent)
 

@@ -40,7 +40,6 @@ class Reading(NamedTuple):
     time: int
     raw: int
     sequence: int
-    total_delay_s: float
     sample_time: int
     true_c: float
 

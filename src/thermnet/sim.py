@@ -39,9 +39,7 @@ Every delay term is read from the ``RunPlan``.  A packet in flight
 carries only its raw count, the true temperature it was sensed from,
 its sequence number and its conversion-start time; its reading's
 ``true_c`` is that temperature, so nothing evaluates a truth again
-after sensing.  Its ``total_delay_s`` is its node's planned budget, in
-seconds, and the queue wait before a slot shows in the event log, not in
-the budget.
+after sensing.
 The packet is encoded into its 256-bit word only where it is decoded,
 at the access point, for a frame that arrived unoverlapped.
 """
@@ -466,7 +464,6 @@ class _Engine:
                 time=self.now,
                 raw=frame.raw_temp,
                 sequence=frame.sequence,
-                total_delay_s=node.budget_s,
                 sample_time=started,
                 true_c=true_c,
             )

@@ -181,6 +181,28 @@ def test_duplicate_key_rejected():
         parse_config_text("node1.serial = 1\nscenario.seed = 2\nscenario.seed = 3\n")
 
 
+@pytest.mark.parametrize("char", ["\u2028", "\x0c", "\x1c", "\x85"], ids=["U+2028", "FF", "FS", "NEL"])
+def test_only_universal_newlines_end_a_line(char):
+    # str.splitlines breaks at each of these; an editor shows them inside a line.
+    with pytest.raises(ParseError, match=r"<string>:1: bad value for 'node1.serial'"):
+        parse_config_text(f"node1.serial = 1{char}node2.serial = 2\n")
+    with pytest.raises(ParseError, match=r"<string>:2: bad value for 'node1.serial'"):
+        parse_config_text(f"scenario.seed = 3\nnode1.serial = 1{char}bogus\n")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r", "\n"], ids=["CRLF", "CR", "LF"])
+def test_crlf_and_cr_files_parse(tmp_path, newline):
+    path = tmp_path / "scenario.conf"
+    path.write_bytes(TWO_NODE_TEXT.replace("\n", newline).encode())
+    assert load_config(path) == parse_config_text(TWO_NODE_TEXT, base_dir=tmp_path)
+    with pytest.raises(ParseError, match=r"<string>:3: expected"):
+        parse_config_text(f"node1.serial = 1{newline}{newline}garbage{newline}")
+    path = tmp_path / "latin1.conf"
+    path.write_bytes(f"node1.serial = 1{newline}# caf\xe9{newline}".encode("latin-1"))
+    with pytest.raises(ParseError, match=r"latin1\.conf:2: not UTF-8 text"):
+        load_config(path)
+
+
 def test_missing_file_names_path(tmp_path):
     missing = tmp_path / "nope.conf"
     with pytest.raises(ParseError, match="nope.conf"):

@@ -200,6 +200,6 @@ def test_padding_is_not_checked():
 
 
 def test_temp_scaling():
-    assert Reading(make_sensor_id(), 0.0, 1, 0, 0.0, 0.0, 0.0).temp_c == 0.0625
-    assert Reading(make_sensor_id(), 0.0, 592, 0, 0.0, 0.0, 0.0).temp_c == 37.0
-    assert Reading(make_sensor_id(), 0.0, -880, 0, 0.0, 0.0, 0.0).temp_c == -55.0
+    assert Reading(make_sensor_id(), 0.0, 1, 0, 0.0, 0.0).temp_c == 0.0625
+    assert Reading(make_sensor_id(), 0.0, 592, 0, 0.0, 0.0).temp_c == 37.0
+    assert Reading(make_sensor_id(), 0.0, -880, 0, 0.0, 0.0).temp_c == -55.0

@@ -39,7 +39,6 @@ def reading(serial, t, temp_c, seq=None, true_c=36.5):
         time=time,
         raw=raw,
         sequence=seq if seq is not None else int(t),
-        total_delay_s=0.777,
         sample_time=time - 777_000_000_000,
         true_c=true_c,
     )
@@ -144,7 +143,7 @@ def test_alert_rule_rejects_non_finite(field, value):
 def test_alerts_reject_unordered_series(bad_time):
     # A negative time goes first, where only its sign is wrong; 9.5 s
     # goes last, after 11 s.
-    bad = Reading(make_sensor_id(serial=1), bad_time, 592, 99, 0.0, 0, 0.0)
+    bad = Reading(make_sensor_id(serial=1), bad_time, 592, 99, 0, 0.0)
     series = series_from([37.0] * 12)
     series = [bad] + series if bad_time < 0 else series + [bad]
     with pytest.raises(ValueError, match="time-ordered"):
@@ -158,12 +157,12 @@ def ramp_series(start, rate, moves):
     that one reading by ``bump`` counts."""
     sid = make_sensor_id(serial=1)
     period = round(TEMP_LSB_C * 60.0 / rate * TICKS_PER_S)
-    series = [Reading(sid, start, 584, 0, 0.0, start, 0.0)]
+    series = [Reading(sid, start, 584, 0, start, 0.0)]
     done = 0
     for k, (steps, bump) in enumerate(moves, 1):
         done += steps
         t = start + done * period
-        series.append(Reading(sid, t, 584 + done + bump, k, 0.0, t, 0.0))
+        series.append(Reading(sid, t, 584 + done + bump, k, t, 0.0))
     return series
 
 
@@ -213,11 +212,11 @@ def alert_cases(draw):
     )
     sid = make_sensor_id(serial=1)
     t, raw = start, 584
-    series = [Reading(sid, t, raw, 0, 0.0, t, 0.0)]
+    series = [Reading(sid, t, raw, 0, t, 0.0)]
     moves = draw(st.lists(st.tuples(step, st.integers(-6, 6)), max_size=80))
     for k, (dt, d_raw) in enumerate(moves, 1):
         t, raw = t + dt, raw + d_raw
-        series.append(Reading(sid, t, raw, k, 0.0, t, 0.0))
+        series.append(Reading(sid, t, raw, k, t, 0.0))
     return rate_on_a_slope(draw, series, rule)
 
 
@@ -249,7 +248,7 @@ def tied_series():
     t = 115_997_508_025
     sid = make_sensor_id(serial=1)
     raws = [584] * 8 + [608]
-    return [Reading(sid, t, raw, k, 0.0, t, 0.0) for k, raw in enumerate(raws)], RULE
+    return [Reading(sid, t, raw, k, t, 0.0) for k, raw in enumerate(raws)], RULE
 
 
 def extreme_series():
@@ -257,7 +256,7 @@ def extreme_series():
     # then on to 10**300 ticks: exact sums need no range limit.
     sid = make_sensor_id(serial=1)
     times_raws = [(0, -880), (1, 1 << 1000), (10**300, 2000), (10**300, -880), (15 * 10**299, 1 << 40)]
-    series = [Reading(sid, t, raw, k, 0.0, t, 0.0) for k, (t, raw) in enumerate(times_raws)]
+    series = [Reading(sid, t, raw, k, t, 0.0) for k, (t, raw) in enumerate(times_raws)]
     return series, RULE._replace(rise_window_s=1e301)
 
 

@@ -22,7 +22,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PINNED = {
     "aloha.conf": {
         "events.csv": "8769cee799fd322b000b99b7fc438d80c2021bffa2e7e89e9faa513656495d6e",
-        "readings.csv": "537c4f3447e78dc0d831d2a848335e267d82e52284aa796c83ee129a972c8a88",
+        "readings.csv": "e20b84039f7854fd881a42898fd55dbb1f2c4ba6c2a5b1bbb28c4f3a816a4be5",
         "ledgers.csv": "1478b87e5912b2d5d2ca395ff82b4c3e7333e802b57fdfe2895b88622554c710",
         "alerts.csv": "041228dbf22f871361f7cf8047a2292c6d166b22cdf2cb3f81c06bb173f2def9",
         "agreement.csv": "d696349ef9d682d09e2e872cd56431f835d07236cab803b319b852549a0891db",
@@ -30,7 +30,7 @@ PINNED = {
     },
     "fever.conf": {
         "events.csv": "2499ae1137883b0735cfe32148ac47f17d6529e2707e845b82d2a3921e16d755",
-        "readings.csv": "7e482bdf6e37f3ce6d7d19e08bc0192c5bfcde42afee00d054f92997cf8fa93b",
+        "readings.csv": "49f582c5e63640ce03e0a2657ff9a8decf336783fa3687981939a549fad2a42d",
         "ledgers.csv": "ac52d84c29529749a93abdff1ed38a65d4059f66bd885c1de059d3f3d6aad5ee",
         "alerts.csv": "6b6f15d999087f3dc4a2eb33d1dae8699752b6352b3fc4b4ad8fa7fbb2ef3407",
         "agreement.csv": "93e3d9826c6408ea2f2bbe33c5794d0d29318f4ed8490b543c4958ce3ac4a1bf",
@@ -38,7 +38,7 @@ PINNED = {
     },
     "interference.conf": {
         "events.csv": "d2e809a0aadbe66a478f8e71e525ba762cf908006f7e9f2295e6d58149b1b60c",
-        "readings.csv": "cec1771e8bb80c62a5e946a83c97505c10e442c89eb96586a845c71c8d404d65",
+        "readings.csv": "fe74952b4974ca86288e60e05d86d9e0304f319b5e89db633ef31582c1df4a83",
         "ledgers.csv": "cd61a15e922b606f458d33b4575ae51dc2325cffea0434b619902f443b5da15c",
         "alerts.csv": "041228dbf22f871361f7cf8047a2292c6d166b22cdf2cb3f81c06bb173f2def9",
         "agreement.csv": "a69ef3f1e25e32646eadcf77b5d9f3a3eee1b83fbe58839a674bae23d87d1468",
@@ -46,7 +46,7 @@ PINNED = {
     },
     "mixed_traces.conf": {
         "events.csv": "7cf04b5c0a1fd144f89e3cc342cc19a477b95ae9f4d1cbc178c6bb8c82fa9e6d",
-        "readings.csv": "bc91e1f0745022e142d4f8bb24ea5701422646713b0f1842d3c3f51570a694b3",
+        "readings.csv": "d23aebd6f9e9dd0f7ca352dd2ba066e80f08156a503adc99d03d1a1b7bf94b6f",
         "ledgers.csv": "9d1df6a500d8ede33ea0eb16ed96fba144ae490c2f111e3f89c44eb1db41d318",
         "alerts.csv": "33b26d9ce3e25800397225179fdf2af53572dfe4e959b3aec8b0c64662563045",
         "agreement.csv": "86c44e96a35bde77b25760bf69be9ec05732b709541524208484eb0c5c2b8369",
@@ -54,7 +54,7 @@ PINNED = {
     },
     "scenario1.conf": {
         "events.csv": "6cf2c7d8f9fa1b9a2d40b51abab38b8074f250a209f0fb0721fd8c367795be58",
-        "readings.csv": "9ea28038fd363f06a5c8aa34759617d7b4d38438aa2a7fb956351d7b037a29a9",
+        "readings.csv": "73284c6647bcd5b49a6a54ebb6288bc0c97d8c72d6cc366965d148e37f3ded52",
         "ledgers.csv": "48521996972f2d43bd204e7fc0f42bfdeeb79141f2b9549c0ce93a6fe9b1353e",
         "alerts.csv": "22c2edd795f4280d0ed674b9229e94c2a23053e79ae94e0fddc1bfbdf0b77c3c",
         "agreement.csv": "a4fbc5e0f105c721bfbdbbfa18c62fb94e197ce6ef2adb78df412eb2533bf07a",
@@ -62,7 +62,7 @@ PINNED = {
     },
     "scenario2.conf": {
         "events.csv": "fa430b4dcc7a0c9bc6ababf3677cfca33aaff593f4cff4afb71ba8c8c5b5acea",
-        "readings.csv": "0460aa4b9567c74636e4da96efae12077334c35606b9c9314fbaafa796248591",
+        "readings.csv": "907493341cca60cc2952a230331cc459eece63b030699e3d7ecae67838319906",
         "ledgers.csv": "cd61a15e922b606f458d33b4575ae51dc2325cffea0434b619902f443b5da15c",
         "alerts.csv": "041228dbf22f871361f7cf8047a2292c6d166b22cdf2cb3f81c06bb173f2def9",
         "agreement.csv": "6e70891440bf0523c6845ba304a59bac6390d78571c060628c87667ff613d6bd",
@@ -70,7 +70,7 @@ PINNED = {
     },
     "ties.conf": {
         "events.csv": "249a744f7f13df7cb45553f2a445cb1eccd7c54d8a412549d3d13733bbd259f6",
-        "readings.csv": "aa20b4336754c5075813e53a965f087f96a60822189aefbeca7647a1b87814fa",
+        "readings.csv": "e88e1683a7d182384d5a0858b3aae546ae6d5eee2af3d210fa4b062bb5c633b1",
         "ledgers.csv": "d8186d17696bd3696290315f26b10824fa10ca396c64cc2019780f57d9bad54a",
         "alerts.csv": "041228dbf22f871361f7cf8047a2292c6d166b22cdf2cb3f81c06bb173f2def9",
         "agreement.csv": "c39b3b9a7e5eafbd4d05b02b4b16ddab96452df46f63d8e12a789985da14c9b7",

@@ -19,13 +19,15 @@ from helpers import (
     gauss_oracle,
     ledger_from_events,
     mix64_oracle,
+    read_rows,
     run_logged,
     sense_band_oracle,
+    ticks_of,
 )
-from thermnet.cli import cmd_simulate
+from thermnet.cli import _write_simulation_outputs, cmd_simulate
 from thermnet import sim
 from thermnet.config import ALOHA, TDMA, InterfererSpec, NodeSpec, ScenarioConfig, load_config
-from thermnet.csvio import TICKS_PER_S
+from thermnet.csvio import TICKS_PER_S, stamp
 from thermnet.delays import DelayParams, airtime, total_delay
 from thermnet.frames import FRAME_BITS, make_sensor_id
 from thermnet.rng import float_key, gauss, mix64
@@ -411,19 +413,22 @@ def test_measured_stages_match_closed_form():
                 assert _ticks_near(at["serial_out"] - at["rx_deliver"], closed.t5 + closed.t6 + closed.t8)
 
 
-def test_reading_total_delay_matches_closed_form():
-    # Each reading carries its sending node's budget exactly, however late
-    # in the run it was sampled.
-    for cfg in (
+def test_readings_csv_delay_is_serial_out_less_conversion_start(tmp_path):
+    # Each row's total_delay_s is its own reading's delay, the queue wait
+    # included, exact however late in the run it was sampled.
+    for i, cfg in enumerate((
         two_nodes(duration_s=20.0),
         one_node(TDMA, sample_period_s=20000.0, duration_s=100000.0),
         one_node(ALOHA, sample_period_s=20000.0, duration_s=100000.0),
-    ):
-        distance_m = {make_sensor_id(cfg.family_code, node.serial): node.distance_m for node in cfg.nodes}
-        result, _ = run_logged(cfg.plan())
-        assert len(result.readings) == len(cfg.nodes) * cfg.duration_s / cfg.sample_period_s
-        for reading in result.readings:
-            assert reading.total_delay_s == total_delay(FRAME_BITS, distance_m[reading.sensor_id], PARAMS).total
+    )):
+        plan = cfg.plan()
+        result, _ = run_logged(plan)
+        _write_simulation_outputs(plan, result, tmp_path / str(i))
+        rows = read_rows(tmp_path / str(i) / "readings.csv")
+        assert len(rows) == len(result.readings) == len(cfg.nodes) * cfg.duration_s / cfg.sample_period_s
+        for row, reading in zip(rows, result.readings):
+            assert row["total_delay_s"] == stamp(reading.time - reading.sample_time)
+            assert ticks_of(row["serial_out_time_s"]) - ticks_of(row["total_delay_s"]) == reading.sample_time
 
 
 def test_collision_free_under_slotting():

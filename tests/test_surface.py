@@ -76,8 +76,8 @@ IMMUTABLE = [
     (_CONFIG, "duration_s"),
     (_CONFIG.nodes[0], "distance_m"),
     (_PLAN, "airtime"),
-    (_PLAN.nodes[0], "budget_s"),
-    (Reading(_SID, 1, 592, 0, 0.8, 0, 37.0), "raw"),
+    (_PLAN.nodes[0], "slot_offset"),
+    (Reading(_SID, 1, 592, 0, 0, 37.0), "raw"),
     (_SID, "serial"),
     (Frame(_SID, 592, 0), "sequence"),
     (ConstantTrace(37.0), "value_c"),
