@@ -357,15 +357,19 @@ def parse_config_text(
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Parse a scenario file, which must be UTF-8 text."""
+    """Parse a scenario file, which must be UTF-8 text (a leading byte-order mark is ignored)."""
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"config file not found: {path}")
-    data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    try:
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        lineno = len(_LINE_BREAK.split(data[:exc.start].decode("utf-8")))
+        # exc.start counts from after a byte-order mark, as exc.object does.
+        lineno = len(_LINE_BREAK.split(exc.object[:exc.start].decode("utf-8")))
         raise ParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
     return parse_config_text(text, source=str(path), base_dir=path.parent)
 

@@ -89,7 +89,7 @@ class CsvTrace(NamedTuple):
     def load(cls, path: str | Path) -> "CsvTrace":
         times: list[float] = []
         temps: list[float] = []
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = (row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#"))
             for i, row in enumerate(rows):
                 try:

@@ -142,6 +142,15 @@ def test_csv_trace_resolved_relative_to_config(tmp_path):
     assert trace.value(5.0) == pytest.approx(36.5)
 
 
+def test_csv_trace_ignores_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with one; the first row is still data.
+    path = tmp_path / "profile.csv"
+    path.write_bytes(b"\xef\xbb\xbf0,30.0\n60,40.0\n")
+    trace = CsvTrace.load(path)
+    assert trace == CsvTrace((0.0, 60.0), (30.0, 40.0))
+    assert trace.value(30.0) == 35.0
+
+
 def test_node_serial_hex_and_decimal():
     config = parse_config_text("node1.serial = 0x1f\nnode2.serial = 31000\n")
     serials = sorted(n.serial for n in config.nodes)
@@ -224,6 +233,43 @@ def test_config_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys, comma
     assert main(argv if command == "simulate" else ["report", "schedule", *argv[1:]]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}:2: not UTF-8 text (invalid continuation byte)\n"
+    assert not out.exists()
+
+
+def test_config_with_a_byte_order_mark_simulates_as_without(tmp_path, capsys):
+    text = TWO_NODE_TEXT.split("\n", 1)[1]  # starts with a key, not a comment
+    outs = []
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        path = tmp_path / f"{name}.conf"
+        path.write_bytes(bom + text.encode())
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outs[0]) == 6
+    assert outs[0] == outs[1]
+
+
+def test_not_utf8_line_number_counts_from_after_a_byte_order_mark(tmp_path):
+    # The bad byte starts line 2, within three bytes of the first newline.
+    path = tmp_path / "latin1.conf"
+    path.write_bytes(b"\xef\xbb\xbfnode1.serial = 1\n\xe9\n")
+    with pytest.raises(ParseError, match=r"latin1\.conf:2: not UTF-8 text"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("command", ["simulate", "schedule"])
+def test_unreadable_config_exits_1_naming_the_file(tmp_path, capsys, monkeypatch, command):
+    # Root reads through chmod, so the read itself is made to fail.
+    path = write_config(tmp_path, TWO_NODE_TEXT)
+
+    def refuse(self):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(path), "--out", str(out)]
+    assert main(argv if command == "simulate" else ["report", "schedule", *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"error: cannot read config file {path}: Permission denied\n"
     assert not out.exists()
 
 

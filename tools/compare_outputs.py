@@ -6,11 +6,14 @@ commit (for example made with ``git archive <rev> | tar -x -C <dir>``):
     python3 tools/compare_outputs.py <other-tree> [--generated N]
 
 Each tree runs every command once, in one worker process of its own that
-imports the tree's ``thermnet`` (from ``<tree>/src``) and calls
+imports the tree's ``thermnet`` (from ``<tree>/src``; a worker that
+imported another one ends the run with exit 1) and calls
 ``thermnet.cli.main`` for each command; the two workers run each command
-side by side.  For every command the exit codes, the stderr (the output
-path read as ``{out}``) and the files written are compared, byte for
-byte, and the files are then deleted.
+side by side.  ``tools/compare_speed.py`` runs the same workers and
+reads the CPU seconds each command took from their replies.  For every
+command the exit codes, the stderr (the output path read as ``{out}``)
+and the files written are compared, byte for byte, and the files are
+then deleted.
 
 The commands are ``simulate`` on every ``configs/*.conf`` of this
 checkout, once in its own MAC mode and once under the other ``--mac``
@@ -65,24 +68,28 @@ REPORTS = {
 }
 
 # A worker reads one JSON argv per line and answers each with one JSON
-# line: the exit code and the stderr.  An exception that escapes main is
-# a fault whatever the other tree does; its traceback, which names the
-# tree's files, then makes the stderr differ.
+# line: the exit code, the stderr and the process CPU seconds that main
+# took, garbage from earlier commands collected first.  An exception
+# that escapes main is a fault whatever the other tree does; its
+# traceback, which names the tree's files, then makes the stderr differ.
 WORKER = """\
-import contextlib, io, json, sys, traceback
+import contextlib, gc, io, json, sys, time, traceback
 import thermnet.cli
 print(json.dumps(thermnet.cli.__file__), flush=True)
 for line in sys.stdin:
-    err = io.StringIO()
+    argv, err = json.loads(line), io.StringIO()
+    gc.collect()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        t0 = time.process_time()
         try:
-            code = thermnet.cli.main(json.loads(line))
+            code = thermnet.cli.main(argv)
         except SystemExit as exc:
             code = exc.code
         except Exception:
             traceback.print_exc()
             code = "uncaught exception"
-    print(json.dumps([code, err.getvalue()]), flush=True)
+        seconds = time.process_time() - t0
+    print(json.dumps([code, err.getvalue(), seconds]), flush=True)
 """
 
 
@@ -235,7 +242,7 @@ def differences(outs: list[Path], replies: list[str]) -> list[str]:
     (and its details) per exit code, stderr or file."""
     found = []
     # Each reply names its own tree's output directory the same way.
-    (code_a, err_a), (code_b, err_b) = (json.loads(r.replace(str(out), "{out}")) for r, out in zip(replies, outs))
+    (code_a, err_a, _), (code_b, err_b, _) = (json.loads(r.replace(str(out), "{out}")) for r, out in zip(replies, outs))
     if code_a != code_b:
         found.append(f"exit code\n    other: {code_a}\n    this:  {code_b}")
     if err_a != err_b:
