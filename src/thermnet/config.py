@@ -22,10 +22,10 @@ from typing import Callable, NamedTuple
 from .csvio import TICKS_PER_S
 from .delays import DelayParams, airtime, mcu_prep_delay, propagation_delay, serial_delay, usb_delay
 from .energy import DevicePowerProfile
-from .frames import DEFAULT_FAMILY, FRAME_BITS, SensorId, make_sensor_id
+from .frames import DEFAULT_FAMILY, FRAME_BITS, make_sensor_id
 from .mac import DEFAULT_BEACON_S, DEFAULT_GUARD_S, slot_length
 from .monitor import AlertRule
-from .traces import ConstantTrace, TemperatureTrace, finite_float, parse_trace
+from .traces import ConstantTrace, SinusoidTrace, TemperatureTrace, finite_float, parse_trace
 
 TDMA = "tdma"
 ALOHA = "aloha"
@@ -218,6 +218,13 @@ class ScenarioConfig(NamedTuple):
              serial_delay(FRAME_BITS, p) + usb_delay(FRAME_BITS, p)),
             ("t7 = delay.sensor_conversion_s", p.sensor_conversion_s),
         )]
+        # sin() raises once its angle overflows, and the angle grows with t,
+        # so an angle finite at the end of the run is finite at every instant.
+        end_s = spans[0] / TICKS_PER_S
+        for node in self.nodes:
+            if isinstance(node.trace, SinusoidTrace) and not math.isfinite(
+                    2.0 * math.pi * end_s / node.trace.period_s + node.trace.phase_rad):
+                raise ValidationError(f"{node.name}.trace: the sinusoid's angle overflows before the end of the run")
         # The TDMA frame: a beacon, then one slot per node in ascending
         # serial order, all whole ticks, so every slot start is exact.
         beacon = slot = frame_period = 0
@@ -270,7 +277,7 @@ class NodePlan(NamedTuple):
     every ``RunPlan`` term, its spans are whole ticks."""
 
     spec: NodeSpec
-    sensor_id: SensorId
+    sensor_id: bytes  # the 8-byte ROM code
     subject: str  # sensor_id.hex()
     propagation: int  # t3
     slot_offset: int  # from a TDMA frame's start to this node's slot; 0 under ALOHA
@@ -388,5 +395,6 @@ def config_help() -> str:
                  "each burst's airtime and period) must not overflow it and, unless it is 0, must not round to\n"
                  "0 ps; under tdma, neither may mac.beacon_s nor mac.guard_s overflow it.  A TDMA slot is t4, two\n"
                  "t2 and the guard, rounded up to whole milliseconds; a frame is the beacon and one slot per\n"
-                 "node, in ascending serial order.")
+                 "node, in ascending serial order.  A sinusoid's angle, 2 pi t / period + phase, must stay\n"
+                 "finite up to the end of the run.")
     return "\n".join(lines)

@@ -1,8 +1,9 @@
 """Sensor identification and over-air frame codec.
 
 Each thermometer carries a factory-style 64-bit ROM code (8-bit family,
-48-bit serial, 8-bit CRC) and every reading travels in a fixed 256-bit
-frame so airtime is identical for all packets.
+48-bit serial, 8-bit CRC), and a sensor id is those 8 bytes everywhere:
+encoded, checked, used as a key and printed as hex.  Every reading
+travels in a fixed 256-bit frame so airtime is identical for all packets.
 
 Frame layout, MSB-first (byte offsets in the 32-byte word):
 
@@ -54,7 +55,7 @@ class FrameError(Exception):
 
 
 class InvalidId(FrameError):
-    """Sensor id failed its CRC self-check."""
+    """Sensor id is not 8 bytes or fails its CRC self-check."""
 
 
 class BadPreamble(FrameError):
@@ -69,69 +70,30 @@ class BadFrameCrc(FrameError):
     """Frame CRC mismatch over the covered bytes."""
 
 
-class SensorId(NamedTuple):
-    """64-bit ROM code: family byte, 48-bit serial, CRC-8 over both."""
-
-    family_code: int
-    serial: int
-    crc: int
-
-    def to_bytes(self) -> bytes:
-        """8-byte wire form: family first, serial little-endian, crc last."""
-        return bytes([self.family_code]) + self.serial.to_bytes(6, "little") + bytes([self.crc])
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "SensorId":
-        if len(raw) != 8:
-            raise ValueError(f"sensor id must be 8 bytes, got {len(raw)}")
-        return cls(raw[0], int.from_bytes(raw[1:7], "little"), raw[7])
-
-    def hex(self) -> str:
-        return self.to_bytes().hex()
-
-
-def make_sensor_id(family: int = DEFAULT_FAMILY, serial: int = 0) -> SensorId:
-    """Build a SensorId with its CRC computed over family and serial."""
+def make_sensor_id(family: int = DEFAULT_FAMILY, serial: int = 0) -> bytes:
+    """The 8-byte ROM code: family first, serial little-endian, then the
+    CRC-8 over both."""
     if not 0 <= family <= 0xFF:
         raise ValueError(f"family code out of range: {family}")
     if not 0 <= serial < (1 << 48):
         raise ValueError(f"serial out of range: {serial}")
     body = bytes([family]) + serial.to_bytes(6, "little")
-    return SensorId(family, serial, crc8(body))
+    return body + bytes([crc8(body)])
 
 
-def validate_sensor_id(sensor_id: SensorId) -> bool:
-    """True iff the stored CRC matches a recomputation."""
-    body = sensor_id.to_bytes()[:7]
-    return crc8(body) == sensor_id.crc
+@functools.lru_cache(maxsize=1024)
+def validate_sensor_id(sensor_id: bytes) -> bool:
+    """True iff the id is 8 bytes whose last is the CRC of the first seven;
+    remembered for each distinct id, which the codec checks on every call."""
+    return len(sensor_id) == 8 and crc8(sensor_id[:7]) == sensor_id[7]
 
 
 class Frame(NamedTuple):
     """Decoded contents of one over-air packet."""
 
-    sensor_id: SensorId
+    sensor_id: bytes
     raw_temp: int
     sequence: int
-
-
-@functools.lru_cache(maxsize=1024)
-def _checked_id_bytes(sensor_id: SensorId) -> bytes:
-    """Wire form of an id that passes its CRC check, else InvalidId.
-
-    Only a valid id is cached, so an invalid one raises on every call.
-    """
-    if not validate_sensor_id(sensor_id):
-        raise InvalidId(f"sensor id {sensor_id.hex()} fails crc check")
-    return sensor_id.to_bytes()
-
-
-@functools.lru_cache(maxsize=1024)
-def _checked_wire_id(raw: bytes) -> SensorId:
-    """The id carried by 8 wire bytes that pass its CRC check, else BadIdCrc."""
-    sensor_id = SensorId.from_bytes(raw)
-    if not validate_sensor_id(sensor_id):
-        raise BadIdCrc(f"sensor id {sensor_id.hex()} fails crc check")
-    return sensor_id
 
 
 # Packed layouts (see the module docstring): the reading's two fields;
@@ -142,19 +104,20 @@ _WORD = struct.Struct(f">H12sB{FRAME_BYTES - 15}x")
 _HEAD = struct.Struct(">H8shHB")
 
 
-def encode_frame(sensor_id: SensorId, raw_temp: int, sequence: int) -> bytes:
+def encode_frame(sensor_id: bytes, raw_temp: int, sequence: int) -> bytes:
     """Serialize to the 256-bit word (32 bytes, hex form is 64 chars).
 
     Raises InvalidId if the sensor id fails validation, ValueError for
-    field values that do not fit their widths.  Each distinct valid id
-    is checked once.
+    field values that do not fit their widths.  Each distinct id is
+    checked once.
     """
-    id_bytes = _checked_id_bytes(sensor_id)
+    if not validate_sensor_id(sensor_id):
+        raise InvalidId(f"sensor id {sensor_id.hex()} fails crc check")
     if not -(1 << 15) <= raw_temp < (1 << 15):
         raise ValueError(f"raw_temp out of 16-bit signed range: {raw_temp}")
     if not 0 <= sequence < (1 << 16):
         raise ValueError(f"sequence out of 16-bit range: {sequence}")
-    covered = id_bytes + _READING.pack(raw_temp, sequence)
+    covered = sensor_id + _READING.pack(raw_temp, sequence)
     return _WORD.pack(PREAMBLE, covered, crc8(covered))
 
 
@@ -164,14 +127,15 @@ def decode_frame(word: bytes) -> Frame:
     Checks run in order: preamble, id CRC, frame CRC, each with its own
     error class so corruption types can be counted separately.  Padding
     bytes are not covered by any check.  The id CRC is checked once per
-    distinct valid id; the frame CRC on every word.
+    distinct id; the frame CRC on every word.
     """
     if len(word) != FRAME_BYTES:
         raise FrameError(f"frame must be {FRAME_BYTES} bytes, got {len(word)}")
-    preamble, id_bytes, raw_temp, sequence, frame_crc = _HEAD.unpack_from(word)
+    preamble, sensor_id, raw_temp, sequence, frame_crc = _HEAD.unpack_from(word)
     if preamble != PREAMBLE:
         raise BadPreamble(f"bad preamble {word[0:2].hex()}")
-    sensor_id = _checked_wire_id(id_bytes)
+    if not validate_sensor_id(sensor_id):
+        raise BadIdCrc(f"sensor id {sensor_id.hex()} fails crc check")
     if crc8(word[2:14]) != frame_crc:
         raise BadFrameCrc(f"frame crc mismatch, stored {frame_crc:#04x}")
     return Frame(sensor_id, raw_temp, sequence)

@@ -15,7 +15,7 @@ import math
 from typing import NamedTuple
 
 from .csvio import TICKS_PER_S
-from .frames import SensorId, TEMP_LSB_C
+from .frames import TEMP_LSB_C
 
 HIGH_TEMP = "high_temp"
 RAPID_RISE = "rapid_rise"
@@ -36,7 +36,7 @@ class Reading(NamedTuple):
     ``temp_c`` is always raw counts times the sensor resolution.
     """
 
-    sensor_id: SensorId
+    sensor_id: bytes
     time: int
     raw: int
     sequence: int
@@ -61,7 +61,7 @@ class AlertRule(NamedTuple):
 
 class Alert(NamedTuple):
     kind: str
-    sensor_id: SensorId
+    sensor_id: bytes
     trigger_time: int  # in clock ticks
     value: float
 

@@ -41,7 +41,8 @@ its sequence number and its conversion-start time; its reading's
 ``true_c`` is that temperature, so nothing evaluates a truth again
 after sensing.
 The packet is encoded into its 256-bit word only where it is decoded,
-at the access point, for a frame that arrived unoverlapped.
+at the access point, for a frame that arrived unoverlapped, and its
+``Reading`` is built there, from the decoded frame.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .config import NodePlan, RunPlan
 from .csvio import TICKS_PER_S, stamp
 from .energy import EnergyLedger, energy, power
-from .frames import Frame, FrameError, TEMP_LSB_C, decode_frame, encode_frame
+from .frames import FrameError, TEMP_LSB_C, decode_frame, encode_frame
 from .mac import next_instant_index
 from .monitor import Reading
 from .rng import gauss
@@ -437,7 +438,7 @@ class _Engine:
     def _on_arrival(self, fate: str, node: NodePlan, packet: _Packet) -> None:
         """A node frame in range reaches the access point with the fate
         the medium gave it.  Only a received frame is encoded, and
-        decoded at once."""
+        decoded at once into the reading it delivers."""
         if fate == COLLIDED:
             self._log(RX_COLLISION, AP, f"from={node.subject}")
             self.stats.collisions += 1
@@ -452,22 +453,15 @@ class _Engine:
             return
         self._log(RX_DELIVER, AP, f"from={node.subject} seq={frame.sequence}")
         # Receiver pipeline: mode switch, then serial transfer and USB hop.
-        self._push(self.now + self.plan.switch + self.plan.serial, self._on_serial_out, frame, node, started, true_c)
+        delivered = self.now + self.plan.switch + self.plan.serial
+        reading = Reading(frame.sensor_id, delivered, frame.raw_temp, frame.sequence, started, true_c)
+        self._push(delivered, self._on_serial_out, reading, node.subject)
 
-    def _on_serial_out(self, frame: Frame, node: NodePlan, started: int, true_c: float) -> None:
-        # The frame was encoded from the node's own id.
-        self._log(SERIAL_OUT, AP, f"id={node.subject} seq={frame.sequence}")
+    def _on_serial_out(self, reading: Reading, subject: str) -> None:
+        # The frame was encoded from the node's own id, named ``subject``.
+        self._log(SERIAL_OUT, AP, f"id={subject} seq={reading.sequence}")
         self.stats.delivered += 1
-        self.readings.append(
-            Reading(
-                sensor_id=frame.sensor_id,
-                time=self.now,
-                raw=frame.raw_temp,
-                sequence=frame.sequence,
-                sample_time=started,
-                true_c=true_c,
-            )
-        )
+        self.readings.append(reading)
 
     # -- shared-cell handlers ------------------------------------------
 

@@ -641,6 +641,15 @@ _DRAWN_KEYS = {
     "delay.mac_instruction_clocks": st.integers(min_value=0, max_value=10**6),
     "medium.range_m": _WIDE,
 }
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Every trace kind but csv, over any finite values its spec accepts.
+_TRACE_SPECS = st.one_of(
+    st.builds("constant:{}".format, _FINITE),
+    st.builds("ramp:{},{}".format, _FINITE, _FINITE),
+    st.builds("sinusoid:{},{},{},{}".format, _FINITE, _FINITE, st.floats(min_value=5e-324, allow_infinity=False),
+              _FINITE),
+    st.lists(_FINITE, min_size=2, max_size=2).map(lambda pair: "band:{},{}".format(*sorted(pair))),
+)
 
 
 @st.composite
@@ -662,6 +671,7 @@ def _scenario_texts(draw) -> str:
     for i in range(1, draw(st.integers(min_value=1, max_value=8)) + 1):
         keys[f"node{i}.serial"] = i
         keys[f"node{i}.distance_m"] = draw(st.floats(min_value=0.0, max_value=1e290))
+        keys[f"node{i}.trace"] = draw(_TRACE_SPECS)
     for j in range(1, draw(st.integers(min_value=0, max_value=2)) + 1):
         keys[f"interferer{j}.period_s"] = draw(spaced)
         keys[f"interferer{j}.start_s"] = draw(st.floats(min_value=0.0, max_value=1e290))
@@ -675,6 +685,8 @@ def _scenario_texts(draw) -> str:
 @example("node1.serial = 1\n" + UNHONOURED[0][0] + "\n")
 @example("node1.serial = 1\n" + UNHONOURED[1][0] + "\n")
 @example("node1.serial = 1\n" + UNHONOURED[2][0] + "\n")
+# A sinusoid whose angle overflows to inf, where sin() raises, within the run.
+@example("node1.serial = 1\nscenario.duration_s = 3\nnode1.trace = sinusoid:37,1,1e-320\n")
 def test_simulate_exits_0_or_1_on_any_config_in_bounds(text):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "scenario.conf", Path(tmp) / "out"

@@ -21,7 +21,6 @@ from thermnet.frames import (
     FRAME_BYTES,
     FrameError,
     InvalidId,
-    SensorId,
     crc8,
     decode_frame,
     encode_frame,
@@ -66,26 +65,27 @@ def test_single_bit_flip_changes_crc(data, position):
 def test_sensor_id_roundtrip():
     sid = make_sensor_id(serial=0x11A3)
     assert validate_sensor_id(sid)
-    assert SensorId.from_bytes(sid.to_bytes()) == sid
-    assert len(sid.to_bytes()) == 8
+    assert sid == bytes.fromhex(sid.hex())
+    assert len(sid) == 8
 
 
 def test_sensor_id_crc_covers_first_seven_bytes():
     sid = make_sensor_id(family=0x28, serial=0x0000DEADBEEF)
-    assert sid.crc == crc8_oracle(sid.to_bytes()[:7])
+    assert sid[7] == crc8_oracle(sid[:7])
 
 
 def test_corrupt_sensor_id_fails_validation():
     sid = make_sensor_id(serial=5)
-    bad = SensorId(sid.family_code, sid.serial + 1, sid.crc)
+    bad = sid[:1] + (6).to_bytes(6, "little") + sid[7:]  # serial + 1 under the old crc
     assert not validate_sensor_id(bad)
+    assert not validate_sensor_id(sid[:7])
+    assert not validate_sensor_id(sid + bytes([0]))
 
 
 @given(st.integers(min_value=0, max_value=(1 << 48) - 1), st.integers(min_value=0, max_value=255))
 def test_sensor_id_bytes_roundtrip(serial, family):
     sid = make_sensor_id(family, serial)
-    again = SensorId.from_bytes(sid.to_bytes())
-    assert (again.family_code, again.serial, again.crc) == (family, serial, sid.crc)
+    assert (sid[0], int.from_bytes(sid[1:7], "little"), sid[7]) == (family, serial, crc8(sid[:7]))
 
 
 def test_frame_word_layout():
@@ -93,7 +93,7 @@ def test_frame_word_layout():
     word = encode_frame(sid, raw_temp=416, sequence=3)
     assert len(word) == FRAME_BYTES
     assert word[0:2] == b"\xaa\x55"
-    assert word[2:10] == sid.to_bytes()
+    assert word[2:10] == sid
     assert word[10:12] == struct.pack(">h", 416)
     assert word[12:14] == struct.pack(">H", 3)
     assert word[14] == crc8_oracle(word[2:14])
@@ -121,16 +121,25 @@ def test_roundtrip_any_fields(serial, raw, seq):
 
 def test_encode_rejects_bad_id():
     sid = make_sensor_id(serial=9)
-    bad = SensorId(sid.family_code, sid.serial, sid.crc ^ 0xFF)
+    bad = sid[:7] + bytes([sid[7] ^ 0xFF])
     with pytest.raises(InvalidId):
         encode_frame(bad, 0, 0)
+
+
+@pytest.mark.parametrize("length", [7, 9])
+def test_encode_rejects_id_of_wrong_length(length):
+    # The word packs the id with the reading as 12 bytes, which would pad
+    # or cut an id that is not 8 bytes long.
+    sid = (make_sensor_id(serial=9) + bytes(1))[:length]
+    with pytest.raises(InvalidId, match=f"sensor id {sid.hex()} fails crc check"):
+        encode_frame(sid, 0, 0)
 
 
 def test_id_checks_hold_on_every_call():
     # Valid ids are checked once and remembered; an invalid one must
     # still fail on each call, not only on the first.
     sid = make_sensor_id(serial=0x5A5A)
-    bad = SensorId(sid.family_code, sid.serial, sid.crc ^ 0x01)
+    bad = sid[:7] + bytes([sid[7] ^ 0x01])
     for _ in range(2):
         with pytest.raises(InvalidId):
             encode_frame(bad, 0, 0)

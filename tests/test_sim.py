@@ -503,8 +503,33 @@ def test_out_of_range_node_is_never_delivered():
     cfg = cfg._replace(nodes=(cfg.nodes[0]._replace(distance_m=250.0), cfg.nodes[1]))
     result, _ = run_logged(cfg.plan())
     assert result.stats.out_of_range > 0
-    delivered_ids = {r.sensor_id.serial for r in result.readings}
-    assert delivered_ids == {2}
+    delivered_ids = {r.sensor_id for r in result.readings}
+    assert delivered_ids == {make_sensor_id(serial=2)}
+
+
+def test_a_frame_that_fails_its_crc_is_counted_corrupt_and_never_delivered(tmp_path, monkeypatch):
+    # No shipped scenario corrupts a frame, so flip one bit of the frame-crc
+    # byte of every word the access point encodes.
+    encode = sim.encode_frame
+
+    def flipped(*fields):
+        word = bytearray(encode(*fields))
+        word[14] ^= 0x01
+        return bytes(word)
+
+    monkeypatch.setattr(sim, "encode_frame", flipped)
+    cfg = two_nodes()
+    cfg = cfg._replace(nodes=(cfg.nodes[0]._replace(distance_m=250.0), *cfg.nodes[1:]))
+    assert cmd_simulate(cfg, tmp_path) == 0
+    events = read_rows(tmp_path / "events.csv")
+    stats = {row["counter"]: int(row["value"]) for row in read_rows(tmp_path / "stats.csv")}
+    received = [row["detail"] for row in events if row["kind"] == "rx_deliver"]
+    assert received and all(detail.endswith(" corrupt=BadFrameCrc") for detail in received)
+    assert stats["corrupt"] == len(received)
+    assert stats["delivered"] == 0 and read_rows(tmp_path / "readings.csv") == []
+    subjects = {node.subject for node in cfg.plan().nodes}
+    ended = sum(row["kind"] == "tx_end" and row["subject"] in subjects for row in events)
+    assert stats["delivered"] + stats["collisions"] + stats["corrupt"] + stats["out_of_range"] == ended
 
 
 def test_interferer_forces_deferrals():
@@ -517,7 +542,7 @@ def test_interferer_forces_deferrals():
     result, events = run_logged(cfg.plan())
     assert result.stats.deferrals > 0
     assert any(e.kind == "slot_start" and e.detail == "busy" for e in events)
-    assert all(r.sensor_id.serial == 1 for r in result.readings)
+    assert all(r.sensor_id == make_sensor_id(serial=1) for r in result.readings)
 
 
 def test_lone_interferer_burst_never_reaches_access_point():

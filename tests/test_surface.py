@@ -78,7 +78,6 @@ IMMUTABLE = [
     (_PLAN, "airtime"),
     (_PLAN.nodes[0], "slot_offset"),
     (Reading(_SID, 1, 592, 0, 0, 37.0), "raw"),
-    (_SID, "serial"),
     (Frame(_SID, 592, 0), "sequence"),
     (ConstantTrace(37.0), "value_c"),
     (RampTrace(36.0, 0.5), "rate_c_per_min"),

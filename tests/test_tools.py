@@ -12,11 +12,24 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEED = ROOT / "tools" / "compare_speed.py"
+OUTPUTS = ROOT / "tools" / "compare_outputs.py"
 
 
 def compare_speed(tree: Path, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
     argv = [sys.executable, str(SPEED), str(tree), "--workload", "watch_long", "--rounds", "2"]
     return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("tool", [SPEED, OUTPUTS], ids=["compare_speed", "compare_outputs"])
+def test_a_dead_worker_is_named_by_its_tree(tmp_path, tool):
+    # The other tree's thermnet fails to import, so its worker dies at start.
+    package = tmp_path / "tree" / "src" / "thermnet"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("raise RuntimeError('broken tree')\n")
+    done = subprocess.run([sys.executable, str(tool), str(tmp_path / "tree")], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1] == f"the worker for {tmp_path / 'tree'} exited with code 1"
 
 
 @pytest.mark.parametrize("found_at", ["user site", "tree root"])

@@ -7,7 +7,8 @@ commit (for example made with ``git archive <rev> | tar -x -C <dir>``):
 
 Each tree runs every command once, in one worker process of its own that
 imports the tree's ``thermnet`` (from ``<tree>/src``; a worker that
-imported another one ends the run with exit 1) and calls
+imported another one, or that dies, ends the run with exit 1, naming the
+tree) and calls
 ``thermnet.cli.main`` for each command; the two workers run each command
 side by side.  ``tools/compare_speed.py`` runs the same workers and
 reads the CPU seconds each command took from their replies.  For every
@@ -97,6 +98,7 @@ class Worker:
     """One tree's worker process."""
 
     def __init__(self, tree: Path):
+        self.tree = tree
         env = {**os.environ, "PYTHONPATH": str(tree / "src")}
         argv = [sys.executable, "-c", WORKER]
         self.proc = subprocess.Popen(argv, cwd=tree, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
@@ -111,7 +113,7 @@ class Worker:
     def receive(self) -> str:
         line = self.proc.stdout.readline()
         if not line:
-            raise SystemExit(f"a worker exited with code {self.proc.wait()}")
+            raise SystemExit(f"the worker for {self.tree} exited with code {self.proc.wait()}")
         return line
 
     def close(self) -> None:
