@@ -21,7 +21,7 @@ from .config import TDMA, ConfigError, RunPlan, ScenarioConfig, config_help, loa
 from .csvio import TICKS_PER_S, open_csv, stamp, write_csv
 from .delays import DelayParams, total_delay
 from .energy import DevicePowerProfile, EnergyLedger, energy_sweep
-from .monitor import EmptySeries, agreement, evaluate_alerts
+from .monitor import agreement, evaluate_alerts
 from .sim import EVENT_COLUMNS, SimResult, SimStats, run_scenario
 from .traces import finite_float
 
@@ -67,11 +67,9 @@ def _write_simulation_outputs(plan: RunPlan, result: SimResult, out_dir: Path) -
         series = series_of[node.sensor_id]
         for alert in evaluate_alerts(series, plan.config.alert_rule):
             alert_rows.append([alert.kind, node.subject, stamp(alert.trigger_time), alert.value])
-        try:
+        if series:
             report = agreement(series)
-        except EmptySeries:
-            continue
-        agreement_rows.append([node.subject, report.mae_c, report.max_err_c, report.n])
+            agreement_rows.append([node.subject, report.mae_c, report.max_err_c, report.n])
     write_csv(
         out_dir / "alerts.csv",
         f"alerts, {_RUN_TAG}",

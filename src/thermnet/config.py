@@ -25,7 +25,8 @@ from .energy import DevicePowerProfile
 from .frames import DEFAULT_FAMILY, FRAME_BITS, make_sensor_id
 from .mac import DEFAULT_BEACON_S, DEFAULT_GUARD_S, slot_length
 from .monitor import AlertRule
-from .traces import ConstantTrace, SinusoidTrace, TemperatureTrace, finite_float, parse_trace
+from .traces import (BandNoiseTrace, ConstantTrace, CsvTrace, RampTrace, SinusoidTrace, TemperatureTrace, finite_float,
+                     parse_trace)
 
 TDMA = "tdma"
 ALOHA = "aloha"
@@ -178,10 +179,11 @@ class ScenarioConfig(NamedTuple):
                 raise ValidationError(f"{node.name}.serial must fit in 48 bits")
         if not 0 <= self.family_code <= 0xFF:
             raise ValidationError("mac.family_code must fit in 8 bits")
-        try:
-            self.power_profile.validate()
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        # A device draws at least its idle current in each active state.
+        for active, idle in (("radio_i_transmit_a", "radio_i_idle_a"), ("radio_i_receive_a", "radio_i_idle_a"),
+                             ("sensor_i_active_a", "sensor_i_idle_a"), ("mcu_i_active_a", "mcu_i_idle_a")):
+            if getattr(self.power_profile, active) < getattr(self.power_profile, idle):
+                raise ValidationError(f"power.{active} must be >= power.{idle}")
 
         def ticks(label: str, seconds: float, span: bool = True) -> int:
             """``seconds`` in the nearest whole clock ticks, a half to even as
@@ -220,11 +222,15 @@ class ScenarioConfig(NamedTuple):
         )]
         # sin() raises once its angle overflows, and the angle grows with t,
         # so an angle finite at the end of the run is finite at every instant.
+        # A truth past the float range would be an infinite error in agreement.csv.
         end_s = spans[0] / TICKS_PER_S
         for node in self.nodes:
-            if isinstance(node.trace, SinusoidTrace) and not math.isfinite(
-                    2.0 * math.pi * end_s / node.trace.period_s + node.trace.phase_rad):
+            trace = node.trace
+            if isinstance(trace, SinusoidTrace) and not math.isfinite(
+                    2.0 * math.pi * end_s / trace.period_s + trace.phase_rad):
                 raise ValidationError(f"{node.name}.trace: the sinusoid's angle overflows before the end of the run")
+            if not math.isfinite(_truth_reach(trace, end_s)):
+                raise ValidationError(f"{node.name}.trace: its truth passes the float range before the end of the run")
         # The TDMA frame: a beacon, then one slot per node in ascending
         # serial order, all whole ticks, so every slot start is exact.
         beacon = slot = frame_period = 0
@@ -263,6 +269,21 @@ class ScenarioConfig(NamedTuple):
             if plan.sample_period < span:
                 raise ValidationError(f"scenario.sample_period_s must be >= {label}")
         return plan
+
+
+def _truth_reach(trace: TemperatureTrace, end_s: float) -> float:
+    """A float that is finite exactly when every truth ``trace`` gives up
+    to ``end_s`` is: a ramp's value at the end, a sinusoid's greatest
+    magnitude, a band's width, a csv trace's largest step between rows."""
+    if isinstance(trace, RampTrace):  # monotone in t
+        return trace.value(end_s)
+    if isinstance(trace, SinusoidTrace):
+        return abs(trace.mean_c) + abs(trace.amplitude_c)
+    if isinstance(trace, BandNoiseTrace):
+        return trace.high_c - trace.low_c
+    if isinstance(trace, CsvTrace):  # finite steps in time and temperature keep each interpolation finite
+        return max((abs(b - a) for col in (trace.times_s, trace.temps_c) for a, b in zip(col, col[1:])), default=0.0)
+    return 0.0  # a constant
 
 
 def _or_inf(compute: Callable[..., float], *args) -> float:
@@ -396,5 +417,7 @@ def config_help() -> str:
                  "0 ps; under tdma, neither may mac.beacon_s nor mac.guard_s overflow it.  A TDMA slot is t4, two\n"
                  "t2 and the guard, rounded up to whole milliseconds; a frame is the beacon and one slot per\n"
                  "node, in ascending serial order.  A sinusoid's angle, 2 pi t / period + phase, must stay\n"
-                 "finite up to the end of the run.")
+                 "finite up to the end of the run, and so must a ramp's value, a sinusoid's |mean| + |amp|, a\n"
+                 "band's width and each step between a csv trace's rows.  Each power.*_active_a (and the radio's\n"
+                 "transmit and receive) current must be at least its device's idle current.")
     return "\n".join(lines)

@@ -26,14 +26,6 @@ class DevicePowerProfile(NamedTuple):
     mcu_i_active_a: float = 0.0036
     mcu_i_idle_a: float = 0.001
 
-    def validate(self) -> None:
-        if min(self.radio_i_transmit_a, self.radio_i_receive_a) < self.radio_i_idle_a:
-            raise ValueError("radio active currents must be >= idle current")
-        if self.sensor_i_active_a < self.sensor_i_idle_a:
-            raise ValueError("sensor active current must be >= idle current")
-        if self.mcu_i_active_a < self.mcu_i_idle_a:
-            raise ValueError("mcu active current must be >= idle current")
-
 
 def power(volts: float, amperes: float) -> float:
     """Electrical power in watts."""

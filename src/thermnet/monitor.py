@@ -21,10 +21,6 @@ HIGH_TEMP = "high_temp"
 RAPID_RISE = "rapid_rise"
 
 
-class EmptySeries(ValueError):
-    """Agreement asked for on a sensor with no readings."""
-
-
 class Reading(NamedTuple):
     """One delivered measurement.
 
@@ -53,11 +49,6 @@ class AlertRule(NamedTuple):
     rise_rate_c_per_min: float = 0.5
     rise_window_s: float = 60.0
 
-    def validate(self) -> None:
-        for value in (self.high_threshold_c, self.rise_rate_c_per_min, self.rise_window_s):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError("alert rule values must be finite and positive")
-
 
 class Alert(NamedTuple):
     kind: str
@@ -83,8 +74,7 @@ def evaluate_alerts(series: list[Reading], rule: AlertRule) -> list[Alert]:
     all equal has none.  A rapid-rise alert fires when that slope is at
     least ``rule.rise_rate_c_per_min``, compared exactly, and its ``value``
     is the slope rounded once to a float (inf if it overflows).  Raises
-    ValueError if the rule is invalid, or if a time is negative or below
-    the one before.
+    ValueError if a time is negative or below the one before.
 
     The window moves with two pointers and keeps running sums of t, t*t,
     t*raw and raw.  Times are ints, so the sums are Python ints: adding a
@@ -93,13 +83,6 @@ def evaluate_alerts(series: list[Reading], rule: AlertRule) -> list[Alert]:
     15 * TICKS_PER_S * (n sum t*raw - sum t sum raw) / (4 (n sum t*t - (sum t)**2))
     degC/min, which is compared and rounded as a ratio of ints.
     """
-    rule.validate()
-    prev = 0
-    for reading in series:
-        if not prev <= reading.time:
-            raise ValueError(f"series is not time-ordered from 0 at t={reading.time!r}")
-        prev = reading.time
-
     high = rule.high_threshold_c
     # Times are whole ticks, so one is at or after t - rise_window_s exactly
     # when it is at or after t - window, the window's floor in ticks.
@@ -109,10 +92,13 @@ def evaluate_alerts(series: list[Reading], rule: AlertRule) -> list[Alert]:
     alerts: list[Alert] = []
     high_armed = True
     rise_armed = True
-    lo = 0
+    lo = prev = 0
     s_t = s_tt = s_tr = s_r = 0  # over the window
     for i, reading in enumerate(series):
         t, raw, temp = reading.time, reading.raw, reading.temp_c
+        if t < prev:
+            raise ValueError(f"series is not time-ordered from 0 at t={t!r}")
+        prev = t
         if temp >= high:
             if high_armed:
                 alerts.append(Alert(HIGH_TEMP, reading.sensor_id, t, temp))
@@ -144,13 +130,12 @@ def evaluate_alerts(series: list[Reading], rule: AlertRule) -> list[Alert]:
 
 
 def agreement(series: list[Reading]) -> AgreementReport:
-    """Mean absolute and max error of each reading against its ``true_c``,
-    the truth at its conversion-start time."""
-    if not series:
-        raise EmptySeries("no readings to compare")
+    """Mean absolute and max error of each reading of a non-empty series
+    against its ``true_c``, the truth at its conversion-start time."""
     errors = [abs(r.temp_c - r.true_c) for r in series]
-    return AgreementReport(
-        mae_c=math.fsum(errors) / len(errors),
-        max_err_c=max(errors),
-        n=len(errors),
-    )
+    n = len(errors)
+    try:
+        mae_c = math.fsum(errors) / n
+    except OverflowError:  # the sum passes the float range; the mean of finite errors does not
+        mae_c = math.fsum(e / n for e in errors)
+    return AgreementReport(mae_c=mae_c, max_err_c=max(errors), n=n)

@@ -251,15 +251,14 @@ class _Node:
     """One sensor node's run state; ``plan`` holds its fixed terms.
 
     ``pending`` holds the packet waiting for the node's slot; exactly
-    while it is set, one SLOT_START is queued for slot ``slot_k``.
+    while it is set, one SLOT_START is queued for its slot.
     """
 
-    __slots__ = ("plan", "pending", "slot_k", "radio_active")
+    __slots__ = ("plan", "pending", "radio_active")
 
     def __init__(self, plan: NodePlan):
         self.plan = plan
         self.pending: Optional[_Packet] = None
-        self.slot_k = 0
         self.radio_active = 0
 
 
@@ -382,12 +381,10 @@ class _Engine:
                 # one and goes out in the slot already queued for it.
                 self.stats.replaced_pending += 1
             else:
-                node.slot_k = next_instant_index(self.plan.frame_period, node.plan.slot_offset, self.now)
-                self._push_slot(node)
+                frame_period, offset = self.plan.frame_period, node.plan.slot_offset
+                self._push(next_instant_index(frame_period, offset, self.now) * frame_period + offset,
+                           self._on_slot_start, node)
             node.pending = (raw, true_c, sequence, started)
-
-    def _push_slot(self, node: _Node) -> None:
-        self._push(node.slot_k * self.plan.frame_period + node.plan.slot_offset, self._on_slot_start, node)
 
     def _on_slot_start(self, node: _Node) -> None:
         """Listen before send, logged as the slot's one row with detail
@@ -398,8 +395,7 @@ class _Engine:
         self._log(SLOT_START, node.plan.subject, "busy" if busy else "free")
         if busy:
             self.stats.deferrals += 1
-            node.slot_k += 1
-            self._push_slot(node)
+            self._push(self.now + self.plan.frame_period, self._on_slot_start, node)
             return
         packet, node.pending = node.pending, None
         self._push(self.now + self.plan.switch, self._on_tx_start, [(node, packet)])

@@ -119,8 +119,6 @@ class CsvTrace(NamedTuple):
         i = bisect.bisect_right(times, t)
         t0, t1 = times[i - 1], times[i]
         c0, c1 = self.temps_c[i - 1], self.temps_c[i]
-        if t1 == t0:
-            return c1
         return c0 + (c1 - c0) * (t - t0) / (t1 - t0)
 
 

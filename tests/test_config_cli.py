@@ -391,6 +391,8 @@ NON_FINITE_FIELDS = [
     ("delay.air_data_rate_bps", lambda c, v: c._replace(delay_params=DelayParams(air_data_rate_bps=v))),
     ("power.supply_voltage_v", lambda c, v: c._replace(power_profile=DevicePowerProfile(supply_voltage_v=v))),
     ("interferer1.start_s", lambda c, v: c._replace(interferers=(InterfererSpec("interferer1", start_s=v),))),
+    *((f"alert.{field}", lambda c, v, field=field: c._replace(alert_rule=AlertRule(**{field: v})))
+      for field in AlertRule._fields),
 ]
 
 
@@ -421,8 +423,10 @@ def test_config_help_documents_keys():
         ("delay.mac_instruction_clocks = -1", "delay.mac_instruction_clocks must be >= 0"),
         ("power.supply_voltage_v = 0", "power.supply_voltage_v must be positive"),
         ("power.radio_i_idle_a = -1e-6", "power.radio_i_idle_a must be >= 0"),
-        ("power.radio_i_idle_a = 0.05", "radio active currents must be >= idle current"),
-        ("power.mcu_i_active_a = 1e-5", "mcu active current must be >= idle current"),
+        ("power.radio_i_idle_a = 0.05", "power.radio_i_transmit_a must be >= power.radio_i_idle_a"),
+        ("power.radio_i_receive_a = 0", "power.radio_i_receive_a must be >= power.radio_i_idle_a"),
+        ("power.sensor_i_active_a = 0", "power.sensor_i_active_a must be >= power.sensor_i_idle_a"),
+        ("power.mcu_i_active_a = 1e-5", "power.mcu_i_active_a must be >= power.mcu_i_idle_a"),
     ],
 )
 def test_record_value_out_of_bounds_names_its_key(line, message):
@@ -512,6 +516,7 @@ def test_config_whose_delay_terms_overflow_exits_1(tmp_path, capsys, command, li
 # Configs a run cannot honour, though every key is in its bounds.
 _HUGE_CLOCK = "scenario.duration_s = 1e300\nscenario.sample_period_s = 3e299\n"
 _TO_0 = "is not 0 but rounds to 0 ps"
+_PAST_FLOATS = "its truth passes the float range before the end of the run"
 UNHONOURED = [
     (_HUGE_CLOCK, "scenario.duration_s overflows"),
     (_HUGE_CLOCK + "scenario.mac_mode = aloha", "scenario.duration_s overflows"),
@@ -530,13 +535,18 @@ UNHONOURED = [
     ("scenario.duration_s = 1\nscenario.sample_period_s = 0.05\nscenario.mac_mode = aloha\n"
      "delay.sensor_conversion_s = 0.01\ndelay.air_data_rate_bps = 284",
      "scenario.sample_period_s must be >= t4 = frame bits / delay.air_data_rate_bps under aloha"),
+    # Truths that pass the float range within the run.
+    ("scenario.duration_s = 60\nnode1.trace = ramp:1e308,1e308", f"node1.trace: {_PAST_FLOATS}"),
+    ("node1.trace = sinusoid:1e308,1e308,60", f"node1.trace: {_PAST_FLOATS}"),
+    ("node1.trace = band:-1e308,1e308", f"node1.trace: {_PAST_FLOATS}"),
 ]
 
 
 @pytest.mark.parametrize(
     "lines, message",
     UNHONOURED,
-    ids=["tdma", "aloha", "duration_to_0", "t1", "burst", "switch", "serial_usb", "conversion", "mcu", "radio"],
+    ids=["tdma", "aloha", "duration_to_0", "t1", "burst", "switch", "serial_usb", "conversion", "mcu", "radio",
+         "ramp", "sinusoid", "band"],
 )
 def test_config_the_run_cannot_honour_exits_1(tmp_path, capsys, lines, message):
     path = write_config(tmp_path, f"node1.serial = 1\n{lines}\n")
@@ -544,6 +554,14 @@ def test_config_the_run_cannot_honour_exits_1(tmp_path, capsys, lines, message):
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("times, temps", [((0.0, 1.0), (-1e308, 1e308)), ((-1e308, 1e308), (36.0, 37.0))],
+                         ids=["temp_step", "time_step"])
+def test_csv_trace_with_a_step_past_the_float_range_is_rejected(times, temps):
+    config = ScenarioConfig(nodes=(NodeSpec("node1", 1, CsvTrace(times, temps)),), duration_s=5.0)
+    with pytest.raises(ValidationError, match=f"^node1.trace: {_PAST_FLOATS}$"):
+        config.plan()
 
 
 def test_a_long_run_keeps_every_span():
@@ -687,6 +705,10 @@ def _scenario_texts(draw) -> str:
 @example("node1.serial = 1\n" + UNHONOURED[2][0] + "\n")
 # A sinusoid whose angle overflows to inf, where sin() raises, within the run.
 @example("node1.serial = 1\nscenario.duration_s = 3\nnode1.trace = sinusoid:37,1,1e-320\n")
+# Truths whose errors' sum overflows, or that pass the float range.
+@example("node1.serial = 1\nscenario.duration_s = 5\nnode1.trace = ramp:1e308,1e308\n")
+@example("node1.serial = 1\nscenario.duration_s = 5\nnode1.trace = sinusoid:1e308,1e308,60\n")
+@example("node1.serial = 1\nscenario.duration_s = 5\nnode1.trace = band:-1e308,1e308\n")
 def test_simulate_exits_0_or_1_on_any_config_in_bounds(text):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "scenario.conf", Path(tmp) / "out"
@@ -700,6 +722,8 @@ def test_simulate_exits_0_or_1_on_any_config_in_bounds(text):
             return
         assert code == 0
         stats = {row["counter"]: int(row["value"]) for row in read_rows(out / "stats.csv")}
+        agreement_rows = read_rows(out / "agreement.csv")
+    assert all(math.isfinite(float(row[key])) for row in agreement_rows for key in ("mae_c", "max_err_c"))
     ended = stats["delivered"] + stats["collisions"] + stats["corrupt"] + stats["out_of_range"]
     assert ended <= stats["transmissions"] <= stats["frames_queued"] - stats["replaced_pending"]
     assert stats["frames_queued"] - stats["replaced_pending"] <= stats["conversions"]

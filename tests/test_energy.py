@@ -89,11 +89,3 @@ def test_sweep_rejects_empty_axes():
     with pytest.raises(ValueError):
         energy_sweep([256], [], PROFILE, PARAMS)
 
-
-def test_profile_validation():
-    # Each field's sign is checked by the scenario config (test_config_cli).
-    PROFILE.validate()
-    with pytest.raises(ValueError):
-        DevicePowerProfile(radio_i_idle_a=0.05).validate()
-    with pytest.raises(ValueError):
-        DevicePowerProfile(mcu_i_active_a=1e-5).validate()

@@ -19,7 +19,6 @@ from thermnet.frames import TEMP_LSB_C, make_sensor_id
 from thermnet.monitor import (
     Alert,
     AlertRule,
-    EmptySeries,
     Reading,
     agreement,
     evaluate_alerts,
@@ -121,22 +120,6 @@ def test_rise_alerts_match_stdlib_regression_oracle():
     for (got_t, got_v), (exp_t, exp_v) in zip(got, expected):
         assert got_t == exp_t
         assert got_v == pytest.approx(exp_v, abs=1e-9)
-
-
-def test_alert_rule_validation():
-    RULE.validate()
-    with pytest.raises(ValueError):
-        AlertRule(high_threshold_c=0).validate()
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("field", ["high_threshold_c", "rise_rate_c_per_min", "rise_window_s"])
-def test_alert_rule_rejects_non_finite(field, value):
-    rule = AlertRule(**{field: value})
-    with pytest.raises(ValueError):
-        rule.validate()
-    with pytest.raises(ValueError, match="finite and positive"):
-        evaluate_alerts(series_from([37.0] * 3), rule)
 
 
 @pytest.mark.parametrize("bad_time", [9_500_000_000_000, -1], ids=["9.5", "-1.0"])
@@ -347,9 +330,4 @@ def test_agreement_uses_sample_time_not_delivery_time():
     assert [r.true_c for r in series] == [trace.value(r.sample_time / TICKS_PER_S) for r in series]
     assert all(r.true_c < trace.value(r.time / TICKS_PER_S) for r in series)
     assert agreement(series).max_err_c == 0.0
-
-
-def test_empty_series_raises():
-    with pytest.raises(EmptySeries):
-        agreement([])
 
