@@ -7,14 +7,13 @@ any sample can be recomputed in isolation and runs are reproducible
 byte-for-byte.
 
 Hashing takes one splitmix64 step for the seed and one per key.  A
-stream is keyed by a constant prefix (seed, stream, node ...) and one
-varying last key, so ``mix64`` caches the hash of the prefix and a warm
-call takes a single step.
+stream is the hash of its constant keys (seed, stream, node ...),
+taken once by its user; ``gauss(stream, key)`` takes one step on from
+it for the varying last key.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 
@@ -33,14 +32,6 @@ def splitmix64(x: int) -> int:
 
 def mix64(seed: int, *keys: int) -> int:
     """Hash a seed plus integer keys into one 64-bit word."""
-    if not keys:
-        return splitmix64(seed & _MASK64)
-    return splitmix64(_prefix(seed, keys[:-1]) ^ (keys[-1] & _MASK64))
-
-
-@functools.lru_cache(maxsize=4096)
-def _prefix(seed: int, keys: tuple[int, ...]) -> int:
-    """``mix64(seed, *keys)`` computed step by step; cached by ``mix64``."""
     h = splitmix64(seed & _MASK64)
     for k in keys:
         h = splitmix64(h ^ (k & _MASK64))
@@ -61,13 +52,15 @@ def unit_uniform(seed: int, *keys: int) -> float:
     return (mix64(seed, *keys) >> 11) * (1.0 / (1 << 53))
 
 
-def gauss(seed: int, *keys: int) -> float:
-    """Standard normal deviate via Box-Muller, pure in (seed, keys).
+def gauss(stream: int, key: int) -> float:
+    """Standard normal deviate via Box-Muller, pure in (stream, key).
 
-    Its uniforms are those of the keys (seed, *keys, 0) and
-    (seed, *keys, 1), both one step on from the hash of (seed, keys).
+    ``stream`` is ``mix64(seed, *keys)``; the deviate is that of the
+    keys (seed, *keys, key).  Its uniforms are those of the keys
+    (..., key, 0) and (..., key, 1), both one step on from
+    ``h = splitmix64(stream ^ key)``.
     """
-    h = mix64(seed, *keys)
+    h = splitmix64(stream ^ (key & _MASK64))
     # u1 in (0, 1] so the log is finite; h ^ 0 is h.
     u1 = (splitmix64(h) + 1) * (1.0 / (1 << 64))
     u2 = (splitmix64(h ^ 1) >> 11) * (1.0 / (1 << 53))

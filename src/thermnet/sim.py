@@ -57,7 +57,7 @@ from .energy import EnergyLedger, energy, power
 from .frames import FrameError, TEMP_LSB_C, decode_frame, encode_frame
 from .mac import next_instant_index
 from .monitor import Reading
-from .rng import gauss
+from .rng import gauss, mix64
 from .traces import TemperatureTrace
 
 AP = "ap"
@@ -177,7 +177,7 @@ def medium_transmit(medium: Medium, tx: Transmission) -> Transmission:
 def sense_and_quantize(
     truths: Sequence[TemperatureTrace],
     node_truth: Sequence[int],
-    serials: Sequence[int],
+    streams: Sequence[int],
     t: int,
     seed: int,
     noise_sigma_c: float = 0.0,
@@ -186,9 +186,10 @@ def sense_and_quantize(
     the true temperature it was sensed from.
 
     Node i reads the temperature of ``truths[node_truth[i]]`` at t, plus
-    seeded Gaussian noise keyed by its serial ``serials[i]`` and by t,
-    clamped to the device's range.  Each of ``truths`` is evaluated once,
-    however many nodes read it.
+    Gaussian noise drawn at t from its stream ``streams[i]``, hashed
+    once per run from the seed and its serial, clamped to the device's
+    range.  Each of ``truths`` is evaluated once, however many nodes
+    read it.
 
     The value is determined at conversion start; the device only makes
     it readable ``delay.sensor_conversion_s`` later (the engine enforces
@@ -200,7 +201,7 @@ def sense_and_quantize(
     group_c = [trace.value(t_s, seed) for trace in truths]
     true_c = [group_c[j] for j in node_truth]
     if noise_sigma_c > 0:
-        temps = [c + noise_sigma_c * gauss(seed, _NOISE_STREAM, serial, t) for serial, c in zip(serials, true_c)]
+        temps = [c + noise_sigma_c * gauss(stream, t) for stream, c in zip(streams, true_c)]
     else:
         temps = true_c
     # Clamped before rounding, so a finite reading too large for a float
@@ -248,16 +249,21 @@ _Packet = tuple[int, float, int, int]
 
 
 class _Node:
-    """One sensor node's run state; ``plan`` holds its fixed terms.
+    """One sensor node's run state, and its fixed terms copied once from
+    its ``NodePlan``.
 
     ``pending`` holds the packet waiting for the node's slot; exactly
     while it is set, one SLOT_START is queued for its slot.
     """
 
-    __slots__ = ("plan", "pending", "radio_active")
+    __slots__ = ("subject", "sensor_id", "distance_m", "propagation", "slot_offset", "pending", "radio_active")
 
     def __init__(self, plan: NodePlan):
-        self.plan = plan
+        self.subject = plan.subject
+        self.sensor_id = plan.sensor_id
+        self.distance_m = plan.spec.distance_m
+        self.propagation = plan.propagation
+        self.slot_offset = plan.slot_offset
         self.pending: Optional[_Packet] = None
         self.radio_active = 0
 
@@ -302,12 +308,12 @@ class _Engine:
                 self._push(start, self._on_interferer_burst, intf, period, airtime)
         period = plan.sample_period
         conversion = plan.conversion
-        serials = [node.spec.serial for node in plan.nodes]
+        streams = [mix64(cfg.seed, _NOISE_STREAM, node.spec.serial) for node in plan.nodes]
         for k in range(next_instant_index(period, 0, end)):  # the instants before the end
             t = k * period
             self._dispatch_before(t)
             self.now = t
-            sensed = sense_and_quantize(plan.truths, plan.node_truth, serials, t, cfg.seed, cfg.noise_sigma_c)
+            sensed = sense_and_quantize(plan.truths, plan.node_truth, streams, t, cfg.seed, cfg.noise_sigma_c)
             self._push(t + conversion, self._on_conversions_done, k, t, sensed)
         # Events due exactly at the end still run.
         self._dispatch_before(end + 1)
@@ -345,7 +351,7 @@ class _Engine:
         mcu_idle_j = joules(prof.mcu_i_idle_a, end - mcu_active)
         ledgers: dict[str, EnergyLedger] = {}
         for node in self.nodes:
-            ledgers[node.plan.subject] = EnergyLedger(
+            ledgers[node.subject] = EnergyLedger(
                 transmit_j=joules(prof.radio_i_transmit_a, node.radio_active),
                 sensing_j=sensing_j,
                 mcu_j=mcu_j,
@@ -364,7 +370,7 @@ class _Engine:
         """Conversion k finishes on every node, in node order; the
         instant's frames then become ready together, as one cohort."""
         for node, (raw, _) in zip(self.nodes, sensed):
-            self._log(CONVERSION_DONE, node.plan.subject, f"k={k} raw={raw}")
+            self._log(CONVERSION_DONE, node.subject, f"k={k} raw={raw}")
         self._push(self.now + self.plan.prep, self._on_frames_ready, k % (1 << 16), started, sensed)
 
     def _on_frames_ready(self, sequence: int, started: int, sensed: list[tuple[int, float]]) -> None:
@@ -381,7 +387,7 @@ class _Engine:
                 # one and goes out in the slot already queued for it.
                 self.stats.replaced_pending += 1
             else:
-                frame_period, offset = self.plan.frame_period, node.plan.slot_offset
+                frame_period, offset = self.plan.frame_period, node.slot_offset
                 self._push(next_instant_index(frame_period, offset, self.now) * frame_period + offset,
                            self._on_slot_start, node)
             node.pending = (raw, true_c, sequence, started)
@@ -391,8 +397,8 @@ class _Engine:
         ``busy`` or ``free``: a free channel transmits the pending frame,
         a busy one defers it to the node's slot in the next frame, with
         no retry bound."""
-        busy = self.medium.busy_at(self.now, node.plan.spec.distance_m)
-        self._log(SLOT_START, node.plan.subject, "busy" if busy else "free")
+        busy = self.medium.busy_at(self.now, node.distance_m)
+        self._log(SLOT_START, node.subject, "busy" if busy else "free")
         if busy:
             self.stats.deferrals += 1
             self._push(self.now + self.plan.frame_period, self._on_slot_start, node)
@@ -407,9 +413,9 @@ class _Engine:
         end = start + self.plan.airtime
         on_air = []
         for node, packet in cohort:
-            tx = Transmission(node.plan.subject, start, end, node.plan.spec.distance_m)
+            tx = Transmission(node.subject, start, end, node.distance_m)
             medium_transmit(self.medium, tx)
-            self._log(TX_START, node.plan.subject, f"seq={packet[2]}")
+            self._log(TX_START, node.subject, f"seq={packet[2]}")
             on_air.append((tx, node, packet))
         self.stats.transmissions += len(cohort)
         self._push(end, self._on_tx_end, on_air)
@@ -427,11 +433,11 @@ class _Engine:
             if fate == OUT_OF_RANGE:
                 self.stats.out_of_range += 1
             else:
-                self._push(self.now + node.plan.propagation, self._on_arrival, fate, node.plan, packet)
+                self._push(self.now + node.propagation, self._on_arrival, fate, node, packet)
 
     # -- access-point handlers -----------------------------------------
 
-    def _on_arrival(self, fate: str, node: NodePlan, packet: _Packet) -> None:
+    def _on_arrival(self, fate: str, node: _Node, packet: _Packet) -> None:
         """A node frame in range reaches the access point with the fate
         the medium gave it.  Only a received frame is encoded, and
         decoded at once into the reading it delivers."""
@@ -451,11 +457,11 @@ class _Engine:
         # Receiver pipeline: mode switch, then serial transfer and USB hop.
         delivered = self.now + self.plan.switch + self.plan.serial
         reading = Reading(frame.sensor_id, delivered, frame.raw_temp, frame.sequence, started, true_c)
-        self._push(delivered, self._on_serial_out, reading, node.subject)
+        self._push(delivered, self._on_serial_out, reading, node)
 
-    def _on_serial_out(self, reading: Reading, subject: str) -> None:
-        # The frame was encoded from the node's own id, named ``subject``.
-        self._log(SERIAL_OUT, AP, f"id={subject} seq={reading.sequence}")
+    def _on_serial_out(self, reading: Reading, node: _Node) -> None:
+        # The frame was encoded from the node's own id.
+        self._log(SERIAL_OUT, AP, f"id={node.subject} seq={reading.sequence}")
         self.stats.delivered += 1
         self.readings.append(reading)
 

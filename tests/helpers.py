@@ -212,9 +212,9 @@ def rounded(value: Fraction) -> float:
 
 # -- keyed RNG, as first written ----------------------------------------
 #
-# The package caches the constant (seed, stream, node) prefix of a key
-# and draws both Box-Muller uniforms from one hash.  These are the
-# step-by-step originals, kept verbatim so the cached path can be
+# The package hashes each node's constant (seed, stream, serial) prefix
+# once per run and draws both Box-Muller uniforms from one hash.  These
+# are the step-by-step originals, kept verbatim so that path can be
 # checked against them for exact equality.
 
 _MASK64 = (1 << 64) - 1

@@ -23,7 +23,7 @@ from thermnet.monitor import (
     agreement,
     evaluate_alerts,
 )
-from thermnet.rng import gauss
+from thermnet.rng import gauss, mix64
 from thermnet.traces import RampTrace
 
 RULE = AlertRule()
@@ -307,7 +307,7 @@ def test_noise_mae_matches_folded_normal_oracle():
     sigma, truth, n = 0.1, 37.0, 2000
     series = []
     for k in range(n):
-        noisy = truth + sigma * gauss(77, k)
+        noisy = truth + sigma * gauss(mix64(77), k)
         series.append(reading(1, k, round(noisy / 0.0625) * 0.0625, seq=k, true_c=truth))
     report = agreement(series)
     errors = [abs(r.temp_c - truth) for r in series]

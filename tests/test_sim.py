@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    _NOISE_STREAM,
     _float_key,
     access_point_ledger,
     band_value_oracle,
@@ -177,8 +178,9 @@ def test_medium_matches_pairwise_scan(signals, finish_ended):
 
 
 def sense_one(trace, t, seed, noise_sigma_c=0.0):
-    """The raw count of a one-node cell reading ``trace`` at tick t."""
-    ((raw, true_c),) = sense_and_quantize([trace], [0], [1], t, seed, noise_sigma_c)
+    """The raw count of a one-node cell, serial 1, reading ``trace`` at tick t."""
+    stream = mix64_oracle(seed, _NOISE_STREAM, 1)
+    ((raw, true_c),) = sense_and_quantize([trace], [0], [stream], t, seed, noise_sigma_c)
     assert true_c == trace.value(t / TICKS_PER_S, seed)
     return raw
 
@@ -245,14 +247,13 @@ _NODES = st.lists(
 @example(-1, [(0, 1), (1, 2)], [0, 1, 10**30], 36.0, 2.0, 0.1)
 @example(1 << 64, [(2, 7), (0, 0), (2, 1 << 47), (2, 3)], [TICKS_PER_S], 36.0, 2.0, 0.1)
 def test_sensing_equals_step_by_step_rng(seed, nodes, instants, low_c, width_c, sigma_c):
-    # The prefix cache must be keyed by seed, stream and serial: several
-    # nodes share each seed and each truth here, and the seeds vary
-    # across examples.  A node's noise is keyed by its serial and the
-    # tick, and its true temperature is its own truth's at the tick in
-    # seconds.
+    # Several nodes share each seed and each truth here, and the seeds
+    # vary across examples.  A node's noise is drawn at the tick from its
+    # stream, the hash of (seed, noise stream, serial), and its true
+    # temperature is its own truth's at the tick in seconds.
     truths = [BandNoiseTrace(low_c + d, low_c + d + width_c) for d in (0.0, 0.5, 3.0)]
     node_truth = [j for j, _ in nodes]
-    serials = [serial for _, serial in nodes]
+    streams = [mix64_oracle(seed, _NOISE_STREAM, serial) for _, serial in nodes]
     for t in instants:
         t_s = t / TICKS_PER_S
         for trace in truths:
@@ -264,7 +265,7 @@ def test_sensing_equals_step_by_step_rng(seed, nodes, instants, low_c, width_c, 
             )
             for j, serial in nodes
         ]
-        assert sense_and_quantize(truths, node_truth, serials, t, seed, sigma_c) == expected
+        assert sense_and_quantize(truths, node_truth, streams, t, seed, sigma_c) == expected
 
 
 @given(st.floats())
@@ -278,10 +279,15 @@ def test_float_key_is_the_bit_pattern(t):
     assert float_key(t) == _float_key(t)
 
 
-@given(_SEEDS, st.lists(st.integers(min_value=-(1 << 70), max_value=1 << 70), max_size=5))
-def test_mix64_and_gauss_equal_step_by_step_rng(seed, keys):
+_KEYS = st.integers(min_value=-(1 << 70), max_value=1 << 70)
+
+
+@given(_SEEDS, st.lists(_KEYS, max_size=5), _KEYS)
+def test_mix64_and_gauss_equal_step_by_step_rng(seed, keys, key):
     assert mix64(seed, *keys) == mix64_oracle(seed, *keys)
-    assert gauss(seed, *keys) == gauss_oracle(seed, *keys)
+    # A stream is the hash of (seed, keys); its draw at key is the
+    # deviate of (seed, keys, key).
+    assert gauss(mix64(seed, *keys), key) == gauss_oracle(seed, *keys, key)
 
 
 # -- whole runs --------------------------------------------------------
